@@ -1,12 +1,8 @@
 GO ?= go
-BENCH_JSON ?= BENCH_PR6.json
-CLUSTER_BENCH_JSON ?= BENCH_PR7.json
-STORE_BENCH_JSON ?= BENCH_PR9.json
-TENANT_BENCH_JSON ?= BENCH_PR10.json
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS = -ldflags "-X main.version=$(VERSION)"
 
-.PHONY: all build test race race-focus vet bench bench-cluster bench-store bench-tenant run-server run-worker smoke-cluster smoke-chaos smoke-store smoke-tenants clean
+.PHONY: all build test race race-focus vet run-server run-worker smoke-cluster smoke-chaos smoke-store smoke-tenants clean
 
 all: build test
 
@@ -48,8 +44,12 @@ run-server:
 	$(GO) run $(LDFLAGS) ./cmd/vmat-server -addr $(ADDR) $(if $(CLUSTER),-cluster)
 
 # Starts one worker against a cluster-mode server (override with
-# SERVER=http://host:8080 WORKER_NAME=lab-3 make run-worker). Run it as
-# many times as you want concurrent units in flight.
+# SERVER=http://host:8080 WORKER_NAME=lab-3 make run-worker). A worker
+# runs units side by side but never more than GOMAXPROCS trials at once,
+# so one per machine is enough, and a second on the same machine adds
+# trials beyond its cores. GOMAXPROCS=2 make run-worker caps it at two.
+# Go 1.24 sizes GOMAXPROCS from the CPUs it may run on, not from a
+# container's cgroup CPU quota, so set it yourself under a quota.
 SERVER ?= http://localhost:8080
 WORKER_NAME ?= $(shell hostname)-$$$$
 run-worker:
@@ -84,45 +84,5 @@ smoke-store: build
 smoke-tenants: build
 	./scripts/smoke-tenants.sh
 
-# Runs every testing.B wrapper once with -benchmem and records the
-# results as machine-readable JSON in $(BENCH_JSON): an "env" object
-# (go version, GOOS/GOARCH, CPU model, GOMAXPROCS) so the numbers are
-# interpretable across machines, and a "benchmarks" array with one
-# object per benchmark (ns/op, B/op, allocs/op, custom metrics). The
-# raw go output is kept alongside in $(BENCH_JSON:.json=.txt).
-bench:
-	$(GO) test -run '^$$' -bench . -benchmem -count 1 . | tee $(BENCH_JSON:.json=.txt)
-	awk -v goversion="$$($(GO) env GOVERSION)" -f scripts/bench-json.awk $(BENCH_JSON:.json=.txt) > $(BENCH_JSON)
-
-# The distributed-plane comparisons only: the same job batch dispatched
-# to the local pool vs a two-worker HTTP-polling fleet, and one large
-# scenario dispatched at shard granularities whole/64/256/1024 trials
-# across 1/2/4 wire-streaming workers. -benchtime 2x bounds the sweep's
-# wall time; the JSON records GOMAXPROCS, without which the speedup
-# columns are meaningless (a single-core runner cannot show one).
-bench-cluster:
-	$(GO) test -run '^$$' -bench 'BenchmarkClusterDispatch|BenchmarkShardGranularity' -benchmem -benchtime 2x -count 1 . | tee $(CLUSTER_BENCH_JSON:.json=.txt)
-	awk -v goversion="$$($(GO) env GOVERSION)" -f scripts/bench-json.awk $(CLUSTER_BENCH_JSON:.json=.txt) > $(CLUSTER_BENCH_JSON)
-
-# The storage-engine numbers only: reopen time via index snapshot vs
-# full journal replay at 10k/100k/1M entries (the snapshot's ≥10x edge
-# is the headline), and warm hit latency at the same scales. Reopen runs
-# -benchtime 3x because each iteration is a whole million-entry open;
-# hit latency gets 2000x so per-Get numbers aren't cold-cache noise.
-bench-store:
-	$(GO) test -run '^$$' -bench BenchmarkStoreReopen -benchmem -benchtime 3x -count 1 -timeout 30m . | tee $(STORE_BENCH_JSON:.json=.txt)
-	$(GO) test -run '^$$' -bench BenchmarkStoreHitLatency -benchmem -benchtime 2000x -count 1 -timeout 30m . | tee -a $(STORE_BENCH_JSON:.json=.txt)
-	awk -v goversion="$$($(GO) env GOVERSION)" -f scripts/bench-json.awk $(STORE_BENCH_JSON:.json=.txt) > $(STORE_BENCH_JSON)
-
-# The front-door numbers only: admission overhead open vs keyed on a
-# cache-warm job (the keyed path must stay within 5% of open),
-# saturated submission from 1 vs 8 tenants, and the deficit-round-robin
-# drain-share ratios (fair_min/fair_max must stay within 2x of each
-# tenant's weight share; the benchmark fails itself otherwise).
-bench-tenant:
-	$(GO) test -run '^$$' -bench BenchmarkTenantAdmission -benchmem -benchtime 200x -count 1 . | tee $(TENANT_BENCH_JSON:.json=.txt)
-	awk -v goversion="$$($(GO) env GOVERSION)" -f scripts/bench-json.awk $(TENANT_BENCH_JSON:.json=.txt) > $(TENANT_BENCH_JSON)
-
 clean:
-	rm -f $(BENCH_JSON) $(BENCH_JSON:.json=.txt) $(CLUSTER_BENCH_JSON) $(CLUSTER_BENCH_JSON:.json=.txt) $(STORE_BENCH_JSON) $(STORE_BENCH_JSON:.json=.txt) $(TENANT_BENCH_JSON) $(TENANT_BENCH_JSON:.json=.txt)
 	$(GO) clean ./...

@@ -264,7 +264,9 @@ func BenchmarkStoreHitVsColdExecution(b *testing.B) {
 // to the service's local pool vs a two-worker fleet over loopback HTTP
 // (registration, leases, heartbeats, CRC-verified uploads included).
 // The fleet pays the wire cost per unit but runs units concurrently, so
-// this is the break-even measurement for `make bench-cluster`:
+// this is the in-process break-even measurement (run it with
+// `go test -bench BenchmarkClusterDispatch .`; the end-to-end fleet
+// numbers come from `bash vmatbench/run.sh --workload fleet-sweep`):
 // distribution wins once units are expensive relative to the protocol.
 func BenchmarkClusterDispatch(b *testing.B) {
 	spec := service.Spec{ScenarioConfig: experiments.ScenarioConfig{
@@ -442,8 +444,10 @@ func benchController(b *testing.B, n int) (*tenant.Controller, []*tenant.Tenant)
 	return ctl, tenants
 }
 
-// BenchmarkTenantAdmission prices the multi-tenant front door, for
-// `make bench-tenant` (BENCH_PR10.json):
+// BenchmarkTenantAdmission prices the multi-tenant front door
+// in-process (`go test -bench BenchmarkTenantAdmission .`; the
+// end-to-end front-door numbers come from `bash vmatbench/run.sh
+// --workload warm-hits`):
 //
 //   - overhead/{open,keyed} is the admission tax: the same cache-warm
 //     job submitted through a nil-keyfile manager (pre-tenancy path)

@@ -11,16 +11,24 @@
 // batched unit grants from it — whole scenarios or trial-range shards —
 // streaming each completion back with the unit's content key and a
 // CRC32 of the encoded rows so the coordinator can verify the bytes
-// before write-back. A lost conn or restarted coordinator is survived
-// in place: the worker re-registers and reconnects on a jittered
-// backoff. With -http-poll (or no advertised transport) it falls back
-// to leasing one unit at a time over HTTP.
+// before write-back. It runs units side by side on GOMAXPROCS trial
+// slots: each unit takes as many as it runs trials at once (its spec's
+// workers, 0 meaning every core), so one-trial shards run one per core,
+// a whole scenario at workers 0 runs alone, and no more than
+// GOMAXPROCS trials ever run at once. It holds -prefetch - 1 units
+// queued beyond the executing ones. Set GOMAXPROCS to cap it: Go 1.24
+// does not read a container's cgroup CPU quota. A lost conn or
+// restarted coordinator is survived in place: the worker re-registers
+// and reconnects on a jittered backoff. With -http-poll (or no
+// advertised transport) it falls back to leasing one unit at a time
+// over HTTP.
 //
-// On SIGTERM/SIGINT the worker drains gracefully: it finishes the unit
-// it holds (the coordinator keeps the lease alive via heartbeats),
-// reports the result, deregisters, and exits 0. Killing it outright is
-// also safe — the lease expires and the coordinator reassigns the unit,
-// with identical results either way.
+// On SIGTERM/SIGINT the worker drains gracefully: it finishes every
+// unit it is executing (the coordinator keeps the leases alive via
+// heartbeats), reports the results, deregisters — releasing the units
+// it had queued — and exits 0. Killing it outright is also safe — the
+// leases expire and the coordinator reassigns the units, with
+// identical results either way.
 package main
 
 import (
@@ -52,7 +60,7 @@ func run(args []string, w io.Writer) error {
 	server := fs.String("server", "http://localhost:8080", "coordinator base URL (a vmat-server run with -cluster)")
 	name := fs.String("name", "", "stable worker name for logs and per-worker metrics (default: coordinator-assigned ID)")
 	httpPoll := fs.Bool("http-poll", false, "poll the HTTP lease endpoint even when the coordinator advertises the streaming transport")
-	prefetch := fs.Int("prefetch", 2, "units to hold over the streaming transport (one executing, the rest queued)")
+	prefetch := fs.Int("prefetch", 2, "streaming queue depth: units the worker holds queued beyond the ones executing, plus one")
 	showVersion := fs.Bool("version", false, "print version and exit")
 	if err := fs.Parse(args); err != nil {
 		return err

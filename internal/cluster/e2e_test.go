@@ -21,7 +21,7 @@ import (
 
 // e2eGrid is the sweep every fleet size runs: 8 cells, each a few dozen
 // milliseconds, so a 3-worker fleet genuinely interleaves and the
-// killed worker dies while peers still hold work.
+// killed worker's leases are reassigned while peers still hold work.
 const e2eGrid = `{"n": [24, 30], "query": ["min", "count"], "loss_rate": [0, 0.1], "trials": 6, "seed": 99}`
 
 // runClusteredSweep stands up a full server stack (job manager, sweep
@@ -65,23 +65,34 @@ func runClusteredSweep(t *testing.T, nWorkers int, killOne bool, shardTrials int
 	ctx, cancelWorkers := context.WithCancel(context.Background())
 	defer cancelWorkers()
 	var runDones []chan error
-	for i := 0; i < nWorkers; i++ {
-		cfg := WorkerConfig{Server: srv.URL, Name: fmt.Sprintf("e2e-%d", i), Poll: fastPoll(), Reconnect: fastReconnect()}
-		if killOne && i == 0 {
-			abort := make(chan struct{})
-			var once sync.Once
-			cfg.Abort = abort
-			cfg.OnLease = func(Unit) { once.Do(func() { close(abort) }) }
+	var doomed chan struct{} // closed when the killed worker takes its first lease
+	startWorkers := func(from, to int) {
+		for i := from; i < to; i++ {
+			cfg := WorkerConfig{Server: srv.URL, Name: fmt.Sprintf("e2e-%d", i), Poll: fastPoll(), Reconnect: fastReconnect()}
+			if killOne && i == 0 {
+				doomed = make(chan struct{})
+				var once sync.Once
+				cfg.Abort = doomed
+				cfg.OnLease = func(Unit) { once.Do(func() { close(doomed) }) }
+			}
+			w := NewWorker(cfg)
+			done := make(chan error, 1)
+			go func() { done <- w.Run(ctx) }()
+			runDones = append(runDones, done)
 		}
-		w := NewWorker(cfg)
-		done := make(chan error, 1)
-		go func() { done <- w.Run(ctx) }()
-		runDones = append(runDones, done)
 	}
+	// The killed worker joins alone and its peers only once it has
+	// died on its first lease: peers already holding every unit it could
+	// have leased would leave it nothing to die on.
+	first := nWorkers
+	if killOne {
+		first = 1
+	}
+	startWorkers(0, first)
 	if nWorkers > 0 {
-		waitConnected(t, coord, nWorkers)
+		waitConnected(t, coord, first)
 		if status := healthzStatus(t, srv.URL); status != "ok" {
-			t.Fatalf("healthz with %d workers = %q, want ok", nWorkers, status)
+			t.Fatalf("healthz with %d workers = %q, want ok", first, status)
 		}
 	}
 
@@ -99,6 +110,14 @@ func runClusteredSweep(t *testing.T, nWorkers int, killOne bool, shardTrials int
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("sweep submit = %d", resp.StatusCode)
+	}
+	if killOne {
+		select {
+		case <-doomed:
+		case <-time.After(time.Minute):
+			t.Fatal("the worker to be killed never took a lease")
+		}
+		startWorkers(1, nWorkers)
 	}
 	deadline := time.Now().Add(2 * time.Minute)
 	for {

@@ -6,6 +6,8 @@ import (
 	"net"
 	"net/http"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -319,5 +321,87 @@ func TestWireServerSurvivesHostileConn(t *testing.T) {
 	}
 	if ack.OK || ack.Error == "" {
 		t.Fatalf("unknown worker accepted: %+v", ack)
+	}
+}
+
+// A wire session that dies with a grant still queued must not strand
+// it, and must not lose the result of the unit that was executing:
+// the queued grant leaves the held set, so the next session's
+// heartbeats stop renewing its lease and the coordinator reassigns it;
+// and the reader closes the dead conn, so the executing unit's
+// completion fails over to the HTTP upload instead of being written
+// into the dead socket (and re-run once its lease expired).
+func TestWireSessionLossReleasesQueuedGrants(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one executor, so the second grant waits queued
+	// No heartbeat falls between the sever and the completion: its write
+	// would draw a reset and fail the completion's Send by itself.
+	cfg := CoordinatorConfig{
+		LeaseTTL:          1500 * time.Millisecond,
+		HeartbeatInterval: 500 * time.Millisecond,
+		WorkerTTL:         time.Hour,
+		ShardTrials:       1,
+	}
+	c, srv := newTestPlane(t, cfg)
+	if _, err := c.StartWire("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+
+	gate := make(chan struct{})
+	granted := make(chan struct{}, 16)
+	var mu sync.Mutex
+	runs := map[int]int{} // trial start → executions
+	w := NewWorker(WorkerConfig{
+		Server: srv.URL, Name: "severed", Poll: fastPoll(), Reconnect: fastReconnect(),
+		OnLease: func(Unit) { granted <- struct{}{} },
+		RunUnit: func(u Unit) ([]experiments.ScenarioRow, error) {
+			mu.Lock()
+			runs[u.Start]++
+			first := len(runs) == 1 && runs[u.Start] == 1
+			mu.Unlock()
+			if first {
+				<-gate
+			}
+			return u.Run()
+		},
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	runDone := make(chan error, 1)
+	go func() { runDone <- w.Run(ctx) }()
+	waitConnected(t, c, 1)
+	waitWired(t, c, 1)
+
+	spec := shardSpec(74, 2)
+	res := executeAsync(c, context.Background(), spec)
+	<-granted
+	<-granted // one unit executing (gated), one queued behind it
+
+	c.wire.mu.Lock()
+	for cn := range c.wire.open {
+		cn.wc.Close()
+	}
+	c.wire.mu.Unlock()
+	time.Sleep(50 * time.Millisecond) // let the worker's reader see the loss
+	close(gate)
+
+	select {
+	case r := <-res:
+		want, _ := experiments.RunScenario(spec)
+		if !r.ok || r.err != nil || !reflect.DeepEqual(r.rows, want) {
+			t.Fatalf("Execute after the sever = (ok=%v, err=%v)", r.ok, r.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("Execute still waiting 5s after the sever: %+v", c.WorkersStatus())
+	}
+	mu.Lock()
+	for start, n := range runs {
+		if n != 1 {
+			t.Errorf("unit at trial %d executed %d times, want 1", start, n)
+		}
+	}
+	mu.Unlock()
+	cancel()
+	if err := <-runDone; err != nil {
+		t.Fatalf("worker run: %v", err)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,9 +48,9 @@ type WorkerConfig struct {
 	// DisableWire forces HTTP lease polling even when the coordinator
 	// advertises the streaming transport.
 	DisableWire bool
-	// Prefetch is how many units the worker asks to hold over the wire
-	// (one executing, the rest queued so the next starts without a
-	// round-trip). Default 2.
+	// Prefetch sizes the wire queue: the worker holds Prefetch-1 units
+	// queued beyond the ones executing, so a finishing unit's slots go
+	// to the next without a round-trip. Default 2.
 	Prefetch int
 	// HTTPClient overrides the transport. Nil uses a client with a 30s
 	// request timeout.
@@ -78,10 +79,11 @@ type WorkerConfig struct {
 
 // Worker is the client side of the execution plane: register over
 // HTTP, then either stream units over one persistent wire conn
-// (batched grants, streamed completions, piggybacked heartbeats) or
-// fall back to HTTP lease polling. It survives coordinator restarts:
-// a lost conn or forgotten identity re-registers and reconnects on a
-// jittered backoff without restarting the process.
+// (batched grants, streamed completions, piggybacked heartbeats) with
+// units side by side on GOMAXPROCS trial slots, or fall back to HTTP
+// lease polling one unit at a time. It survives coordinator restarts: a lost conn or
+// forgotten identity re-registers and reconnects on a jittered backoff
+// without restarting the process.
 type Worker struct {
 	wc        WorkerConfig
 	handshake CoordinatorHandshake
@@ -95,10 +97,6 @@ type Worker struct {
 
 	heldMu sync.Mutex
 	held   map[string]bool // unit IDs granted but not yet reported
-
-	// lastRunDur is the wall time of the most recent runUnit call; units
-	// execute sequentially per worker, so a plain field suffices.
-	lastRunDur time.Duration
 }
 
 // CoordinatorHandshake is the cadence and transport address learned at
@@ -146,8 +144,8 @@ func (w *Worker) Completed() int { return int(w.completed.Load()) }
 func (w *Worker) Reconnects() int { return int(w.reconnects.Load()) }
 
 // Run is the worker's main loop. Cancelling ctx is the graceful-drain
-// signal: the worker finishes the unit it holds (if any), reports the
-// result, deregisters, and returns nil — mirroring vmat-server's
+// signal: the worker finishes every unit it is executing, reports the
+// results, deregisters, and returns nil — mirroring vmat-server's
 // SIGTERM drain. The test-only Abort channel instead stops the loop
 // dead with ErrAborted. Conn loss and coordinator restarts are not
 // exits: the worker re-registers and resumes on a jittered backoff.
@@ -270,10 +268,12 @@ func (w *Worker) runHTTP(ctx context.Context) error {
 }
 
 // runWire is one streaming session: dial, Hello, then execute granted
-// units until the conn dies (returns the error), the worker is
-// rejected (ErrUnknownWorker), drain completes (nil), or the abort
-// channel closes (ErrAborted). established reports whether the
-// handshake succeeded, so the caller can reset its backoff schedule.
+// units on runtime.GOMAXPROCS(0) executors and trial slots until the
+// conn dies (returns the error), the worker is rejected
+// (ErrUnknownWorker), drain completes (nil), or the abort channel
+// closes (ErrAborted).
+// established reports whether the handshake succeeded, so the caller
+// can reset its backoff schedule.
 func (w *Worker) runWire(ctx context.Context) (established bool, err error) {
 	nc, err := net.DialTimeout("tcp", w.wireAddr(), 10*time.Second)
 	if err != nil {
@@ -312,26 +312,41 @@ func (w *Worker) runWire(ctx context.Context) (established bool, err error) {
 		w.handshake.Heartbeat = ack.Heartbeat
 	}
 
+	// One executor per GOMAXPROCS, as vmat-server's -workers 0 sizes its
+	// job executors, sharing GOMAXPROCS trial slots: each unit takes its
+	// trial width, so one-trial units run one per core, a unit whose
+	// spec asks for every core runs alone as on a sequential worker, and
+	// the trials running at once never exceed the cores. Demand follows
+	// the slots (see executeGrants): the worker holds at most one unit
+	// per slot plus Prefetch-1 queued, which the grant queue can take.
+	execs := runtime.GOMAXPROCS(0)
+	slots := newTrialSlots(execs)
+	depth := execs + w.wc.Prefetch - 1
+
 	// The reader turns Grant frames into a unit queue; everything else
 	// it ignores (forward compatibility). A framing violation or conn
-	// loss surfaces on readErr and ends the session.
-	grants := make(chan Unit, 64)
+	// loss closes the conn — so completions still executing fail over to
+	// the HTTP upload instead of vanishing into a dead socket — and
+	// surfaces on readErr, ending the session. The queue holds every
+	// grant the worker's demand allows, so the reader never waits on it.
+	grants := make(chan Unit, depth)
 	readErr := make(chan error, 1)
-	sessionDone := make(chan struct{})
-	defer close(sessionDone)
+	stop := make(chan struct{}) // closed when the session winds down: no unit starts after it
+	readerDone := make(chan struct{})
 	go func() {
+		defer close(readerDone)
 		for {
 			t, payload, err := conn.Recv()
-			if err != nil {
-				readErr <- err
-				return
-			}
-			if t != wire.Grant {
+			if err == nil && t != wire.Grant {
 				continue
 			}
-			units, err := shard.DecodeBatch(payload)
+			var units []Unit
+			if err == nil {
+				units, err = shard.DecodeBatch(payload) // hostile or torn grant: drop the conn
+			}
 			if err != nil {
-				readErr <- err // hostile or torn grant: drop the conn
+				conn.Close()
+				readErr <- err
 				return
 			}
 			for _, u := range units {
@@ -341,8 +356,8 @@ func (w *Worker) runWire(ctx context.Context) (established bool, err error) {
 				}
 				select {
 				case grants <- u:
-				case <-sessionDone:
-					return
+				case <-stop:
+					w.setHeld(u.ID, false) // winding down: this grant never starts
 				}
 			}
 		}
@@ -351,7 +366,9 @@ func (w *Worker) runWire(ctx context.Context) (established bool, err error) {
 	// One heartbeat loop per conn, held units piggybacked. It beats
 	// even when idle: the frame doubles as the keepalive that stops
 	// the coordinator's read deadline from reaping a quiet conn.
+	beatDone := make(chan struct{})
 	go func() {
+		defer close(beatDone)
 		hb := w.handshake.Heartbeat
 		if hb <= 0 {
 			hb = time.Second
@@ -360,8 +377,8 @@ func (w *Worker) runWire(ctx context.Context) (established bool, err error) {
 		defer tick.Stop()
 		for {
 			select {
-			case <-sessionDone:
-				return
+			case <-readerDone:
+				return // the conn is gone
 			case <-w.wc.Abort:
 				return // a crashed worker stops beating; that's the point
 			case <-tick.C:
@@ -373,35 +390,186 @@ func (w *Worker) runWire(ctx context.Context) (established bool, err error) {
 		}
 	}()
 
-	if err := w.sendWant(conn, w.wc.Prefetch); err != nil {
-		return true, err
+	execErr := make(chan error, execs)
+	var running sync.WaitGroup
+	for i := 0; i < execs; i++ {
+		running.Add(1)
+		go func() {
+			defer running.Done()
+			if err := w.executeGrants(conn, grants, slots, stop); err != nil {
+				execErr <- err
+			}
+		}()
 	}
-	for {
-		if ctx.Err() != nil {
-			// Graceful drain: queued grants are released by the Bye
-			// (deregistering requeues our leases at once).
-			conn.Send(wire.Bye, nil)
-			return true, nil
-		}
+	if err = w.sendWant(conn, w.wc.Prefetch); err == nil {
 		select {
-		case <-ctx.Done():
-			// handled at loop top
+		case <-ctx.Done(): // graceful drain
 		case <-w.wc.Abort:
-			return true, ErrAborted
-		case err := <-readErr:
-			return true, err
-		case u := <-grants:
-			if w.aborted() {
-				return true, ErrAborted // crashed between grant and execution
-			}
-			if err := w.executeWireUnit(conn, u); err != nil {
-				return true, err
-			}
-			if err := w.sendWant(conn, 1); err != nil {
-				return true, err
+		case err = <-readErr:
+		case err = <-execErr:
+		}
+	}
+	// Wind down: no unit starts, every executing one finishes and
+	// reports (over the conn, or the HTTP upload if it is dead) — except
+	// after a crash, which reports nothing.
+	close(stop)
+	running.Wait()
+	switch {
+	case w.aborted():
+		err = ErrAborted
+	case err == nil:
+		// Graceful drain: queued grants are released by the Bye
+		// (deregistering requeues our leases at once). The coordinator
+		// closes the conn once it has handled the Bye, and so every
+		// completion sent before it; wait for that, or Run's HTTP
+		// deregister could overtake them and expire their leases.
+		if conn.Send(wire.Bye, nil) == nil {
+			select {
+			case <-readerDone:
+			case <-time.After(handshakeTimeout):
 			}
 		}
 	}
+	conn.Close() // ends the reader, and with it the heartbeat loop
+	<-readerDone
+	<-beatDone
+	// Grants that never started leave the held set, so the next
+	// session's heartbeats stop renewing them: their leases expire and
+	// the coordinator reassigns them.
+	for {
+		select {
+		case u := <-grants:
+			w.setHeld(u.ID, false)
+		default:
+			return true, err
+		}
+	}
+}
+
+// executeGrants is one wire executor: it runs granted units until the
+// session winds down. A unit starts once it holds its trial width in
+// slots; a grant still waiting for them when the session winds down
+// never starts. Demand tracks the slots: the opening Want is Prefetch,
+// a unit that starts with slots to spare asks for one more unit to fill
+// them, and a unit that finishes with every slot taken asks for its
+// replacement. At GOMAXPROCS=1, or with units that take every slot,
+// that is the sequential worker's one executing plus Prefetch-1 queued.
+func (w *Worker) executeGrants(conn *wire.Conn, grants <-chan Unit, slots *trialSlots, stop <-chan struct{}) error {
+	for {
+		select {
+		case <-stop:
+			return nil
+		case u := <-grants:
+			width := trialWidth(u, slots.size())
+			started, room := slots.acquire(width, stop)
+			if !started {
+				w.setHeld(u.ID, false) // winding down: this grant never starts
+				return nil
+			}
+			if w.aborted() {
+				slots.release(width)
+				return ErrAborted // crashed between grant and execution
+			}
+			if room {
+				w.sendWant(conn, 1) // a dead conn surfaces on readErr
+			}
+			u.Spec.Workers = width
+			err := w.executeWireUnit(conn, u)
+			wasFull := slots.release(width)
+			if err != nil {
+				return err
+			}
+			select {
+			case <-stop:
+				return nil // winding down: a fresh grant would only be released again
+			default:
+			}
+			if wasFull {
+				if err := w.sendWant(conn, 1); err != nil {
+					return err
+				}
+			}
+		}
+	}
+}
+
+// trialWidth is how many trials unit runs at once on a worker with
+// cores trial slots: its spec's Workers (0 means every core), at most
+// cores and the unit's trial count.
+func trialWidth(u Unit, cores int) int {
+	trials := u.Spec.Trials
+	if u.Sharded() {
+		trials = u.End - u.Start
+	}
+	width := u.Spec.Workers
+	if width <= 0 || width > cores {
+		width = cores
+	}
+	return max(1, min(width, trials))
+}
+
+// trialSlots is a wire session's budget of trials running at once,
+// shared by its executors. Units take their slots one acquirer at a
+// time in arrival order, so a wide unit is not starved by narrow ones
+// behind it and two units never each hold part of what both need.
+type trialSlots struct {
+	turn  chan struct{} // one token: its holder is the next unit to start
+	mu    sync.Mutex
+	free  int
+	total int
+	freed chan struct{} // wakes the turn holder after a release
+}
+
+func newTrialSlots(n int) *trialSlots {
+	return &trialSlots{turn: make(chan struct{}, 1), free: n, total: n, freed: make(chan struct{}, 1)}
+}
+
+func (s *trialSlots) size() int { return s.total }
+
+// acquire takes k slots and reports whether any are left free, or takes
+// none if stop has closed by the time they are: no unit starts once the
+// session winds down.
+func (s *trialSlots) acquire(k int, stop <-chan struct{}) (started, room bool) {
+	select {
+	case s.turn <- struct{}{}:
+	case <-stop:
+		return false, false
+	}
+	defer func() { <-s.turn }()
+	for {
+		s.mu.Lock()
+		select {
+		case <-stop:
+			s.mu.Unlock()
+			return false, false
+		default:
+		}
+		if s.free >= k {
+			s.free -= k
+			room = s.free > 0
+			s.mu.Unlock()
+			return true, room
+		}
+		s.mu.Unlock()
+		select {
+		case <-s.freed:
+		case <-stop:
+		}
+	}
+}
+
+// release returns k slots and reports whether every slot was taken
+// before it.
+func (s *trialSlots) release(k int) (wasFull bool) {
+	s.mu.Lock()
+	wasFull = s.free == 0
+	s.free += k
+	s.mu.Unlock()
+	select {
+	case s.freed <- struct{}{}:
+	default:
+	}
+	return wasFull
 }
 
 // executeWireUnit runs one granted unit and streams the completion
@@ -409,11 +577,10 @@ func (w *Worker) runWire(ctx context.Context) (established bool, err error) {
 // valuable to drop — it falls back to the HTTP complete endpoint
 // before the session error propagates.
 func (w *Worker) executeWireUnit(conn *wire.Conn, unit Unit) error {
-	rows, runErr, crashed := w.runUnit(unit)
+	req, crashed := w.runUnit(unit)
 	if crashed {
 		return ErrAborted // crashed mid-unit: no completion report
 	}
-	req := w.buildComplete(unit, rows, runErr)
 	w.setHeld(unit.ID, false)
 	payload, err := json.Marshal(req)
 	if err != nil {
@@ -429,9 +596,11 @@ func (w *Worker) executeWireUnit(conn *wire.Conn, unit Unit) error {
 	return nil
 }
 
-// runUnit executes one unit under the abort watch. crashed means the
-// simulated fail-stop fired during execution.
-func (w *Worker) runUnit(unit Unit) (rows []experiments.ScenarioRow, runErr error, crashed bool) {
+// runUnit executes one unit under the abort watch and assembles its
+// verified completion, timed by this unit's own run. crashed means the
+// simulated fail-stop fired during execution, so nothing may be
+// reported.
+func (w *Worker) runUnit(unit Unit) (req CompleteRequest, crashed bool) {
 	runCtx, cancelRun := context.WithCancel(context.Background())
 	go func() { // a crash aborts the execution itself, not just the loop
 		select {
@@ -442,19 +611,23 @@ func (w *Worker) runUnit(unit Unit) (rows []experiments.ScenarioRow, runErr erro
 	}()
 	unit.Spec.Context = runCtx
 	start := time.Now()
-	rows, runErr = w.wc.RunUnit(unit)
+	rows, runErr := w.wc.RunUnit(unit)
+	dur := time.Since(start)
 	cancelRun()
-	w.lastRunDur = time.Since(start)
-	return rows, runErr, w.aborted()
+	if w.aborted() {
+		return CompleteRequest{}, true
+	}
+	return w.buildComplete(unit, rows, runErr, dur), false
 }
 
-// buildComplete assembles the verified completion payload for a unit.
-func (w *Worker) buildComplete(unit Unit, rows []experiments.ScenarioRow, runErr error) CompleteRequest {
+// buildComplete assembles the verified completion payload for a unit
+// that ran for dur.
+func (w *Worker) buildComplete(unit Unit, rows []experiments.ScenarioRow, runErr error, dur time.Duration) CompleteRequest {
 	req := CompleteRequest{
 		WorkerID:       w.id,
 		UnitID:         unit.ID,
 		Key:            unit.Key,
-		DurationMicros: w.lastRunDur.Microseconds(),
+		DurationMicros: dur.Microseconds(),
 	}
 	if runErr != nil {
 		req.Error = runErr.Error()
@@ -551,13 +724,13 @@ func (w *Worker) executeAndReport(unit Unit) error {
 	hbDone := make(chan struct{})
 	go w.heartbeatLoop(unit.ID, hbStop, hbDone)
 
-	rows, runErr, crashed := w.runUnit(unit)
+	req, crashed := w.runUnit(unit)
 	close(hbStop)
 	<-hbDone
 	if crashed {
 		return ErrAborted // crashed mid-unit: no completion report
 	}
-	w.uploadComplete(w.buildComplete(unit, rows, runErr))
+	w.uploadComplete(req)
 	return nil
 }
 

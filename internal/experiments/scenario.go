@@ -137,6 +137,11 @@ func (c *ScenarioConfig) Validate() error {
 	if !oneOf(c.Topology, scenarioTopologies) {
 		return fmt.Errorf("scenario: unknown topology %q (want one of %v)", c.Topology, scenarioTopologies)
 	}
+	if c.Topology == "grid" {
+		if rows, cols := gridShape(c.N); rows*cols != c.N {
+			return fmt.Errorf("scenario: a grid cannot hold n %d: it would be %d×%d = %d nodes", c.N, rows, cols, rows*cols)
+		}
+	}
 	if !oneOf(c.Query, scenarioQueries) {
 		return fmt.Errorf("scenario: unknown query %q (want one of %v)", c.Query, scenarioQueries)
 	}
@@ -395,17 +400,25 @@ func aggregateRow(trial int, res *core.AggregateResult) ScenarioRow {
 	return row
 }
 
+// gridShape is the grid a "grid" scenario lays n nodes out on: side
+// rows, the smallest side with side² >= n, of ceil(n/side) nodes each.
+// It holds exactly n nodes only when those multiply back to n, which
+// Validate requires.
+func gridShape(n int) (rows, cols int) {
+	side := 1
+	for side*side < n {
+		side++
+	}
+	return side, (n + side - 1) / side
+}
+
 func scenarioTopology(kind string, n int, rng *crypto.Stream) (*topology.Graph, error) {
 	switch kind {
 	case "geometric":
 		g, _ := topology.RandomGeometric(n, connectivityRadius(n, 12), rng.Fork([]byte("topo")))
 		return g, nil
 	case "grid":
-		side := 1
-		for side*side < n {
-			side++
-		}
-		return topology.Grid(side, (n+side-1)/side), nil
+		return topology.Grid(gridShape(n)), nil
 	case "line":
 		return topology.Line(n), nil
 	default:

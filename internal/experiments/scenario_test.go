@@ -113,6 +113,28 @@ func TestScenarioValidate(t *testing.T) {
 	}
 }
 
+// Validate accepts a grid n exactly when the grid topology holds n
+// nodes: n=60 would lay out 8×8 = 64 and fail its first trial, so it is
+// refused up front, while every n that runs today keeps running.
+func TestScenarioValidateGridShape(t *testing.T) {
+	for n := 2; n <= 400; n++ {
+		cfg := ScenarioConfig{N: n, Topology: "grid", Query: "min", Attack: "none", Synopses: 1, Trials: 1}
+		g, err := scenarioTopology("grid", n, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if verr := cfg.Validate(); (verr == nil) != (g.NumNodes() == n) {
+			t.Errorf("n=%d: grid holds %d nodes, Validate = %v", n, g.NumNodes(), verr)
+		}
+	}
+	for n, runs := range map[int]bool{56: true, 60: false, 64: true} {
+		cfg := ScenarioConfig{N: n, Topology: "grid", Query: "min", Attack: "none", Synopses: 4, Trials: 1, Seed: 5}
+		if _, err := RunScenario(cfg); (err == nil) != runs {
+			t.Errorf("n=%d grid: RunScenario err = %v, want runs=%v", n, err, runs)
+		}
+	}
+}
+
 func TestScenarioCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -332,6 +332,13 @@ func TestInvalidSpecRejected(t *testing.T) {
 	if _, code := postJob(t, srv, spec); code != http.StatusBadRequest {
 		t.Fatalf("invalid spec -> %d, want 400", code)
 	}
+	// A grid that cannot hold n nodes is refused at the door rather
+	// than accepted and failed at its first trial.
+	spec = testSpec()
+	spec.N, spec.Topology = 60, "grid"
+	if _, code := postJob(t, srv, spec); code != http.StatusBadRequest {
+		t.Fatalf("n=60 grid spec -> %d, want 400", code)
+	}
 	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader("{not json"))
 	if err != nil {
 		t.Fatal(err)

@@ -130,6 +130,14 @@ func maxOf(a, b int) int {
 // cell fails the whole expansion: a sweep that silently dropped cells
 // would report misleading coverage.
 func (g *Grid) Expand() ([]Cell, error) {
+	return g.expand(func(i int, _ Cell, err error) error {
+		return fmt.Errorf("sweep: cell %d: %w", i, err)
+	})
+}
+
+// expand is Expand with the verdict on each invalid cell left to
+// invalid: an error fails the expansion, nil keeps the cell.
+func (g *Grid) expand(invalid func(i int, c Cell, err error) error) ([]Cell, error) {
 	if g.MaxCells < 0 || g.MaxCells > MaxCellsLimit {
 		return nil, fmt.Errorf("sweep: max_cells %d out of range [0, %d]", g.MaxCells, MaxCellsLimit)
 	}
@@ -174,12 +182,14 @@ func (g *Grid) Expand() ([]Cell, error) {
 											Faults: g.Faults, ARQ: g.ARQ, MaxSlots: g.MaxSlots,
 										}
 										spec.Normalize()
-										if err := spec.Validate(); err != nil {
-											return nil, fmt.Errorf("sweep: cell %d: %w", len(cells), err)
-										}
 										key, err := store.ScenarioKey(spec)
 										if err != nil {
 											return nil, fmt.Errorf("sweep: cell %d: %w", len(cells), err)
+										}
+										if err := spec.Validate(); err != nil {
+											if err := invalid(len(cells), Cell{Spec: spec, Key: key}, err); err != nil {
+												return nil, err
+											}
 										}
 										if seen[key] {
 											continue

@@ -163,7 +163,15 @@ func (m *Manager) Recover() {
 			m.log("sweep %s: stored grid does not decode (%v); cannot resume", id, err)
 			continue
 		}
-		cells, err := g.Expand()
+		// A cell that rules added since the sweep was accepted now reject
+		// (a grid that cannot hold its n, say) fails as its run would
+		// have; the rest of the sweep resumes.
+		cells, err := g.expand(func(_ int, c Cell, err error) error {
+			if _, ok := t.failed[c.Key]; !ok {
+				t.failed[c.Key] = err.Error()
+			}
+			return nil
+		})
 		if err != nil {
 			m.log("sweep %s: stored grid does not expand (%v); cannot resume", id, err)
 			continue

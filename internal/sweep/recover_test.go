@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 
@@ -248,4 +249,60 @@ func TestRecoverPreMarksFailedCells(t *testing.T) {
 	}
 	waitSweep(t, sw2)
 	drainAll(t, sm, svc)
+}
+
+// TestRecoverFailsCellsNowInvalid: a sweep accepted before a validation
+// rule existed resumes with the cells that rule rejects failed and the
+// rest run — here an n=60 grid cell, which an 8×8 grid cannot hold.
+func TestRecoverFailsCellsNowInvalid(t *testing.T) {
+	g := Grid{N: []int{56, 60}, Topology: []string{"grid"}, Trials: 1, Seed: 3, Workers: 1}
+	if _, err := g.Expand(); err == nil {
+		t.Fatalf("grid with an n=60 grid cell expanded cleanly")
+	}
+	cells, err := g.expand(func(int, Cell, error) error { return nil })
+	if err != nil || len(cells) != 2 {
+		t.Fatalf("lenient expand = (%d cells, %v), want 2", len(cells), err)
+	}
+	raw, _ := json.Marshal(g)
+	recs := []store.WALRecord{
+		{Kind: store.RecSweepOpened, Sweep: "s000009", GridKey: cellsKey(cells), Grid: raw},
+	}
+
+	reg := metrics.New()
+	svc := service.New(service.Config{Workers: 1, Metrics: reg})
+	dir := t.TempDir()
+	wal, _, err := store.OpenWAL(dir, store.WALConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm := NewManager(Config{Service: svc, Metrics: reg, WAL: wal, WALRecords: recs})
+	sm.Recover()
+	sw, ok := sm.Get("s000009")
+	if !ok {
+		t.Fatalf("sweep holding a now-invalid cell was not resumed")
+	}
+	waitSweep(t, sw)
+	v := sw.View(true)
+	if v.Executed != 1 || v.Failed != 1 {
+		t.Fatalf("resumed sweep: %+v", v)
+	}
+	if r := v.Results[1]; r.Source != SourceFailed || !strings.Contains(r.Error, "grid cannot hold n 60") {
+		t.Fatalf("n=60 grid cell: %+v", r)
+	}
+	drainAll(t, sm, svc)
+	wal.Close()
+
+	// The failure is in the compacted WAL, so the next restart keeps it.
+	wal2, recs2, err := store.OpenWAL(dir, store.WALConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal2.Close()
+	var kept bool
+	for _, r := range recs2 {
+		kept = kept || (r.Kind == store.RecUnitCompleted && r.Key == cells[1].Key && r.Source == SourceFailed)
+	}
+	if !kept {
+		t.Fatalf("compacted WAL lost the n=60 cell's failure: %+v", recs2)
+	}
 }

@@ -100,6 +100,16 @@ func TestGridCapEnforced(t *testing.T) {
 	if _, err := bad.Expand(); err == nil {
 		t.Fatalf("invalid attack expanded cleanly")
 	}
+	// One cell whose grid cannot hold its n (60 nodes on an 8×8 grid)
+	// fails the whole expansion; the cells that fit expand.
+	grid := Grid{N: []int{56, 60, 64}, Topology: []string{"grid"}, Trials: 1}
+	if _, err := grid.Expand(); err == nil {
+		t.Fatalf("grid holding an n=60 grid cell expanded cleanly")
+	}
+	grid.N = []int{56, 64}
+	if cells, err := grid.Expand(); err != nil || len(cells) != 2 {
+		t.Fatalf("buildable grid cells = (%d, %v), want 2 cells", len(cells), err)
+	}
 }
 
 // TestSweepExecutesThenServesFromStore runs the same grid twice over
