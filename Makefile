@@ -2,7 +2,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS = -ldflags "-X main.version=$(VERSION)"
 
-.PHONY: all build test race race-focus vet run-server run-worker smoke-cluster smoke-chaos smoke-store smoke-tenants clean
+.PHONY: all build test race vet run-server run-worker smoke-cluster smoke-chaos smoke-store smoke-tenants clean
 
 all: build test
 
@@ -16,21 +16,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-# The race-sensitive subset: packages with real concurrency (parallel
-# trial workers, the job queue, the result store's shared journal, the
-# sweep orchestrator's fan-out, the cluster coordinator/worker plane and
-# its shared backoff helper). The simnet event loop itself is
-# single-threaded, but simnet/core/faults stay in this list because
-# RunTrials drives many engine executions — each with its own network,
-# fault schedule, and deadline/degradation paths — concurrently, which
-# is exactly where accidental sharing between executions would surface.
-# internal/chaos rides along for its recovery paths: the harness's own
-# poll/fire loop is single-threaded, but store/sweep/cluster recovery
-# (WAL replay racing a live listener and re-registering workers) is not.
-# CI runs this instead of the full -race sweep to keep the loop fast.
-race-focus:
-	$(GO) test -race ./internal/simnet ./internal/experiments ./internal/service ./internal/faults ./internal/core ./internal/store ./internal/sweep ./internal/cluster ./internal/backoff ./internal/shard ./internal/wire ./internal/chaos ./internal/tenant
 
 vet:
 	$(GO) vet ./...

@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"repro/internal/adversary"
-	"repro/internal/backoff"
 	"repro/internal/baseline"
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -261,10 +260,11 @@ func BenchmarkStoreHitVsColdExecution(b *testing.B) {
 }
 
 // BenchmarkClusterDispatch compares the same batch of jobs dispatched
-// to the service's local pool vs a two-worker fleet over loopback HTTP
-// (registration, leases, heartbeats, CRC-verified uploads included).
-// The fleet pays the wire cost per unit but runs units concurrently, so
-// this is the in-process break-even measurement (run it with
+// to the service's local pool vs a two-worker fleet on loopback: HTTP
+// registration, then grants, heartbeats and CRC-verified completions
+// over each worker's wire conn. The fleet pays the protocol cost per
+// unit but runs units concurrently, so this is the in-process
+// break-even measurement (run it with
 // `go test -bench BenchmarkClusterDispatch .`; the end-to-end fleet
 // numbers come from `bash vmatbench/run.sh --workload fleet-sweep`):
 // distribution wins once units are expensive relative to the protocol.
@@ -307,6 +307,9 @@ func BenchmarkClusterDispatch(b *testing.B) {
 	b.Run("two-workers", func(b *testing.B) {
 		coord := cluster.NewCoordinator(cluster.CoordinatorConfig{Metrics: metrics.New()})
 		defer coord.Close()
+		if _, err := coord.StartWire("127.0.0.1:0"); err != nil {
+			b.Fatal(err)
+		}
 		mux := http.NewServeMux()
 		cluster.RegisterHTTP(mux, coord)
 		srv := httptest.NewServer(mux)
@@ -314,14 +317,10 @@ func BenchmarkClusterDispatch(b *testing.B) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		for i := 0; i < 2; i++ {
-			w := cluster.NewWorker(cluster.WorkerConfig{
-				Server: srv.URL,
-				Name:   fmt.Sprintf("bench-%d", i),
-				Poll:   backoff.Policy{Base: time.Millisecond, Max: 5 * time.Millisecond},
-			})
+			w := cluster.NewWorker(cluster.WorkerConfig{Server: srv.URL, Name: fmt.Sprintf("bench-%d", i)})
 			go w.Run(ctx)
 		}
-		for coord.WorkersStatus().Connected < 2 {
+		for coord.WorkersStatus().WireConnected < 2 {
 			time.Sleep(time.Millisecond)
 		}
 		mgr := service.New(service.Config{QueueSize: 2 * batch, Workers: 2 * batch, Retain: 2 * batch, Metrics: metrics.New(), Cluster: coord})
@@ -390,11 +389,7 @@ func BenchmarkShardGranularity(b *testing.B) {
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
 				for i := 0; i < nw; i++ {
-					w := cluster.NewWorker(cluster.WorkerConfig{
-						Server: srv.URL,
-						Name:   fmt.Sprintf("bench-%d", i),
-						Poll:   backoff.Policy{Base: time.Millisecond, Max: 5 * time.Millisecond},
-					})
+					w := cluster.NewWorker(cluster.WorkerConfig{Server: srv.URL, Name: fmt.Sprintf("bench-%d", i)})
 					go w.Run(ctx)
 				}
 				for coord.WorkersStatus().WireConnected < nw {

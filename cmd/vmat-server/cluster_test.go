@@ -27,7 +27,7 @@ func TestClusterModeEndToEnd(t *testing.T) {
 	go func() {
 		done <- run([]string{
 			"-addr", addr, "-workers", "2", "-cluster",
-			"-lease-ttl", "2s", "-data-dir", t.TempDir(),
+			"-lease-ttl", "2s", "-data-dir", t.TempDir(), "-wire-addr", "127.0.0.1:0",
 		}, &buf)
 	}()
 	base := "http://" + addr

@@ -32,15 +32,15 @@
 //
 // With -cluster, the server additionally hosts the distributed
 // execution plane: vmat-worker processes register under /v1/cluster,
-// claim work units via time-bounded leases, and execute jobs and sweep
-// cells remotely. By default workers stream those units over one
-// persistent binary conn (-wire-addr; empty falls back to HTTP lease
-// polling), and -shard-trials N splits each scenario into trial-range
-// units so a single large job spreads across the whole fleet. Zero
-// connected workers (or a crashed one whose lease retry budget runs
-// out) degrades to the local pool — cluster mode can never strand
-// work — and /healthz grows a "workers" section that reports
-// "degraded" while the fleet is empty.
+// which hands them the address of the streaming transport (-wire-addr),
+// then claim work units via time-bounded leases over one persistent
+// binary conn each and execute jobs and sweep cells remotely.
+// -shard-trials N splits each scenario into trial-range units so a
+// single large job spreads across the whole fleet. Zero connected
+// workers (or a crashed one whose lease retry budget runs out, or a
+// fleet that emptied and stayed empty) degrades to the local pool —
+// cluster mode can never strand work — and /healthz grows a "workers"
+// section that reports "degraded" while the fleet is empty.
 //
 // With -tenants, the server runs its multi-tenant front door: clients
 // authenticate with `Authorization: Bearer <key>` against a JSON
@@ -68,6 +68,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"sync"
 	"syscall"
 	"time"
 
@@ -104,7 +105,7 @@ func run(args []string, w io.Writer) error {
 	leaseTTL := fs.Duration("lease-ttl", 10*time.Second, "cluster lease lifetime without a heartbeat before a unit is reassigned")
 	leaseRetries := fs.Int("lease-retries", 3, "leases one unit may consume before falling back to local execution")
 	shardTrials := fs.Int("shard-trials", 0, "split cluster scenarios into work units of at most this many trials (0 = whole-scenario units)")
-	wireAddr := fs.String("wire-addr", ":8081", "streaming-transport listen address for cluster workers (empty = HTTP lease polling only)")
+	wireAddr := fs.String("wire-addr", ":8081", "streaming-transport listen address for cluster workers (required with -cluster)")
 	wireAdvertise := fs.String("wire-advertise", "", "streaming-transport address advertised to workers instead of the bound one (for proxies/NAT; empty = advertise the listener)")
 	tenantsPath := fs.String("tenants", "", "JSON keyfile enabling the multi-tenant front door: API keys, per-tenant rate limits/quotas, fair-queue weights (empty = open server, everything runs as the anonymous tenant; SIGHUP reloads the file)")
 	showVersion := fs.Bool("version", false, "print version and exit")
@@ -115,6 +116,12 @@ func run(args []string, w io.Writer) error {
 		fmt.Fprintln(w, "vmat-server", version)
 		return nil
 	}
+	if *clusterOn && *wireAddr == "" {
+		return errors.New("-cluster needs a -wire-addr: workers get their units over the streaming transport")
+	}
+	// The listener, the coordinator, the store and the sweeps all log at
+	// once; one write at a time.
+	w = &lockedWriter{w: w}
 
 	reg := metrics.New()
 	logf := func(format string, args ...any) {
@@ -175,15 +182,13 @@ func run(args []string, w io.Writer) error {
 		})
 		defer coord.Close()
 		workersRep, exec = coord, coord
-		logf("cluster mode on: leasing under /v1/cluster (lease TTL %s, %d attempts per unit, shard %d trials)",
+		logf("cluster mode on: workers register under /v1/cluster (lease TTL %s, %d attempts per unit, shard %d trials)",
 			*leaseTTL, *leaseRetries, *shardTrials)
-		if *wireAddr != "" {
-			bound, err := coord.StartWire(*wireAddr)
-			if err != nil {
-				return err
-			}
-			logf("cluster streaming transport on %s", bound)
+		bound, err := coord.StartWire(*wireAddr)
+		if err != nil {
+			return err
 		}
+		logf("cluster streaming transport on %s", bound)
 	}
 	ctl, err := tenant.NewController(tenant.Config{Path: *tenantsPath, Metrics: reg, Log: logf})
 	if err != nil {
@@ -279,9 +284,9 @@ func run(args []string, w io.Writer) error {
 	defer cancel()
 	// The cluster first: stop leasing, hand pending units back to the
 	// local pool, and wait for workers to report their in-flight leases
-	// (the listener is still up for those uploads). Then sweeps (they
-	// stop feeding the job manager and flush the store), then the job
-	// manager, then the listener.
+	// (the wire transport is still up for those completions). Then
+	// sweeps (they stop feeding the job manager and flush the store),
+	// then the job manager, then the listener.
 	if coord != nil {
 		if err := coord.Drain(drainCtx); err != nil {
 			return fmt.Errorf("drain cluster: %w", err)
@@ -310,4 +315,16 @@ func run(args []string, w io.Writer) error {
 	}
 	fmt.Fprintln(w, "vmat-server: drained, bye")
 	return <-errCh
+}
+
+// lockedWriter serializes writes to w.
+type lockedWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (l *lockedWriter) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.w.Write(p)
 }

@@ -63,7 +63,6 @@ func run(args []string, w io.Writer) error {
 	burstLoss := fs.Float64("burst-loss", 0, "bad-state loss rate of the Gilbert-Elliott burst chain (0 = off)")
 	arq := fs.Bool("arq", false, "enable the link-layer ARQ (per-hop acks, bounded-backoff retransmissions)")
 	maxSlots := fs.Int("max-slots", 0, "execution slot deadline (0 = default when faults/ARQ are on, unlimited otherwise)")
-	workers := fs.Int("workers", 0, "accepted for compatibility; the simulator is a single-threaded event loop")
 	verbose := fs.Bool("v", false, "print the execution event trace")
 	trace := fs.Bool("trace", false, "print the execution event trace as NDJSON (same encoding as the server's /trace endpoint)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -132,7 +131,6 @@ func run(args []string, w io.Writer) error {
 		Multipath:  *multipath,
 		LossRate:   *loss,
 		Seed:       *seed,
-		Workers:    *workers,
 		Readings: func(id topology.NodeID, _ int) float64 {
 			if id == topology.BaseStation {
 				return core.Inf()

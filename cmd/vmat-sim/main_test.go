@@ -120,14 +120,6 @@ func TestSimDeterministicForSeed(t *testing.T) {
 	}
 }
 
-func TestSimWorkersFlagInvisibleInOutput(t *testing.T) {
-	a := runCLI(t, "-n", "30", "-attack", "drop", "-seed", "9", "-workers", "1")
-	b := runCLI(t, "-n", "30", "-attack", "drop", "-seed", "9", "-workers", "8")
-	if a != b {
-		t.Fatal("worker count changed the execution output")
-	}
-}
-
 func TestSimVersionFlag(t *testing.T) {
 	out := runCLI(t, "-version")
 	if !strings.Contains(out, "vmat-sim") || !strings.Contains(out, version) {

@@ -5,30 +5,30 @@
 //
 //	vmat-worker -server http://localhost:8080 -name lab-3
 //
-// The worker registers with the coordinator at -server (a vmat-server
-// started with -cluster). When the coordinator advertises its streaming
-// transport, the worker opens one persistent binary conn and executes
-// batched unit grants from it — whole scenarios or trial-range shards —
-// streaming each completion back with the unit's content key and a
-// CRC32 of the encoded rows so the coordinator can verify the bytes
-// before write-back. It runs units side by side on GOMAXPROCS trial
-// slots: each unit takes as many as it runs trials at once (its spec's
-// workers, 0 meaning every core), so one-trial shards run one per core,
-// a whole scenario at workers 0 runs alone, and no more than
-// GOMAXPROCS trials ever run at once. It holds -prefetch - 1 units
-// queued beyond the executing ones. Set GOMAXPROCS to cap it: Go 1.24
-// does not read a container's cgroup CPU quota. A lost conn or
-// restarted coordinator is survived in place: the worker re-registers
-// and reconnects on a jittered backoff. With -http-poll (or no
-// advertised transport) it falls back to leasing one unit at a time
-// over HTTP.
+// The worker registers over HTTP with the coordinator at -server (a
+// vmat-server started with -cluster), which hands it the address of its
+// streaming transport. The worker opens one persistent binary conn
+// there and executes batched unit grants from it — whole scenarios or
+// trial-range shards — streaming each completion back with the unit's
+// content key and a CRC32 of the encoded rows so the coordinator can
+// verify the bytes before write-back. It runs units side by side on
+// GOMAXPROCS trial slots: each unit takes as many as it runs trials at
+// once (its spec's workers, 0 meaning every core), so one-trial shards
+// run one per core, a whole scenario at workers 0 runs alone, and no
+// more than GOMAXPROCS trials ever run at once. It holds -prefetch - 1
+// units queued beyond the executing ones. Set GOMAXPROCS to cap it:
+// Go 1.24 does not read a container's cgroup CPU quota. A lost conn or
+// restarted coordinator is survived in place: the worker reconnects,
+// or re-registers, on a jittered backoff, and a completion the lost
+// conn could not carry goes out first on the redialled one.
 //
 // On SIGTERM/SIGINT the worker drains gracefully: it finishes every
 // unit it is executing (the coordinator keeps the leases alive via
 // heartbeats), reports the results, deregisters — releasing the units
 // it had queued — and exits 0. Killing it outright is also safe — the
 // leases expire and the coordinator reassigns the units, with
-// identical results either way.
+// identical results either way; so is a drain whose conn is down, which
+// leaves its unsent results to be recomputed the same way.
 package main
 
 import (
@@ -38,6 +38,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"sync"
 	"syscall"
 
 	"repro/internal/cluster"
@@ -59,7 +60,6 @@ func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("vmat-worker", flag.ContinueOnError)
 	server := fs.String("server", "http://localhost:8080", "coordinator base URL (a vmat-server run with -cluster)")
 	name := fs.String("name", "", "stable worker name for logs and per-worker metrics (default: coordinator-assigned ID)")
-	httpPoll := fs.Bool("http-poll", false, "poll the HTTP lease endpoint even when the coordinator advertises the streaming transport")
 	prefetch := fs.Int("prefetch", 2, "streaming queue depth: units the worker holds queued beyond the ones executing, plus one")
 	showVersion := fs.Bool("version", false, "print version and exit")
 	if err := fs.Parse(args); err != nil {
@@ -70,18 +70,21 @@ func run(args []string, w io.Writer) error {
 		return nil
 	}
 
+	// Units log from their executors at once; one write at a time.
+	var logMu sync.Mutex
 	logf := func(format string, args ...any) {
+		logMu.Lock()
+		defer logMu.Unlock()
 		fmt.Fprintf(w, "vmat-worker: "+format+"\n", args...)
 	}
 	reg := metrics.New()
 	worker := cluster.NewWorker(cluster.WorkerConfig{
-		Server:      *server,
-		Name:        *name,
-		Version:     version,
-		DisableWire: *httpPoll,
-		Prefetch:    *prefetch,
-		Log:         logf,
-		Metrics:     reg,
+		Server:   *server,
+		Name:     *name,
+		Version:  version,
+		Prefetch: *prefetch,
+		Log:      logf,
+		Metrics:  reg,
 	})
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -25,6 +26,24 @@ func TestVersionFlag(t *testing.T) {
 	}
 }
 
+// syncBuffer is a bytes.Buffer the test can read while run writes it.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
 // TestSIGTERMGracefulDrain delivers a real SIGTERM to the process while
 // the worker binary's run loop holds a lease mid-execution. The
 // contract: finish the unit, report the result, deregister, and return
@@ -37,19 +56,22 @@ func TestSIGTERMGracefulDrain(t *testing.T) {
 		WorkerTTL:         time.Hour,
 	})
 	defer coord.Close()
+	if _, err := coord.StartWire("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
 	mux := http.NewServeMux()
 	cluster.RegisterHTTP(mux, coord)
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
-	// A unit heavy enough (~500ms) that the signal sent right after the
-	// lease is granted lands well before execution finishes.
+	// A unit heavy enough (~500ms) that the signal sent right after it
+	// starts lands well before execution finishes.
 	spec := experiments.ScenarioConfig{
 		N: 40, Topology: "geometric", Query: "min", Attack: "drop",
 		Malicious: 1, Synopses: 50, Trials: 50, Seed: 7,
 	}
 	spec.Normalize()
-	var buf bytes.Buffer
+	var buf syncBuffer
 	runDone := make(chan error, 1)
 	go func() { runDone <- run([]string{"-server", srv.URL, "-name", "sigterm-test"}, &buf) }()
 	deadline := time.Now().Add(10 * time.Second)
@@ -71,11 +93,13 @@ func TestSIGTERMGracefulDrain(t *testing.T) {
 		res <- execResult{rows, ok, err}
 	}()
 
-	// Wait until the binary's worker holds the lease, then TERM the
+	// Wait until the binary's worker runs the unit, then TERM the
 	// process for real — the same signal systemd or an operator sends.
-	for coord.WorkersStatus().LeasesActive == 0 {
+	// A held lease is not enough: a grant arrives before its unit starts,
+	// and a drain in between releases it unrun.
+	for !strings.Contains(buf.String(), "running ") {
 		if time.Now().After(deadline) {
-			t.Fatal("worker never leased the unit")
+			t.Fatalf("worker never started the unit:\n%s", buf.String())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}

@@ -7,12 +7,11 @@
 // (fail-stop crash, bounded retries, graceful degradation) from the
 // simulated sensor network up to the serving layer:
 //
-//   - Workers register over HTTP (the bootstrap/fallback path) and
-//     claim content-addressed work units via time-bounded leases —
-//     either by polling the HTTP lease endpoint or, when the
-//     coordinator hosts the streaming transport (internal/wire), over
-//     one persistent conn carrying batched grants, streamed
-//     completions, and piggybacked heartbeats.
+//   - Workers register over HTTP, which hands out the address of the
+//     streaming transport (internal/wire), and then claim
+//     content-addressed work units via time-bounded leases over one
+//     persistent conn carrying batched grants, streamed completions,
+//     and piggybacked heartbeats.
 //   - With sharding on (CoordinatorConfig.ShardTrials > 0), a scenario
 //     is split into per-trial-range units (internal/shard); the
 //     coordinator merges completed shard rows back in trial order and
@@ -33,8 +32,9 @@
 // The coordinator implements service.Executor: the job manager
 // dispatches execution through it when cluster mode is on and falls
 // back to the local pool whenever the fleet cannot take a unit (no
-// workers connected, coordinator draining, retry budget exhausted), so
-// enabling the plane can never strand work.
+// workers connected, coordinator draining, retry budget exhausted, or
+// the last worker gone for a WorkerTTL), so enabling the plane can
+// never strand work.
 package cluster
 
 import (
@@ -90,13 +90,14 @@ var ErrAborted = errors.New("cluster: worker aborted (simulated crash)")
 // range this unit covers plus the parent scenario's address. The key
 // doubles as the integrity anchor: a completing worker must echo it,
 // and the coordinator recomputes nothing it cannot check. Unit is the
-// shard descriptor itself, so the HTTP lease JSON, the binary wire
-// grants, and the planner all speak the same type.
+// shard descriptor itself, so the binary wire grants and the planner
+// speak the same type.
 type Unit = shard.Descriptor
 
-// Wire types for the /v1/cluster API. Durations travel as nanoseconds
-// (Go's time.Duration JSON form); the protocol is internal to the two
-// binaries in this repository, both stamped from the same build.
+// JSON types for the /v1/cluster API and the wire payloads. Durations
+// travel as nanoseconds (Go's time.Duration JSON form); the protocol is
+// internal to the two binaries in this repository, both stamped from
+// the same build.
 
 // RegisterRequest announces a worker to the coordinator.
 type RegisterRequest struct {
@@ -109,26 +110,13 @@ type RegisterResponse struct {
 	WorkerID string `json:"worker_id"`
 	// LeaseTTL is how long a granted lease lives without a heartbeat.
 	LeaseTTL time.Duration `json:"lease_ttl"`
-	// Heartbeat is the interval the worker must beat at while holding a
-	// lease (and the cap on its idle poll backoff).
+	// Heartbeat is the interval the worker must beat at over its conn.
 	Heartbeat time.Duration `json:"heartbeat"`
-	// Wire, when non-empty, is the coordinator's streaming-transport
-	// address (host:port). The worker opens one persistent conn there
-	// instead of polling the HTTP lease endpoint; an empty Wire (or a
-	// failed dial) keeps it on HTTP polling.
+	// Wire is the coordinator's streaming-transport address
+	// (host:port). The worker opens one persistent conn there and gets,
+	// holds and reports every unit over it; a worker offered none exits
+	// with an error.
 	Wire string `json:"wire,omitempty"`
-}
-
-// LeaseRequest asks for one unit of work.
-type LeaseRequest struct {
-	WorkerID string `json:"worker_id"`
-}
-
-// LeaseResponse carries at most one unit; a nil Unit means no work is
-// available (the worker backs off and polls again).
-type LeaseResponse struct {
-	Unit     *Unit         `json:"unit,omitempty"`
-	LeaseTTL time.Duration `json:"lease_ttl"`
 }
 
 // HeartbeatRequest renews the worker's liveness and extends the leases
@@ -154,8 +142,8 @@ type CompleteRequest struct {
 	DurationMicros int64           `json:"duration_us,omitempty"`
 }
 
-// DeregisterRequest announces a graceful exit; the worker has no leases
-// left (it finishes its current unit before deregistering).
+// DeregisterRequest announces a graceful exit when no wire session is
+// up to carry a Bye; any lease the worker still holds is requeued.
 type DeregisterRequest struct {
 	WorkerID string `json:"worker_id"`
 }
@@ -163,8 +151,8 @@ type DeregisterRequest struct {
 // Streaming-transport payloads. The frame layer (internal/wire) moves
 // opaque typed payloads; these are their encodings. Hello/HelloAck/Want
 // are small JSON control messages; Grant carries a shard.EncodeBatch of
-// units; Complete and Heartbeat reuse the HTTP request types verbatim,
-// so both transports verify completions through the same code.
+// units; Complete and Heartbeat carry a CompleteRequest and a
+// HeartbeatRequest as JSON.
 
 // helloPayload opens a worker's conn with its registered identity.
 type helloPayload struct {

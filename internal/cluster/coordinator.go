@@ -24,9 +24,11 @@ type CoordinatorConfig struct {
 	// HeartbeatInterval is the cadence workers are told to beat at.
 	// Default LeaseTTL/3.
 	HeartbeatInterval time.Duration
-	// WorkerTTL is how long a worker may go silent (no lease poll, no
-	// heartbeat, no wire frame) before it is expired and its leases
-	// reassigned. Default 3*HeartbeatInterval.
+	// WorkerTTL is how long a worker may go silent (no wire frame,
+	// heartbeats included) before it is expired and its leases
+	// reassigned, and how long an emptied fleet keeps its pending units
+	// for a new worker before they fall back to the local pool. Default
+	// 3*HeartbeatInterval.
 	WorkerTTL time.Duration
 	// MaxAttempts bounds how many leases one unit may consume before
 	// the coordinator abandons its scenario back to the local pool.
@@ -126,7 +128,8 @@ type Coordinator struct {
 	units      map[string]*unitState // every live unit (pending or leased)
 	nextUnit   uint64
 	nextWorker uint64
-	expired    int64 // cumulative expired leases, for WorkersStatus
+	expired    int64     // cumulative expired leases, for WorkersStatus
+	emptySince time.Time // when the last worker left
 
 	wire *wireServer // nil until StartWire
 
@@ -281,6 +284,9 @@ func (c *Coordinator) dropWorkerLocked(w *workerState, why string) {
 	}
 	delete(c.workers, w.id)
 	c.connected.Set(int64(len(c.workers)))
+	if len(c.workers) == 0 {
+		c.emptySince = time.Now()
+	}
 	c.log("cluster: worker %s (%q) %s, fleet size %d", w.id, w.name, why, len(c.workers))
 }
 
@@ -304,19 +310,18 @@ func (c *Coordinator) touchWorker(workerID string) {
 	}
 }
 
-// Lease grants the oldest pending unit to the worker, or (nil, ttl,
-// nil) when there is no work. Polling doubles as liveness: it refreshes
-// the worker's lastSeen like a heartbeat does.
-func (c *Coordinator) Lease(workerID string) (*Unit, time.Duration, error) {
+// Lease grants the oldest pending unit to the worker, or nil when there
+// is no work. The wire server's grant feeder calls it once per unit.
+func (c *Coordinator) Lease(workerID string) (*Unit, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	w, ok := c.workers[workerID]
 	if !ok {
-		return nil, 0, ErrUnknownWorker
+		return nil, ErrUnknownWorker
 	}
 	w.lastSeen = time.Now()
 	if c.draining || len(c.pending) == 0 {
-		return nil, c.cfg.LeaseTTL, nil
+		return nil, nil
 	}
 	u := c.pending[0]
 	c.pending = c.pending[1:]
@@ -327,7 +332,7 @@ func (c *Coordinator) Lease(workerID string) (*Unit, time.Duration, error) {
 	c.granted.Inc()
 	c.active.Inc()
 	unit := u.unit
-	return &unit, c.cfg.LeaseTTL, nil
+	return &unit, nil
 }
 
 // Heartbeat refreshes the worker's liveness and extends the leases it
@@ -623,8 +628,10 @@ func (c *Coordinator) expiryLoop() {
 	}
 }
 
-// sweepExpired reassigns every overdue lease and expires every silent
-// worker.
+// sweepExpired reassigns every overdue lease, expires every silent
+// worker, and once the fleet has been empty for a WorkerTTL hands the
+// units it left pending to the local pool: a fleet that shrank to
+// nothing must not strand work until a new worker happens to join.
 func (c *Coordinator) sweepExpired() {
 	now := time.Now()
 	c.mu.Lock()
@@ -639,6 +646,22 @@ func (c *Coordinator) sweepExpired() {
 			c.workerExp.Inc()
 			c.dropWorkerLocked(w, "expired (missed heartbeats)")
 		}
+	}
+	if len(c.workers) == 0 && now.Sub(c.emptySince) > c.cfg.WorkerTTL {
+		c.abandonPendingLocked("no workers left")
+	}
+}
+
+// abandonPendingLocked hands every group with a pending unit back to
+// the local pool. Callers hold c.mu.
+func (c *Coordinator) abandonPendingLocked(why string) {
+	pending := c.pending
+	c.pending = nil
+	for _, u := range pending {
+		if u.finished || u.grp.terminal() {
+			continue // already terminal; its done channel is closed
+		}
+		c.abandonGroupLocked(u.grp, why)
 	}
 }
 
@@ -774,14 +797,7 @@ func (c *Coordinator) WorkersStatus() service.WorkersStatus {
 func (c *Coordinator) Drain(ctx context.Context) error {
 	c.mu.Lock()
 	c.draining = true
-	pending := c.pending
-	c.pending = nil
-	for _, u := range pending {
-		if u.finished || u.grp.terminal() {
-			continue // already terminal; its done channel is closed
-		}
-		c.abandonGroupLocked(u.grp, "drain")
-	}
+	c.abandonPendingLocked("drain")
 	c.mu.Unlock()
 
 	t := time.NewTicker(5 * time.Millisecond)

@@ -38,7 +38,7 @@ func leaseUnit(t *testing.T, c *Coordinator, workerID string) Unit {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		unit, _, err := c.Lease(workerID)
+		unit, err := c.Lease(workerID)
 		if err != nil {
 			t.Fatalf("lease: %v", err)
 		}
@@ -290,7 +290,7 @@ func TestExecuteContextCancelWithdrawsUnit(t *testing.T) {
 		t.Fatalf("Execute = (ok=%v, err=%v), want owned cancellation", r.ok, r.err)
 	}
 	// The unit was withdrawn: nothing left to lease.
-	unit, _, err := c.Lease(w.WorkerID)
+	unit, err := c.Lease(w.WorkerID)
 	if err != nil || unit != nil {
 		t.Fatalf("lease after withdrawal = (%v, %v), want no work", unit, err)
 	}
@@ -339,7 +339,7 @@ func TestLateCompletionOfRequeuedUnitFinishesIt(t *testing.T) {
 		t.Fatalf("Execute = (ok=%v, err=%v), want late completion accepted", r.ok, r.err)
 	}
 	// The finished unit must be gone from the pending queue…
-	if u2, _, err := c.Lease(w.WorkerID); err != nil || u2 != nil {
+	if u2, err := c.Lease(w.WorkerID); err != nil || u2 != nil {
 		t.Fatalf("finished unit leased again: (%v, %v)", u2, err)
 	}
 	// …and from the lease table.
@@ -442,6 +442,36 @@ func TestRegisterSanitizesWorkerName(t *testing.T) {
 	}
 	if w2.WorkerID == "" {
 		t.Fatal("no worker ID assigned")
+	}
+}
+
+// A fleet that shrinks to nothing hands the units it left pending back
+// to the local pool once it has been empty for a WorkerTTL, instead of
+// holding them for a worker that may never join.
+func TestEmptiedFleetFallsBackToLocal(t *testing.T) {
+	reg := metrics.New()
+	c := newTestCoordinator(t, CoordinatorConfig{
+		LeaseTTL:  400 * time.Millisecond,
+		WorkerTTL: 200 * time.Millisecond,
+		Metrics:   reg,
+	})
+	w := c.Register(RegisterRequest{Name: "leaver"})
+
+	res := executeAsync(c, context.Background(), testSpec(15))
+	leaseUnit(t, c, w.WorkerID)
+	if err := c.Deregister(w.WorkerID); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case r := <-res:
+		if r.ok || r.err != nil {
+			t.Fatalf("Execute after the fleet emptied = (ok=%v, err=%v), want local fallback", r.ok, r.err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatalf("Execute still waiting 2s after the last worker left: %+v", c.WorkersStatus())
+	}
+	if v := reg.Counter(MetricUnitsAbandoned).Value(); v != 1 {
+		t.Fatalf("abandoned groups = %d, want 1", v)
 	}
 }
 

@@ -28,10 +28,10 @@ const e2eGrid = `{"n": [24, 30], "query": ["min", "count"], "loss_rate": [0, 0.1
 // orchestrator, coordinator, streaming transport, HTTP mux) plus an
 // in-process worker fleet, runs e2eGrid through it, and returns the CSV
 // export and the stack's metrics registry. Workers stream units over
-// the wire transport, exactly as vmat-worker does by default. killOne
-// crashes the first worker fail-stop on its first lease — no
-// completion, no deregistration — so its lease must expire and be
-// reassigned. shardTrials > 0 splits every cell into trial-range units.
+// the wire transport, exactly as vmat-worker does. killOne crashes the
+// first worker fail-stop on its first lease — no completion, no
+// deregistration — so its lease must expire and be reassigned.
+// shardTrials > 0 splits every cell into trial-range units.
 // No store is configured: every cell executes, so the CSV reflects this
 // run alone.
 func runClusteredSweep(t *testing.T, nWorkers int, killOne bool, shardTrials int) ([]byte, *metrics.Registry) {
@@ -68,7 +68,7 @@ func runClusteredSweep(t *testing.T, nWorkers int, killOne bool, shardTrials int
 	var doomed chan struct{} // closed when the killed worker takes its first lease
 	startWorkers := func(from, to int) {
 		for i := from; i < to; i++ {
-			cfg := WorkerConfig{Server: srv.URL, Name: fmt.Sprintf("e2e-%d", i), Poll: fastPoll(), Reconnect: fastReconnect()}
+			cfg := WorkerConfig{Server: srv.URL, Name: fmt.Sprintf("e2e-%d", i), Reconnect: fastReconnect()}
 			if killOne && i == 0 {
 				doomed = make(chan struct{})
 				var once sync.Once

@@ -64,9 +64,6 @@ func wiredPlane(t *testing.T, reg *metrics.Registry, st *store.Store) (*Coordina
 	cfg.ShardTrials = 1
 	cfg.Store = st
 	c, srv := newTestPlane(t, cfg)
-	if _, err := c.StartWire("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
 	return c, srv.URL
 }
 
@@ -81,7 +78,7 @@ func TestWorkerRunsOneUnitPerCore(t *testing.T) {
 	gate := make(chan struct{})
 	var once sync.Once
 	w := NewWorker(WorkerConfig{
-		Server: url, Name: "quad", Poll: fastPoll(), Reconnect: fastReconnect(),
+		Server: url, Name: "quad", Reconnect: fastReconnect(),
 		RunUnit: func(u Unit) ([]experiments.ScenarioRow, error) {
 			if cc.enter() == 4 {
 				once.Do(func() { close(allIn) })
@@ -126,7 +123,7 @@ func TestWorkerAtOneProcRunsOneUnitAtATime(t *testing.T) {
 
 	var cc concurrency
 	w := NewWorker(WorkerConfig{
-		Server: url, Name: "solo", Poll: fastPoll(), Reconnect: fastReconnect(),
+		Server: url, Name: "solo", Reconnect: fastReconnect(),
 		RunUnit: func(u Unit) ([]experiments.ScenarioRow, error) {
 			cc.enter()
 			defer cc.leave()
@@ -161,15 +158,12 @@ func TestWorkerAtOneProcRunsOneUnitAtATime(t *testing.T) {
 func TestWorkerSharesTrialSlotsAcrossUnits(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	c, srv := newTestPlane(t, fastCadence()) // whole-scenario units
-	if _, err := c.StartWire("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
 
 	var trials concurrency
 	var leased atomic.Int64
 	gate := make(chan struct{})
 	w := NewWorker(WorkerConfig{
-		Server: srv.URL, Name: "slots", Poll: fastPoll(), Reconnect: fastReconnect(),
+		Server: srv.URL, Name: "slots", Reconnect: fastReconnect(),
 		OnLease: func(Unit) { leased.Add(1) },
 		RunUnit: func(u Unit) ([]experiments.ScenarioRow, error) {
 			<-gate
@@ -277,7 +271,7 @@ func TestWorkerGracefulDrainReportsEveryInFlightUnit(t *testing.T) {
 	gate := make(chan struct{})
 	var once sync.Once
 	w := NewWorker(WorkerConfig{
-		Server: url, Name: "drainer", Poll: fastPoll(), Reconnect: fastReconnect(),
+		Server: url, Name: "drainer", Reconnect: fastReconnect(),
 		RunUnit: func(u Unit) ([]experiments.ScenarioRow, error) {
 			if cc.enter() == 4 {
 				once.Do(func() { close(allIn) })
@@ -313,7 +307,7 @@ func TestWorkerGracefulDrainReportsEveryInFlightUnit(t *testing.T) {
 		t.Fatalf("worker did not deregister on drain: %+v", ws)
 	}
 
-	next := NewWorker(WorkerConfig{Server: url, Name: "next", Poll: fastPoll(), Reconnect: fastReconnect()})
+	next := NewWorker(WorkerConfig{Server: url, Name: "next", Reconnect: fastReconnect()})
 	nextCtx, nextCancel := context.WithCancel(context.Background())
 	defer nextCancel()
 	nextDone := startWiredWorker(t, nextCtx, c, next)
@@ -348,7 +342,7 @@ func TestWorkerAbortWithUnitsInFlightReportsNone(t *testing.T) {
 	abort := make(chan struct{})
 	var once sync.Once
 	crashy := NewWorker(WorkerConfig{
-		Server: url, Name: "crashy", Poll: fastPoll(), Reconnect: fastReconnect(),
+		Server: url, Name: "crashy", Reconnect: fastReconnect(),
 		Abort: abort,
 		RunUnit: func(u Unit) ([]experiments.ScenarioRow, error) {
 			if cc.enter() == 4 {
@@ -370,7 +364,7 @@ func TestWorkerAbortWithUnitsInFlightReportsNone(t *testing.T) {
 		t.Fatalf("crashed worker reported %d units, want 0", got)
 	}
 
-	healthy := NewWorker(WorkerConfig{Server: url, Name: "healthy", Poll: fastPoll(), Reconnect: fastReconnect()})
+	healthy := NewWorker(WorkerConfig{Server: url, Name: "healthy", Reconnect: fastReconnect()})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	healthyDone := make(chan error, 1)
@@ -410,13 +404,10 @@ func TestWorkerCompletionCarriesItsOwnDuration(t *testing.T) {
 	cfg := fastCadence()
 	cfg.Store = st
 	c, srv := newTestPlane(t, cfg)
-	if _, err := c.StartWire("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
 
 	spans := map[uint64]time.Duration{94: 50 * time.Millisecond, 95: 150 * time.Millisecond, 96: 250 * time.Millisecond, 97: 350 * time.Millisecond}
 	w := NewWorker(WorkerConfig{
-		Server: srv.URL, Name: "timed", Poll: fastPoll(), Reconnect: fastReconnect(),
+		Server: srv.URL, Name: "timed", Reconnect: fastReconnect(),
 		RunUnit: func(u Unit) ([]experiments.ScenarioRow, error) {
 			time.Sleep(spans[u.Spec.Seed])
 			return u.Run()

@@ -8,32 +8,23 @@ import (
 	"repro/internal/service"
 )
 
-// maxCompleteBytes bounds a result upload. A spec may run up to 100k
-// trials and each row is a few hundred bytes of JSON, so this is
-// generous without being unbounded.
-const maxCompleteBytes = 64 << 20
-
-// maxControlBytes bounds the small control-plane bodies.
+// maxControlBytes bounds a request body; both are small JSON objects.
 const maxControlBytes = 1 << 16
 
-// RegisterHTTP mounts the cluster wire protocol on mux, instrumented
+// RegisterHTTP mounts the cluster's HTTP endpoints on mux, instrumented
 // into the coordinator's registry with the same per-route counters and
 // histograms as the job and sweep APIs:
 //
-//	POST /v1/cluster/register    join the fleet -> worker_id + cadence
-//	POST /v1/cluster/lease       claim one unit (unit:null when idle)
-//	POST /v1/cluster/heartbeat   refresh liveness, extend held leases
-//	POST /v1/cluster/complete    report a finished unit (CRC + key checked)
-//	POST /v1/cluster/deregister  leave the fleet gracefully
+//	POST /v1/cluster/register    join the fleet -> worker_id, cadence, wire address
+//	POST /v1/cluster/deregister  leave the fleet when no wire session can carry a Bye
 //
-// Unknown workers get 404 and re-register; malformed bodies get 400.
+// Units, heartbeats and completions travel over the streaming
+// transport. Unknown workers get 404 and re-register; malformed bodies
+// get 400.
 func RegisterHTTP(mux *http.ServeMux, c *Coordinator) {
 	h := &api{c: c}
 	reg := c.Registry()
 	mux.HandleFunc("POST /v1/cluster/register", service.Instrument(reg, "POST /v1/cluster/register", h.register))
-	mux.HandleFunc("POST /v1/cluster/lease", service.Instrument(reg, "POST /v1/cluster/lease", h.lease))
-	mux.HandleFunc("POST /v1/cluster/heartbeat", service.Instrument(reg, "POST /v1/cluster/heartbeat", h.heartbeat))
-	mux.HandleFunc("POST /v1/cluster/complete", service.Instrument(reg, "POST /v1/cluster/complete", h.complete))
 	mux.HandleFunc("POST /v1/cluster/deregister", service.Instrument(reg, "POST /v1/cluster/deregister", h.deregister))
 }
 
@@ -53,8 +44,8 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 
 // decode parses a JSON body with the repository's strict convention:
 // unknown fields are a 400, not a silently dropped key.
-func decode(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBytes))
+func decode(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxControlBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		writeError(w, http.StatusBadRequest, "invalid request: "+err.Error())
@@ -65,52 +56,15 @@ func decode(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) bool 
 
 func (h *api) register(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
-	if !decode(w, r, maxControlBytes, &req) {
+	if !decode(w, r, &req) {
 		return
 	}
 	writeJSON(w, http.StatusOK, h.c.Register(req))
 }
 
-func (h *api) lease(w http.ResponseWriter, r *http.Request) {
-	var req LeaseRequest
-	if !decode(w, r, maxControlBytes, &req) {
-		return
-	}
-	unit, ttl, err := h.c.Lease(req.WorkerID)
-	if errors.Is(err, ErrUnknownWorker) {
-		writeError(w, http.StatusNotFound, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, LeaseResponse{Unit: unit, LeaseTTL: ttl})
-}
-
-func (h *api) heartbeat(w http.ResponseWriter, r *http.Request) {
-	var req HeartbeatRequest
-	if !decode(w, r, maxControlBytes, &req) {
-		return
-	}
-	if err := h.c.Heartbeat(req); errors.Is(err, ErrUnknownWorker) {
-		writeError(w, http.StatusNotFound, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-func (h *api) complete(w http.ResponseWriter, r *http.Request) {
-	var req CompleteRequest
-	if !decode(w, r, maxCompleteBytes, &req) {
-		return
-	}
-	if err := h.c.Complete(req); err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
 func (h *api) deregister(w http.ResponseWriter, r *http.Request) {
 	var req DeregisterRequest
-	if !decode(w, r, maxControlBytes, &req) {
+	if !decode(w, r, &req) {
 		return
 	}
 	if err := h.c.Deregister(req.WorkerID); errors.Is(err, ErrUnknownWorker) {

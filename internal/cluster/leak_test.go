@@ -35,7 +35,7 @@ func TestWorkerReconnectLeaksNoGoroutines(t *testing.T) {
 	stack := startStack(t, "127.0.0.1:0", metrics.New())
 	w := NewWorker(WorkerConfig{
 		Server: "http://" + stack.addr, Name: "leakcheck",
-		Poll: fastPoll(), Reconnect: fastReconnect(),
+		Reconnect: fastReconnect(),
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -96,7 +96,7 @@ func TestShardedExecuteMergesOutOfOrder(t *testing.T) {
 	if v := reg.Counter(MetricScenariosAssembled).Value(); v != 1 {
 		t.Fatalf("scenarios assembled = %d, want 1", v)
 	}
-	if u, _, err := c.Lease(w.WorkerID); err != nil || u != nil {
+	if u, err := c.Lease(w.WorkerID); err != nil || u != nil {
 		t.Fatalf("lease after assembly = (%v, %v), want no work", u, err)
 	}
 }
@@ -120,7 +120,7 @@ func TestShardErrorFailsWholeScenario(t *testing.T) {
 	if !r.ok || r.err == nil {
 		t.Fatalf("Execute = (ok=%v, err=%v), want owned failure", r.ok, r.err)
 	}
-	if u2, _, err := c.Lease(w.WorkerID); err != nil || u2 != nil {
+	if u2, err := c.Lease(w.WorkerID); err != nil || u2 != nil {
 		t.Fatalf("sibling shard still leasable after group failure: (%v, %v)", u2, err)
 	}
 }
@@ -149,7 +149,7 @@ func TestShardBudgetExhaustionAbandonsWholeScenario(t *testing.T) {
 	if v := reg.Counter(MetricUnitsAbandoned).Value(); v != 1 {
 		t.Fatalf("abandoned groups = %d, want 1", v)
 	}
-	if u, _, err := c.Lease(w.WorkerID); err != nil || u != nil {
+	if u, err := c.Lease(w.WorkerID); err != nil || u != nil {
 		t.Fatalf("sibling shard survived group abandonment: (%v, %v)", u, err)
 	}
 }

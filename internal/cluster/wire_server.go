@@ -270,7 +270,7 @@ func (s *wireServer) feed(cn *wireConn) {
 
 		batch := make([]Unit, 0, want)
 		for len(batch) < want {
-			u, _, err := s.c.Lease(cn.workerID)
+			u, err := s.c.Lease(cn.workerID)
 			if err != nil {
 				cn.wc.Close() // unknown worker: force a re-register
 				return

@@ -35,64 +35,77 @@ func waitWired(t *testing.T, c *Coordinator, n int) {
 	}
 }
 
-// A worker offered the streaming transport executes sharded units over
-// it — batched grants in, streamed completions out — and the results
-// match a whole local run exactly.
+// A worker executes units over the streaming transport — batched
+// grants in, streamed completions out — whole scenarios and trial-range
+// shards alike, and the results match a whole local run exactly.
 func TestWorkerExecutesUnitsOverWire(t *testing.T) {
-	reg := metrics.New()
-	cfg := fastCadence()
-	cfg.Metrics = reg
-	cfg.ShardTrials = 2
-	c, srv := newTestPlane(t, cfg)
-	if _, err := c.StartWire("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name        string
+		shardTrials int
+		seed        uint64
+		trials      int
+		units       int   // units completed for 3 scenarios
+		assembled   int64 // sharded scenarios merged back together
+	}{
+		{name: "whole-scenario", seed: 20, trials: 2, units: 3},
+		{name: "sharded", shardTrials: 2, seed: 60, trials: 4, units: 6, assembled: 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := metrics.New()
+			cfg := fastCadence()
+			cfg.Metrics = reg
+			cfg.ShardTrials = tc.shardTrials
+			c, srv := newTestPlane(t, cfg)
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	w := NewWorker(WorkerConfig{Server: srv.URL, Name: "wired", Poll: fastPoll(), Reconnect: fastReconnect()})
-	runDone := make(chan error, 1)
-	go func() { runDone <- w.Run(ctx) }()
-	waitConnected(t, c, 1)
-	waitWired(t, c, 1)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			w := NewWorker(WorkerConfig{Server: srv.URL, Name: "wired", Reconnect: fastReconnect()})
+			runDone := make(chan error, 1)
+			go func() { runDone <- w.Run(ctx) }()
+			waitConnected(t, c, 1)
+			waitWired(t, c, 1)
 
-	for i := 0; i < 3; i++ {
-		spec := shardSpec(uint64(60+i), 4)
-		rows, ok, err := c.Execute(context.Background(), spec)
-		if !ok || err != nil {
-			t.Fatalf("Execute %d over wire = (ok=%v, err=%v)", i, ok, err)
-		}
-		want, _ := experiments.RunScenario(spec)
-		if !reflect.DeepEqual(rows, want) {
-			t.Fatalf("unit %d: wire rows differ from local run", i)
-		}
-	}
-	if got := w.Completed(); got != 6 { // 3 scenarios × 2 shards each
-		t.Fatalf("worker completed %d units, want 6", got)
-	}
-	if v := reg.Counter(wire.MetricFramesSent).Value(); v == 0 {
-		t.Fatal("no frames sent by the wire server")
-	}
-	if v := reg.Counter(wire.MetricFramesReceived).Value(); v == 0 {
-		t.Fatal("no frames received by the wire server")
-	}
-	if v := reg.Counter(MetricScenariosAssembled).Value(); v != 3 {
-		t.Fatalf("scenarios assembled = %d, want 3", v)
-	}
+			for i := 0; i < 3; i++ {
+				spec := shardSpec(tc.seed+uint64(i), tc.trials)
+				rows, ok, err := c.Execute(context.Background(), spec)
+				if !ok || err != nil {
+					t.Fatalf("Execute %d over wire = (ok=%v, err=%v)", i, ok, err)
+				}
+				want, _ := experiments.RunScenario(spec)
+				if !reflect.DeepEqual(rows, want) {
+					t.Fatalf("unit %d: wire rows differ from local run", i)
+				}
+			}
+			if v := reg.Counter(wire.MetricFramesSent).Value(); v == 0 {
+				t.Fatal("no frames sent by the wire server")
+			}
+			if v := reg.Counter(wire.MetricFramesReceived).Value(); v == 0 {
+				t.Fatal("no frames received by the wire server")
+			}
+			if v := reg.Counter(MetricScenariosAssembled).Value(); v != tc.assembled {
+				t.Fatalf("scenarios assembled = %d, want %d", v, tc.assembled)
+			}
 
-	cancel()
-	if err := <-runDone; err != nil {
-		t.Fatalf("worker run after graceful cancel: %v", err)
-	}
-	if ws := c.WorkersStatus(); ws.Connected != 0 {
-		t.Fatalf("worker did not deregister on drain: %+v", ws)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for c.WorkersStatus().WireConnected != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("wire conn survived the worker's exit: %+v", c.WorkersStatus())
-		}
-		time.Sleep(2 * time.Millisecond)
+			cancel()
+			if err := <-runDone; err != nil {
+				t.Fatalf("worker run after graceful cancel: %v", err)
+			}
+			// Read after Run returns: a unit counts once its completion is
+			// sent, which can trail the coordinator assembling the scenario.
+			if got := w.Completed(); got != tc.units {
+				t.Fatalf("worker completed %d units, want %d", got, tc.units)
+			}
+			if ws := c.WorkersStatus(); ws.Connected != 0 {
+				t.Fatalf("worker did not deregister on drain: %+v", ws)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for c.WorkersStatus().WireConnected != 0 {
+				if time.Now().After(deadline) {
+					t.Fatalf("wire conn survived the worker's exit: %+v", c.WorkersStatus())
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+		})
 	}
 }
 
@@ -149,7 +162,7 @@ func TestWorkerSurvivesCoordinatorRestart(t *testing.T) {
 	first := startStack(t, "127.0.0.1:0", metrics.New())
 	w := NewWorker(WorkerConfig{
 		Server: "http://" + first.addr, Name: "survivor",
-		Poll: fastPoll(), Reconnect: fastReconnect(),
+		Reconnect: fastReconnect(),
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -194,13 +207,10 @@ func TestWorkerReconnectsAfterConnLoss(t *testing.T) {
 	cfg := fastCadence()
 	cfg.Metrics = reg
 	c, srv := newTestPlane(t, cfg)
-	if _, err := c.StartWire("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	w := NewWorker(WorkerConfig{Server: srv.URL, Name: "blipped", Poll: fastPoll(), Reconnect: fastReconnect()})
+	w := NewWorker(WorkerConfig{Server: srv.URL, Name: "blipped", Reconnect: fastReconnect()})
 	runDone := make(chan error, 1)
 	go func() { runDone <- w.Run(ctx) }()
 	waitConnected(t, c, 1)
@@ -231,32 +241,6 @@ func TestWorkerReconnectsAfterConnLoss(t *testing.T) {
 	}
 }
 
-// An HTTP-only worker (DisableWire, the -http-poll flag) still serves a
-// coordinator that hosts the transport — the fallback path stays live.
-func TestWorkerDisableWireFallsBackToPolling(t *testing.T) {
-	c, srv := newTestPlane(t, fastCadence())
-	if _, err := c.StartWire("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	w := NewWorker(WorkerConfig{Server: srv.URL, Name: "poller", Poll: fastPoll(), DisableWire: true})
-	runDone := make(chan error, 1)
-	go func() { runDone <- w.Run(ctx) }()
-	waitConnected(t, c, 1)
-
-	if _, ok, err := c.Execute(context.Background(), testSpec(72)); !ok || err != nil {
-		t.Fatalf("Execute via HTTP fallback = (ok=%v, err=%v)", ok, err)
-	}
-	if ws := c.WorkersStatus(); ws.WireConnected != 0 {
-		t.Fatalf("DisableWire worker opened a conn: %+v", ws)
-	}
-	cancel()
-	if err := <-runDone; err != nil {
-		t.Fatalf("worker run: %v", err)
-	}
-}
-
 // A hostile client cannot take the transport down: garbage after the
 // handshake closes that conn (counted as a frame error) and the
 // listener keeps serving.
@@ -265,10 +249,7 @@ func TestWireServerSurvivesHostileConn(t *testing.T) {
 	cfg := fastCadence()
 	cfg.Metrics = reg
 	c, srv := newTestPlane(t, cfg)
-	addr, err := c.StartWire("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	addr := c.wire.addr
 
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -288,7 +269,7 @@ func TestWireServerSurvivesHostileConn(t *testing.T) {
 	// The transport still serves a real worker afterwards.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	w := NewWorker(WorkerConfig{Server: srv.URL, Name: "after-hostile", Poll: fastPoll(), Reconnect: fastReconnect()})
+	w := NewWorker(WorkerConfig{Server: srv.URL, Name: "after-hostile", Reconnect: fastReconnect()})
 	runDone := make(chan error, 1)
 	go func() { runDone <- w.Run(ctx) }()
 	waitConnected(t, c, 1)
@@ -329,8 +310,9 @@ func TestWireServerSurvivesHostileConn(t *testing.T) {
 // the queued grant leaves the held set, so the next session's
 // heartbeats stop renewing its lease and the coordinator reassigns it;
 // and the reader closes the dead conn, so the executing unit's
-// completion fails over to the HTTP upload instead of being written
-// into the dead socket (and re-run once its lease expired).
+// completion fails to send instead of being written into the dead
+// socket (and re-run once its lease expired), stays held, and goes out
+// first on the next session.
 func TestWireSessionLossReleasesQueuedGrants(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one executor, so the second grant waits queued
 	// No heartbeat falls between the sever and the completion: its write
@@ -342,16 +324,13 @@ func TestWireSessionLossReleasesQueuedGrants(t *testing.T) {
 		ShardTrials:       1,
 	}
 	c, srv := newTestPlane(t, cfg)
-	if _, err := c.StartWire("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
 
 	gate := make(chan struct{})
 	granted := make(chan struct{}, 16)
 	var mu sync.Mutex
 	runs := map[int]int{} // trial start → executions
 	w := NewWorker(WorkerConfig{
-		Server: srv.URL, Name: "severed", Poll: fastPoll(), Reconnect: fastReconnect(),
+		Server: srv.URL, Name: "severed", Reconnect: fastReconnect(),
 		OnLease: func(Unit) { granted <- struct{}{} },
 		RunUnit: func(u Unit) ([]experiments.ScenarioRow, error) {
 			mu.Lock()

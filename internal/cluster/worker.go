@@ -34,26 +34,18 @@ type WorkerConfig struct {
 	Name string
 	// Version is reported at registration.
 	Version string
-	// Poll is the idle-poll backoff schedule for the HTTP fallback
-	// path; its cap is additionally clamped to the coordinator's
-	// heartbeat interval so an idle worker never goes silent long
-	// enough to be expired. Zero picks {Base: 50ms, Max: 1s}.
-	Poll backoff.Policy
 	// Reconnect is the backoff schedule for re-dialling the streaming
 	// transport and re-registering after a conn loss or coordinator
 	// restart. Jittered by default so a restarted coordinator is not
 	// greeted by the whole fleet in lockstep. Zero picks
 	// {Base: 100ms, Max: 5s, Jitter: 0.3}.
 	Reconnect backoff.Policy
-	// DisableWire forces HTTP lease polling even when the coordinator
-	// advertises the streaming transport.
-	DisableWire bool
 	// Prefetch sizes the wire queue: the worker holds Prefetch-1 units
 	// queued beyond the ones executing, so a finishing unit's slots go
 	// to the next without a round-trip. Default 2.
 	Prefetch int
-	// HTTPClient overrides the transport. Nil uses a client with a 30s
-	// request timeout.
+	// HTTPClient carries registration and deregistration. Nil uses a
+	// client with a 30s request timeout.
 	HTTPClient *http.Client
 	// Log receives progress lines. Nil discards them.
 	Log func(format string, args ...any)
@@ -68,8 +60,9 @@ type WorkerConfig struct {
 	// Nil runs the unit's own Run: the trial range when sharded, the
 	// whole scenario otherwise.
 	RunUnit func(Unit) ([]experiments.ScenarioRow, error)
-	// OnLease, when non-nil, is called with each unit right after its
-	// lease is granted and before execution starts.
+	// OnLease, when non-nil, is called with each unit as its grant
+	// arrives, before it is queued: the unit may start much later, or
+	// never if the session winds down first.
 	OnLease func(Unit)
 	// Abort simulates a fail-stop crash for tests: when it closes, the
 	// worker stops dead — mid-unit, with no completion report and no
@@ -78,12 +71,11 @@ type WorkerConfig struct {
 }
 
 // Worker is the client side of the execution plane: register over
-// HTTP, then either stream units over one persistent wire conn
-// (batched grants, streamed completions, piggybacked heartbeats) with
-// units side by side on GOMAXPROCS trial slots, or fall back to HTTP
-// lease polling one unit at a time. It survives coordinator restarts: a lost conn or
-// forgotten identity re-registers and reconnects on a jittered backoff
-// without restarting the process.
+// HTTP, then stream units over one persistent wire conn (batched
+// grants, streamed completions, piggybacked heartbeats) and run them
+// side by side on GOMAXPROCS trial slots. It survives coordinator
+// restarts: a lost conn or forgotten identity re-registers and
+// reconnects on a jittered backoff without restarting the process.
 type Worker struct {
 	wc        WorkerConfig
 	handshake CoordinatorHandshake
@@ -95,8 +87,13 @@ type Worker struct {
 	sessions   atomic.Int64 // wire sessions established (first + reconnects)
 	reconnects atomic.Int64
 
+	// held maps each unit granted but not yet reported to its encoded
+	// completion: nil while the unit is queued or executing, set once
+	// it finished on a conn that died before the completion went out.
+	// Heartbeats renew every held unit's lease, so an unsent completion
+	// stays valid until the next session sends it.
 	heldMu sync.Mutex
-	held   map[string]bool // unit IDs granted but not yet reported
+	held   map[string][]byte
 }
 
 // CoordinatorHandshake is the cadence and transport address learned at
@@ -109,9 +106,6 @@ type CoordinatorHandshake struct {
 
 // NewWorker returns an unstarted worker client.
 func NewWorker(cfg WorkerConfig) *Worker {
-	if cfg.Poll.Base <= 0 {
-		cfg.Poll = backoff.Policy{Base: 50 * time.Millisecond, Max: time.Second}
-	}
 	if cfg.Reconnect.Base <= 0 {
 		cfg.Reconnect = backoff.Policy{Base: 100 * time.Millisecond, Max: 5 * time.Second, Jitter: 0.3}
 	}
@@ -131,7 +125,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 			return u.Run()
 		}
 	}
-	return &Worker{wc: cfg, client: cfg.HTTPClient, log: cfg.Log, held: map[string]bool{}}
+	return &Worker{wc: cfg, client: cfg.HTTPClient, log: cfg.Log, held: map[string][]byte{}}
 }
 
 // Completed returns how many units this worker finished and reported.
@@ -148,7 +142,9 @@ func (w *Worker) Reconnects() int { return int(w.reconnects.Load()) }
 // results, deregisters, and returns nil — mirroring vmat-server's
 // SIGTERM drain. The test-only Abort channel instead stops the loop
 // dead with ErrAborted. Conn loss and coordinator restarts are not
-// exits: the worker re-registers and resumes on a jittered backoff.
+// exits: the worker redials, or re-registers, and resumes on a
+// jittered backoff. A coordinator that advertises no streaming
+// transport is one: Run returns an error.
 func (w *Worker) Run(ctx context.Context) error {
 	if err := w.register(ctx); err != nil {
 		if ctx.Err() != nil {
@@ -158,9 +154,6 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 	w.log("registered as %s (lease TTL %s, heartbeat %s, wire %q)",
 		w.id, w.handshake.LeaseTTL, w.handshake.Heartbeat, w.handshake.Wire)
-	if w.handshake.Wire == "" || w.wc.DisableWire {
-		return w.runHTTP(ctx)
-	}
 
 	attempt := 0
 	for {
@@ -198,80 +191,15 @@ func (w *Worker) Run(ctx context.Context) error {
 				}
 				return rerr
 			}
-			if w.handshake.Wire == "" {
-				return w.runHTTP(ctx) // the new coordinator has no transport
-			}
 		}
 	}
 }
 
-// runHTTP is the fallback loop: poll for leases over HTTP, one unit at
-// a time. Used when the coordinator does not host the streaming
-// transport (or DisableWire is set).
-func (w *Worker) runHTTP(ctx context.Context) error {
-	pollCap := w.wc.Poll.Max
-	if w.handshake.Heartbeat > 0 && pollCap > w.handshake.Heartbeat {
-		pollCap = w.handshake.Heartbeat
-	}
-	poll := backoff.Policy{Base: w.wc.Poll.Base, Max: pollCap, Jitter: w.wc.Poll.Jitter}
-
-	idle := 0 // consecutive empty polls, drives the poll backoff
-	for {
-		if w.aborted() {
-			return ErrAborted
-		}
-		if ctx.Err() != nil {
-			return w.deregister()
-		}
-		unit, err := w.lease()
-		if err != nil {
-			if errors.Is(err, ErrUnknownWorker) {
-				// Coordinator restarted or expired us; re-enter the fleet.
-				if rerr := w.register(ctx); rerr != nil {
-					if ctx.Err() != nil {
-						return nil
-					}
-					return rerr
-				}
-				w.reconnects.Add(1)
-				continue
-			}
-			if ctx.Err() != nil {
-				return w.deregister()
-			}
-			if w.aborted() {
-				return ErrAborted
-			}
-			// Transient transport failure: wait it out like an empty poll.
-			w.log("lease request failed (%v), backing off", err)
-			unit = nil
-		}
-		if unit == nil {
-			if !w.sleep(ctx, poll.Delay(idle)) {
-				continue // woken by ctx or abort; loop top decides
-			}
-			idle++
-			continue
-		}
-		idle = 0
-		if w.wc.OnLease != nil {
-			w.wc.OnLease(*unit)
-		}
-		if w.aborted() {
-			return ErrAborted // crashed between lease and execution
-		}
-		if err := w.executeAndReport(*unit); err != nil {
-			return err
-		}
-		w.completed.Add(1)
-	}
-}
-
-// runWire is one streaming session: dial, Hello, then execute granted
-// units on runtime.GOMAXPROCS(0) executors and trial slots until the
-// conn dies (returns the error), the worker is rejected
-// (ErrUnknownWorker), drain completes (nil), or the abort channel
-// closes (ErrAborted).
+// runWire is one streaming session: dial, Hello, send the completions
+// an earlier session could not, then execute granted units on
+// runtime.GOMAXPROCS(0) executors and trial slots until the conn dies
+// (returns the error), the worker is rejected (ErrUnknownWorker),
+// drain completes (nil), or the abort channel closes (ErrAborted).
 // established reports whether the handshake succeeded, so the caller
 // can reset its backoff schedule.
 func (w *Worker) runWire(ctx context.Context) (established bool, err error) {
@@ -311,6 +239,13 @@ func (w *Worker) runWire(ctx context.Context) (established bool, err error) {
 	if ack.Heartbeat > 0 {
 		w.handshake.Heartbeat = ack.Heartbeat
 	}
+	// Completions the last session finished on a dead conn go out before
+	// any new work is asked for.
+	for id, payload := range w.unsentCompletions() {
+		if err := w.sendComplete(conn, id, payload); err != nil {
+			return true, err
+		}
+	}
 
 	// One executor per GOMAXPROCS, as vmat-server's -workers 0 sizes its
 	// job executors, sharing GOMAXPROCS trial slots: each unit takes its
@@ -325,10 +260,11 @@ func (w *Worker) runWire(ctx context.Context) (established bool, err error) {
 
 	// The reader turns Grant frames into a unit queue; everything else
 	// it ignores (forward compatibility). A framing violation or conn
-	// loss closes the conn — so completions still executing fail over to
-	// the HTTP upload instead of vanishing into a dead socket — and
-	// surfaces on readErr, ending the session. The queue holds every
-	// grant the worker's demand allows, so the reader never waits on it.
+	// loss closes the conn — so completions of units still executing
+	// fail to send and wait for the next session instead of vanishing
+	// into a dead socket — and surfaces on readErr, ending the session.
+	// The queue holds every grant the worker's demand allows, so the
+	// reader never waits on it.
 	grants := make(chan Unit, depth)
 	readErr := make(chan error, 1)
 	stop := make(chan struct{}) // closed when the session winds down: no unit starts after it
@@ -350,14 +286,14 @@ func (w *Worker) runWire(ctx context.Context) (established bool, err error) {
 				return
 			}
 			for _, u := range units {
-				w.setHeld(u.ID, true)
+				w.hold(u.ID, nil)
 				if w.wc.OnLease != nil {
 					w.wc.OnLease(u)
 				}
 				select {
 				case grants <- u:
 				case <-stop:
-					w.setHeld(u.ID, false) // winding down: this grant never starts
+					w.release(u.ID) // winding down: this grant never starts
 				}
 			}
 		}
@@ -410,8 +346,8 @@ func (w *Worker) runWire(ctx context.Context) (established bool, err error) {
 		}
 	}
 	// Wind down: no unit starts, every executing one finishes and
-	// reports (over the conn, or the HTTP upload if it is dead) — except
-	// after a crash, which reports nothing.
+	// reports (or, on a dead conn, keeps its completion for the next
+	// session) — except after a crash, which reports nothing.
 	close(stop)
 	running.Wait()
 	switch {
@@ -422,7 +358,10 @@ func (w *Worker) runWire(ctx context.Context) (established bool, err error) {
 		// (deregistering requeues our leases at once). The coordinator
 		// closes the conn once it has handled the Bye, and so every
 		// completion sent before it; wait for that, or Run's HTTP
-		// deregister could overtake them and expire their leases.
+		// deregister could overtake them and expire their leases. On a
+		// dead conn that deregister drops the unsent completions: the
+		// coordinator requeues their units and another worker reruns
+		// them, to the same rows.
 		if conn.Send(wire.Bye, nil) == nil {
 			select {
 			case <-readerDone:
@@ -439,7 +378,7 @@ func (w *Worker) runWire(ctx context.Context) (established bool, err error) {
 	for {
 		select {
 		case u := <-grants:
-			w.setHeld(u.ID, false)
+			w.release(u.ID)
 		default:
 			return true, err
 		}
@@ -463,7 +402,7 @@ func (w *Worker) executeGrants(conn *wire.Conn, grants <-chan Unit, slots *trial
 			width := trialWidth(u, slots.size())
 			started, room := slots.acquire(width, stop)
 			if !started {
-				w.setHeld(u.ID, false) // winding down: this grant never starts
+				w.release(u.ID) // winding down: this grant never starts
 				return nil
 			}
 			if w.aborted() {
@@ -573,26 +512,32 @@ func (s *trialSlots) release(k int) (wasFull bool) {
 }
 
 // executeWireUnit runs one granted unit and streams the completion
-// back over the conn. If the conn dies mid-upload, the result is too
-// valuable to drop — it falls back to the HTTP complete endpoint
-// before the session error propagates.
+// back over the conn.
 func (w *Worker) executeWireUnit(conn *wire.Conn, unit Unit) error {
+	w.log("running %s", unit.ID)
 	req, crashed := w.runUnit(unit)
 	if crashed {
 		return ErrAborted // crashed mid-unit: no completion report
 	}
-	w.setHeld(unit.ID, false)
 	payload, err := json.Marshal(req)
 	if err != nil {
 		return fmt.Errorf("cluster: encode completion for %s: %v", unit.ID, err)
 	}
-	if serr := conn.Send(wire.Complete, payload); serr != nil {
-		w.uploadComplete(req)
-		w.completed.Add(1)
-		return serr
+	return w.sendComplete(conn, unit.ID, payload)
+}
+
+// sendComplete reports one finished unit. The unit leaves the held set
+// only once its completion is sent: if the conn is dead, the result is
+// too valuable to drop, so it stays held with its completion — the
+// heartbeats keep its lease alive — for the next session to send.
+func (w *Worker) sendComplete(conn *wire.Conn, unitID string, payload []byte) error {
+	if err := conn.Send(wire.Complete, payload); err != nil {
+		w.hold(unitID, payload)
+		return err
 	}
+	w.release(unitID)
 	w.completed.Add(1)
-	w.log("completed %s", unit.ID)
+	w.log("completed %s", unitID)
 	return nil
 }
 
@@ -668,16 +613,33 @@ func (w *Worker) sleep(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// setHeld tracks the units this worker currently holds, for the
-// piggybacked heartbeats.
-func (w *Worker) setHeld(unitID string, held bool) {
+// hold records a unit this worker holds, for the piggybacked
+// heartbeats, with its completion once one failed to send.
+func (w *Worker) hold(unitID string, completion []byte) {
 	w.heldMu.Lock()
 	defer w.heldMu.Unlock()
-	if held {
-		w.held[unitID] = true
-	} else {
-		delete(w.held, unitID)
+	w.held[unitID] = completion
+}
+
+// release forgets a unit that was reported or will never start.
+func (w *Worker) release(unitID string) {
+	w.heldMu.Lock()
+	defer w.heldMu.Unlock()
+	delete(w.held, unitID)
+}
+
+// unsentCompletions returns the encoded completions waiting for a
+// session to send them, by unit ID.
+func (w *Worker) unsentCompletions() map[string][]byte {
+	w.heldMu.Lock()
+	defer w.heldMu.Unlock()
+	unsent := map[string][]byte{}
+	for id, completion := range w.held {
+		if completion != nil {
+			unsent[id] = completion
+		}
 	}
+	return unsent
 }
 
 func (w *Worker) heldIDs() []string {
@@ -714,86 +676,12 @@ func (w *Worker) wireAddr() string {
 	return addr
 }
 
-// executeAndReport runs one unit with a live heartbeat and uploads the
-// verified result over HTTP (the fallback path). Graceful drain does
-// not interrupt execution — the lease is finished and reported first —
-// but a simulated crash does.
-func (w *Worker) executeAndReport(unit Unit) error {
-	// The heartbeat keeps the lease alive for as long as the unit runs.
-	hbStop := make(chan struct{})
-	hbDone := make(chan struct{})
-	go w.heartbeatLoop(unit.ID, hbStop, hbDone)
-
-	req, crashed := w.runUnit(unit)
-	close(hbStop)
-	<-hbDone
-	if crashed {
-		return ErrAborted // crashed mid-unit: no completion report
-	}
-	w.uploadComplete(req)
-	return nil
-}
-
-// uploadComplete posts one completion over HTTP, retrying transient
-// failures on the poll schedule. The result must not be lost to a
-// coordinator hiccup, but a permanently gone coordinator cannot wedge
-// the worker forever — the deadline is two lease TTLs, after which the
-// lease has certainly been reassigned.
-func (w *Worker) uploadComplete(req CompleteRequest) {
-	upCtx, cancel := context.WithTimeout(context.Background(), w.completeDeadline())
-	defer cancel()
-	err := backoff.Retry(upCtx, w.wc.Abort, w.wc.Poll, func() (bool, error) {
-		uerr := w.post("/v1/cluster/complete", req, nil)
-		if uerr == nil || errors.Is(uerr, ErrUnknownWorker) {
-			// Unknown worker on complete means we were expired; the
-			// coordinator will take the unit from whoever re-runs it.
-			return true, nil
-		}
-		w.log("completion upload for %s failed (%v), retrying", req.UnitID, uerr)
-		return false, nil
-	})
-	if err != nil && !errors.Is(err, backoff.ErrStopped) {
-		w.log("giving up on completion upload for %s: %v", req.UnitID, err)
-	}
-}
-
-// completeDeadline bounds result-upload retries: two lease TTLs (after
-// which the lease has certainly been reassigned), floored at 10s.
-func (w *Worker) completeDeadline() time.Duration {
-	d := 2 * w.handshake.LeaseTTL
-	if d < 10*time.Second {
-		d = 10 * time.Second
-	}
-	return d
-}
-
-// heartbeatLoop beats for one held unit until stopped (HTTP path).
-func (w *Worker) heartbeatLoop(unitID string, stop, done chan struct{}) {
-	defer close(done)
-	hb := w.handshake.Heartbeat
-	if hb <= 0 {
-		hb = time.Second
-	}
-	t := time.NewTicker(hb)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-w.wc.Abort:
-			return // a crashed worker stops beating; that's the point
-		case <-t.C:
-			if err := w.post("/v1/cluster/heartbeat", HeartbeatRequest{WorkerID: w.id, Units: []string{unitID}}, nil); err != nil {
-				w.log("heartbeat failed: %v", err)
-			}
-		}
-	}
-}
-
 // register joins the fleet, retrying transient failures on the
 // reconnect schedule until ctx is cancelled or the crash channel
-// closes. It learns the cadence and, when the coordinator hosts the
-// streaming transport, the wire address.
+// closes. It learns the cadence and the wire address; a coordinator
+// that advertises no streaming transport is an error. The new identity
+// holds nothing: completions a session could not send are dropped, for
+// a coordinator that forgot this worker has requeued their units.
 func (w *Worker) register(ctx context.Context) error {
 	var resp RegisterResponse
 	err := backoff.Retry(ctx, w.wc.Abort, w.wc.Reconnect, func() (bool, error) {
@@ -813,22 +701,18 @@ func (w *Worker) register(ctx context.Context) error {
 	w.id = resp.WorkerID
 	w.handshake = CoordinatorHandshake{LeaseTTL: resp.LeaseTTL, Heartbeat: resp.Heartbeat, Wire: resp.Wire}
 	w.heldMu.Lock()
-	w.held = map[string]bool{} // a new identity holds nothing
+	w.held = map[string][]byte{}
 	w.heldMu.Unlock()
+	if resp.Wire == "" {
+		return fmt.Errorf("cluster: coordinator at %s advertises no streaming transport", w.wc.Server)
+	}
 	return nil
 }
 
-// lease asks for one unit; nil with nil error means no work.
-func (w *Worker) lease() (*Unit, error) {
-	var resp LeaseResponse
-	if err := w.post("/v1/cluster/lease", LeaseRequest{WorkerID: w.id}, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Unit, nil
-}
-
-// deregister leaves the fleet gracefully (best effort — an unreachable
-// coordinator will expire us anyway) and reports a clean exit.
+// deregister leaves the fleet over HTTP and reports a clean exit. After
+// a session's Bye it changes nothing; a drain with no live conn to
+// carry a Bye needs it to release this worker's leases at once. Best
+// effort — an unreachable coordinator will expire us anyway.
 func (w *Worker) deregister() error {
 	if w.id != "" {
 		if err := w.post("/v1/cluster/deregister", DeregisterRequest{WorkerID: w.id}, nil); err != nil && !errors.Is(err, ErrUnknownWorker) {

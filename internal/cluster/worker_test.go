@@ -9,16 +9,19 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/backoff"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
 )
 
-// newTestPlane wires a coordinator to a real HTTP listener, the same
-// path vmat-worker speaks in production.
+// newTestPlane wires a coordinator to a real HTTP listener and a real
+// streaming transport, the same paths vmat-worker speaks in production.
 func newTestPlane(t *testing.T, cfg CoordinatorConfig) (*Coordinator, *httptest.Server) {
 	t.Helper()
 	c := NewCoordinator(cfg)
+	if _, err := c.StartWire("127.0.0.1:0"); err != nil {
+		c.Close()
+		t.Fatal(err)
+	}
 	mux := http.NewServeMux()
 	RegisterHTTP(mux, c)
 	srv := httptest.NewServer(mux)
@@ -37,10 +40,6 @@ func fastCadence() CoordinatorConfig {
 	}
 }
 
-func fastPoll() backoff.Policy {
-	return backoff.Policy{Base: 2 * time.Millisecond, Max: 10 * time.Millisecond}
-}
-
 // waitConnected blocks until n workers are registered: Execute falls
 // back to the local pool on an empty fleet, so tests must not race the
 // worker's registration.
@@ -55,39 +54,6 @@ func waitConnected(t *testing.T, c *Coordinator, n int) {
 	}
 }
 
-func TestWorkerExecutesUnitsOverHTTP(t *testing.T) {
-	c, srv := newTestPlane(t, fastCadence())
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	w := NewWorker(WorkerConfig{Server: srv.URL, Name: "http-1", Poll: fastPoll()})
-	runDone := make(chan error, 1)
-	go func() { runDone <- w.Run(ctx) }()
-	waitConnected(t, c, 1)
-
-	for i := 0; i < 3; i++ {
-		spec := testSpec(uint64(20 + i))
-		rows, ok, err := c.Execute(context.Background(), spec)
-		if !ok || err != nil {
-			t.Fatalf("Execute unit %d = (ok=%v, err=%v)", i, ok, err)
-		}
-		want, _ := experiments.RunScenario(spec)
-		if len(rows) != len(want) {
-			t.Fatalf("unit %d: %d rows, want %d", i, len(rows), len(want))
-		}
-	}
-	cancel()
-	if err := <-runDone; err != nil {
-		t.Fatalf("worker run after graceful cancel: %v", err)
-	}
-	if got := w.Completed(); got != 3 {
-		t.Fatalf("worker completed %d units, want 3", got)
-	}
-	if ws := c.WorkersStatus(); ws.Connected != 0 {
-		t.Fatalf("worker did not deregister on drain: %+v", ws)
-	}
-}
-
 // TestWorkerGracefulDrainFinishesHeldLease pins the drain contract at
 // the client level: a cancel that lands mid-unit does not interrupt the
 // unit — it is finished, reported, and only then does the worker leave.
@@ -98,11 +64,13 @@ func TestWorkerGracefulDrainFinishesHeldLease(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	gate := make(chan struct{})
-	leased := make(chan struct{})
+	started := make(chan struct{})
 	w := NewWorker(WorkerConfig{
-		Server: srv.URL, Poll: fastPoll(),
-		OnLease: func(Unit) { close(leased) },
+		Server: srv.URL, Reconnect: fastReconnect(),
 		RunUnit: func(u Unit) ([]experiments.ScenarioRow, error) {
+			// Signal here, not from OnLease: a grant arrives before its
+			// unit starts, and a cancel in between releases it unrun.
+			close(started)
 			<-gate // hold the lease until the test has cancelled ctx
 			return u.Run()
 		},
@@ -113,7 +81,7 @@ func TestWorkerGracefulDrainFinishesHeldLease(t *testing.T) {
 
 	spec := testSpec(30)
 	res := executeAsync(c, context.Background(), spec)
-	<-leased
+	<-started
 	cancel() // drain signal arrives while the unit is executing
 	// Hold long enough that several heartbeats must fire to keep the
 	// lease alive past its TTL.
@@ -132,6 +100,46 @@ func TestWorkerGracefulDrainFinishesHeldLease(t *testing.T) {
 	}
 }
 
+// A coordinator that advertises no streaming transport has no way to
+// hand out work: the worker exits with an error instead of idling.
+func TestWorkerWithoutTransportExits(t *testing.T) {
+	c := NewCoordinator(fastCadence())
+	defer c.Close()
+	mux := http.NewServeMux()
+	RegisterHTTP(mux, c)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	w := NewWorker(WorkerConfig{Server: srv.URL, Reconnect: fastReconnect()})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := w.Run(ctx); err == nil || errors.Is(err, ErrAborted) {
+		t.Fatalf("worker run against a coordinator with no transport = %v, want an error", err)
+	}
+	if ctx.Err() != nil {
+		t.Fatal("worker kept running until the test gave up")
+	}
+}
+
+// A completion a dead conn could not carry waits for the next session
+// under the same identity; a re-registration drops it. The coordinator
+// that forgot the worker requeued the unit, and a restarted one numbers
+// its units afresh, so the old completion could name another unit.
+func TestWorkerReregistrationDropsUnsentCompletions(t *testing.T) {
+	_, srv := newTestPlane(t, fastCadence())
+	w := NewWorker(WorkerConfig{Server: srv.URL, Reconnect: fastReconnect()})
+	w.hold("u000001", []byte(`{"unit_id":"u000001"}`))
+	if got := w.unsentCompletions(); len(got) != 1 {
+		t.Fatalf("unsent completions before registering = %d, want 1", len(got))
+	}
+	if err := w.register(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.unsentCompletions(); len(got) != 0 {
+		t.Fatalf("re-registration kept %d unsent completions, want none", len(got))
+	}
+}
+
 func TestWorkerCrashMidUnitReassignsLease(t *testing.T) {
 	reg := metrics.New()
 	cfg := fastCadence()
@@ -140,7 +148,7 @@ func TestWorkerCrashMidUnitReassignsLease(t *testing.T) {
 
 	abort := make(chan struct{})
 	crashy := NewWorker(WorkerConfig{
-		Server: srv.URL, Name: "crashy", Poll: fastPoll(),
+		Server: srv.URL, Name: "crashy", Reconnect: fastReconnect(),
 		Abort: abort,
 		RunUnit: func(u Unit) ([]experiments.ScenarioRow, error) {
 			close(abort) // die the moment work starts
@@ -160,7 +168,7 @@ func TestWorkerCrashMidUnitReassignsLease(t *testing.T) {
 	// A healthy worker picks up the expired lease and finishes the unit.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	healthy := NewWorker(WorkerConfig{Server: srv.URL, Name: "healthy", Poll: fastPoll()})
+	healthy := NewWorker(WorkerConfig{Server: srv.URL, Name: "healthy", Reconnect: fastReconnect()})
 	healthyDone := make(chan error, 1)
 	go func() { healthyDone <- healthy.Run(ctx) }()
 
@@ -185,7 +193,7 @@ func TestWorkerReregistersAfterCoordinatorForgetsIt(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	w := NewWorker(WorkerConfig{Server: srv.URL, Name: "phoenix", Poll: fastPoll()})
+	w := NewWorker(WorkerConfig{Server: srv.URL, Name: "phoenix", Reconnect: fastReconnect()})
 	runDone := make(chan error, 1)
 	go func() { runDone <- w.Run(ctx) }()
 
@@ -203,8 +211,9 @@ func TestWorkerReregistersAfterCoordinatorForgetsIt(t *testing.T) {
 	}
 	c.mu.Unlock()
 
-	// The next lease poll gets 404 and re-registers; once the worker is
-	// back in the fleet it still does work.
+	// The next heartbeat finds the worker unknown and the coordinator
+	// drops its conn; the redial is refused at Hello, so the worker
+	// re-registers, and once back in the fleet it still does work.
 	waitConnected(t, c, 1)
 	if _, ok, err := c.Execute(context.Background(), testSpec(32)); !ok || err != nil {
 		t.Fatalf("Execute after forced re-registration = (ok=%v, err=%v)", ok, err)
@@ -220,7 +229,7 @@ func TestWorkerShutdownLeaksNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		w := NewWorker(WorkerConfig{Server: srv.URL, Poll: fastPoll()})
+		w := NewWorker(WorkerConfig{Server: srv.URL, Reconnect: fastReconnect()})
 		runDone := make(chan error, 1)
 		go func() { runDone <- w.Run(ctx) }()
 		waitConnected(t, c, 1)

@@ -97,10 +97,6 @@ type Config struct {
 	AdversaryFavored bool
 	// Seed makes the execution deterministic.
 	Seed uint64
-	// Workers caps the simnet per-slot step fan-out; 0 uses GOMAXPROCS.
-	// Trial-parallel experiment harnesses set 1 so engine-internal
-	// concurrency does not oversubscribe the machine.
-	Workers int
 }
 
 // DefaultTheta is the sensor-revocation threshold used when the caller
@@ -324,7 +320,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e.channel = authbcast.NewChannel(crypto.DeriveKey(crypto.KeyFromUint64(cfg.Seed), "authbcast", 0))
 	e.verifier = e.channel.Verifier()
 
-	netCfg := simnet.Config{MaxSendsPerSlot: cfg.MaxSendsPerSlot, Workers: cfg.Workers, ARQ: cfg.ARQ}
+	netCfg := simnet.Config{MaxSendsPerSlot: cfg.MaxSendsPerSlot, ARQ: cfg.ARQ}
 	if cfg.LossRate > 0 {
 		netCfg.DropRate = cfg.LossRate
 		netCfg.DropRNG = crypto.NewStreamFromSeed(cfg.Seed ^ 0x10552a7e)

@@ -184,7 +184,6 @@ func TestNoGoroutineLeakAfterDegradedRun(t *testing.T) {
 	for trial := uint64(0); trial < 3; trial++ {
 		f := newFixture(t, topology.Grid(5, 5), 70+trial)
 		cfg := f.config(70 + trial)
-		cfg.Workers = 4
 		cfg.Faults = &faults.Spec{CrashProb: 0.02, RecoverProb: 0.1}
 		cfg.ARQ = &simnet.ARQConfig{}
 		cfg.MaxSlots = 40 // force the early-return path

@@ -51,10 +51,6 @@ func (p *protoEnv) baseConfig(minHolder topology.NodeID, minValue float64) core.
 			return 100 + float64(id)
 		},
 		Seed: p.seed,
-		// Experiments parallelize across trials, so each engine keeps its
-		// per-slot fan-out sequential instead of oversubscribing the
-		// machine with nested goroutines.
-		Workers: 1,
 	}
 }
 

@@ -111,7 +111,6 @@ func runScaleOne(cfg ScaleConfig, size int) (ScaleRow, error) {
 		Deployment: dep,
 		Readings:   readings,
 		Seed:       subSeed(cfg.Seed, "scale-query", uint64(n)),
-		Workers:    1,
 	})
 	if err != nil {
 		return ScaleRow{}, err

@@ -295,9 +295,6 @@ func scenarioTrial(cfg ScenarioConfig, trial int, rng *crypto.Stream) (ScenarioR
 		Faults:           cfg.Faults,
 		ARQ:              cfg.ARQ,
 		MaxSlots:         cfg.MaxSlots,
-		// Trials parallelize across RunTrials workers; keep each engine's
-		// per-slot fan-out on its own worker.
-		Workers: 1,
 	}
 	if cfg.Trace != nil {
 		trace := cfg.Trace

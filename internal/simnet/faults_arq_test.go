@@ -39,7 +39,7 @@ func (f *scriptedFaults) DeliveryLost() bool {
 
 func TestCrashedNodeNeitherStepsNorReceives(t *testing.T) {
 	fm := &scriptedFaults{downNodes: map[topology.NodeID]bool{1: true}}
-	net := New(topology.Line(3), Config{Sequential: true, Faults: fm})
+	net := New(topology.Line(3), Config{Faults: fm})
 	stepped := make([]int, 3)
 	received := 0
 	net.RunSlots(3, func(ctx *Context) {
@@ -67,7 +67,7 @@ func TestDownLinkDropsDelivery(t *testing.T) {
 	fm := &scriptedFaults{downLinks: func(from, to topology.NodeID) bool {
 		return (from == 0 && to == 1) || (from == 1 && to == 0)
 	}}
-	net := New(topology.Line(3), Config{Sequential: true, Faults: fm})
+	net := New(topology.Line(3), Config{Faults: fm})
 	received := 0
 	net.RunSlots(3, func(ctx *Context) {
 		received += len(ctx.Inbox)
@@ -94,7 +94,7 @@ func TestARQRecoversFromBurstLoss(t *testing.T) {
 	// Draw 0 is the first delivery attempt: lost. The retransmission
 	// (draw 1) and its ack (draw 2) get through.
 	fm := &scriptedFaults{lossAt: map[int]bool{0: true}}
-	net := New(topology.Line(2), Config{Sequential: true, Faults: fm, ARQ: &ARQConfig{}})
+	net := New(topology.Line(2), Config{Faults: fm, ARQ: &ARQConfig{}})
 	var got []Message
 	net.RunSlots(6, func(ctx *Context) {
 		got = append(got, ctx.Inbox...)
@@ -128,7 +128,7 @@ func TestARQSuppressesDuplicateOnLostAck(t *testing.T) {
 	// out and retransmits; draw 2 delivers the duplicate, which the
 	// receiver suppresses and re-acks (draw 3 lets the ack through).
 	fm := &scriptedFaults{lossAt: map[int]bool{1: true}}
-	net := New(topology.Line(2), Config{Sequential: true, Faults: fm, ARQ: &ARQConfig{}})
+	net := New(topology.Line(2), Config{Faults: fm, ARQ: &ARQConfig{}})
 	var got []Message
 	net.RunSlots(6, func(ctx *Context) {
 		got = append(got, ctx.Inbox...)
@@ -152,7 +152,7 @@ func TestARQGivesUpAfterBudget(t *testing.T) {
 	// The 0-1 link is permanently down: every attempt is dropped and the
 	// sender must abandon the frame after MaxRetries retransmissions.
 	fm := &scriptedFaults{downLinks: func(from, to topology.NodeID) bool { return true }}
-	net := New(topology.Line(2), Config{Sequential: true, Faults: fm, ARQ: &ARQConfig{}})
+	net := New(topology.Line(2), Config{Faults: fm, ARQ: &ARQConfig{}})
 	net.RunSlots(40, func(ctx *Context) {
 		if ctx.Slot() == 0 && ctx.Node() == 0 {
 			ctx.Send(1, payload{"doomed", 12})
@@ -171,7 +171,7 @@ func TestARQGivesUpAfterBudget(t *testing.T) {
 }
 
 func TestARQZeroCountersWhenDisabled(t *testing.T) {
-	net := New(topology.Line(3), Config{Sequential: true})
+	net := New(topology.Line(3), Config{})
 	net.RunSlots(3, func(ctx *Context) {
 		if ctx.Slot() == 0 && ctx.Node() == 0 {
 			ctx.Send(1, payload{"plain", 10})
@@ -213,7 +213,7 @@ func TestNoGoroutineLeakAfterFaultyRun(t *testing.T) {
 			LinkDownProb: 0.05,
 			LinkUpProb:   0.3,
 		}, g, uint64(trial)+1)
-		net := New(g, Config{Workers: 4, Faults: sched, ARQ: &ARQConfig{}})
+		net := New(g, Config{Faults: sched, ARQ: &ARQConfig{}})
 		var mu sync.Mutex
 		net.RunSlots(30, func(ctx *Context) {
 			mu.Lock()

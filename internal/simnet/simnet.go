@@ -117,17 +117,6 @@ type Config struct {
 	// communicate out of band (e.g. the wormhole of Figure 2(c)).
 	ExtraLink func(from, to topology.NodeID) bool
 
-	// Sequential is retained for configuration compatibility. The event
-	// loop always runs node steps sequentially in node order; the flag
-	// has no effect.
-	Sequential bool
-
-	// Workers is retained for configuration compatibility. Execution is
-	// single-threaded per network — rows were already bit-identical for
-	// every worker count, and trial-level parallelism (experiments'
-	// RunTrials) is where cores pay off — so the knob has no effect.
-	Workers int
-
 	// DropRate, with DropRNG, drops each delivered message independently
 	// with the given probability. The paper assumes reliable links after
 	// retransmission; this models the residual loss that motivates the

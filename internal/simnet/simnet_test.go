@@ -296,50 +296,6 @@ func TestRunUntilQuiescentHonorsMax(t *testing.T) {
 	}
 }
 
-func TestSequentialAndParallelAgree(t *testing.T) {
-	// A small flooding protocol must produce identical stats under both
-	// execution modes.
-	build := func(sequential bool) Stats {
-		g := topology.Grid(4, 5)
-		net := New(g, Config{Sequential: sequential})
-		seen := make([]bool, g.NumNodes())
-		var mu sync.Mutex
-		net.RunSlots(12, func(ctx *Context) {
-			if ctx.Slot() == 0 && ctx.Node() == 0 {
-				mu.Lock()
-				seen[0] = true
-				mu.Unlock()
-				ctx.Broadcast(payload{"flood", 8})
-				return
-			}
-			mu.Lock()
-			first := !seen[ctx.Node()] && len(ctx.Inbox) > 0
-			if first {
-				seen[ctx.Node()] = true
-			}
-			mu.Unlock()
-			if first {
-				ctx.Broadcast(payload{"flood", 8})
-			}
-		})
-		for id, ok := range seen {
-			if !ok {
-				t.Fatalf("flood missed node %d (sequential=%v)", id, sequential)
-			}
-		}
-		return net.Stats()
-	}
-	seq, par := build(true), build(false)
-	if seq.TotalBytes() != par.TotalBytes() {
-		t.Fatalf("sequential/parallel divergence: %d vs %d bytes", seq.TotalBytes(), par.TotalBytes())
-	}
-	for i := range seq.BytesSent {
-		if seq.BytesSent[i] != par.BytesSent[i] || seq.BytesReceived[i] != par.BytesReceived[i] {
-			t.Fatalf("per-node divergence at node %d", i)
-		}
-	}
-}
-
 func TestDropRateLosesMessages(t *testing.T) {
 	g := topology.Star(2)
 	net := New(g, Config{DropRate: 0.5, DropRNG: crypto.NewStreamFromSeed(1)})
