@@ -2,7 +2,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS = -ldflags "-X main.version=$(VERSION)"
 
-.PHONY: all build test race vet run-server run-worker smoke-cluster smoke-chaos smoke-store smoke-tenants clean
+.PHONY: all build test race vet fuzz run-server run-worker smoke-cluster smoke-chaos smoke-store smoke-tenants clean
 
 all: build test
 
@@ -19,6 +19,17 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# Fuzzes every Fuzz* target for 10 s. go test -fuzz takes one target in
+# one package per run, so the targets are listed by go test -list rather
+# than named here: a new one joins without editing this file.
+fuzz:
+	@set -e; list=$$($(GO) test -list '^Fuzz' ./...); \
+	echo "$$list" | awk '/^Fuzz/ { t[n++] = $$1 } /^ok/ { for (i = 0; i < n; i++) print $$2, t[i]; n = 0 }' | \
+	while read pkg target; do \
+		echo "fuzz $$pkg $$target"; \
+		$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s $$pkg; \
+	done
 
 # Builds and starts the aggregation service on :8080 (override with
 # ADDR=:9090 make run-server). Add CLUSTER=1 to host the distributed

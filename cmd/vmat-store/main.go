@@ -1,16 +1,14 @@
 // Command vmat-store is the offline admin tool for a vmat-server data
 // directory: inspect the segment layout, verify every record without
-// writing a byte, force a compaction, or migrate a pre-segmented
-// journal ahead of a deploy.
+// writing a byte, or force a compaction.
 //
 //	vmat-store inspect <data-dir>   show segments, manifest, snapshot
 //	vmat-store verify  <data-dir>   read-only integrity pass (exit 1 on damage)
 //	vmat-store compact <data-dir>   merge sealed segments, drop dead bytes
-//	vmat-store migrate <data-dir>   adopt a legacy journal.vmat layout now
 //
-// inspect and verify never modify the directory. compact and migrate
-// take exclusive ownership of it for their duration — do not run them
-// against a directory a live vmat-server is serving.
+// inspect and verify never modify the directory. compact takes
+// exclusive ownership of it for its duration — do not run it against a
+// directory a live vmat-server is serving.
 package main
 
 import (
@@ -39,7 +37,6 @@ commands:
   inspect   show the segment layout, manifest, and snapshot state
   verify    read-only integrity pass over every record (exit 1 on damage)
   compact   merge sealed segments and reclaim dead bytes
-  migrate   adopt a legacy journal.vmat layout without starting a server
   version   print version`)
 }
 
@@ -56,7 +53,7 @@ func run(args []string, w io.Writer) error {
 	case "help", "-h", "--help":
 		usage(w)
 		return nil
-	case "inspect", "verify", "compact", "migrate":
+	case "inspect", "verify", "compact":
 	default:
 		usage(w)
 		return fmt.Errorf("unknown command %q", cmd)
@@ -64,7 +61,7 @@ func run(args []string, w io.Writer) error {
 
 	fs := flag.NewFlagSet("vmat-store "+cmd, flag.ContinueOnError)
 	fs.SetOutput(w)
-	segmentBytes := fs.Int64("store-segment-bytes", 64<<20, "segment roll threshold for compact/migrate")
+	segmentBytes := fs.Int64("store-segment-bytes", 64<<20, "segment roll threshold for compact")
 	if err := fs.Parse(rest); err != nil {
 		return err
 	}
@@ -81,8 +78,6 @@ func run(args []string, w io.Writer) error {
 		return verify(dir, w)
 	case "compact":
 		return compact(dir, *segmentBytes, w)
-	case "migrate":
-		return migrate(dir, *segmentBytes, w)
 	}
 	return nil
 }
@@ -111,9 +106,6 @@ func inspect(dir string, w io.Writer) error {
 	}
 	for _, sg := range rep.Unlisted {
 		fmt.Fprintf(w, "  %s  %d bytes  (UNLISTED — open would delete)\n", sg.Name, sg.Bytes)
-	}
-	if rep.HasLegacyJournal {
-		fmt.Fprintf(w, "legacy journal: %s (%d bytes) — run `vmat-store migrate %s`\n", store.JournalName, rep.LegacyJournalBytes, dir)
 	}
 	switch {
 	case rep.SnapshotError != "":
@@ -160,19 +152,5 @@ func compact(dir string, segmentBytes int64, w io.Writer) error {
 	after := s.Status()
 	fmt.Fprintf(w, "compacted: %d -> %d segments, dead bytes %d -> %d, %d entries\n",
 		before.Segments, after.Segments, before.DeadBytes, after.DeadBytes, after.Entries)
-	return nil
-}
-
-func migrate(dir string, segmentBytes int64, w io.Writer) error {
-	logf := func(format string, args ...any) { fmt.Fprintf(w, format+"\n", args...) }
-	s, err := store.Open(dir, store.Config{SegmentBytes: segmentBytes, Log: logf})
-	if err != nil {
-		return err
-	}
-	st := s.Status()
-	if err := s.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "migrated: %d entries in %d segments, generation %d\n", st.Entries, st.Segments, st.Generation)
 	return nil
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -106,60 +105,6 @@ func TestCompactCommand(t *testing.T) {
 	// The compacted store still verifies clean and serves everything.
 	if out, err := runCmd(t, "verify", dir); err != nil {
 		t.Fatalf("verify after compact: %v\n%s", err, out)
-	}
-}
-
-func TestMigrateCommand(t *testing.T) {
-	dir := t.TempDir()
-	// Hand-build a legacy journal via a fresh store in another dir,
-	// then move its segment bytes in as journal.vmat.
-	scratch := t.TempDir()
-	s, err := store.Open(scratch, store.Config{})
-	if err != nil {
-		t.Fatalf("Open scratch: %v", err)
-	}
-	want := map[string]string{}
-	for i := 0; i < 5; i++ {
-		k := strings.Repeat("m", 6) + string(rune('a'+i))
-		if err := s.Put(k, "test", k+"-value", store.Meta{}); err != nil {
-			t.Fatalf("Put: %v", err)
-		}
-		want[k] = k + "-value"
-	}
-	s.Close()
-	seg, err := os.ReadFile(filepath.Join(scratch, "seg-00000001-0001.vmat"))
-	if err != nil {
-		t.Fatalf("read scratch segment: %v", err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, store.JournalName), seg, 0o644); err != nil {
-		t.Fatalf("write legacy journal: %v", err)
-	}
-
-	out, err := runCmd(t, "migrate", dir)
-	if err != nil {
-		t.Fatalf("migrate: %v\n%s", err, out)
-	}
-	if !strings.Contains(out, "migrated:") || !strings.Contains(out, "migrated legacy") {
-		t.Fatalf("migrate output:\n%s", out)
-	}
-	if _, err := os.Stat(filepath.Join(dir, store.JournalName)); !os.IsNotExist(err) {
-		t.Fatalf("legacy journal still present: %v", err)
-	}
-
-	s2, err := store.Open(dir, store.Config{})
-	if err != nil {
-		t.Fatalf("Open migrated: %v", err)
-	}
-	defer s2.Close()
-	for k, v := range want {
-		e, ok, err := s2.Get(k)
-		if err != nil || !ok {
-			t.Fatalf("Get(%s): ok=%v err=%v", k, ok, err)
-		}
-		var got string
-		if json.Unmarshal(e.Value, &got); got != v {
-			t.Fatalf("Get(%s) = %q, want %q", k, got, v)
-		}
 	}
 }
 

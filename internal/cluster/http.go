@@ -32,23 +32,13 @@ type api struct {
 	c *Coordinator
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
-}
-
 // decode parses a JSON body with the repository's strict convention:
 // unknown fields are a 400, not a silently dropped key.
 func decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxControlBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request: "+err.Error())
+		service.WriteError(w, http.StatusBadRequest, "invalid request: "+err.Error())
 		return false
 	}
 	return true
@@ -59,7 +49,7 @@ func (h *api) register(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r, &req) {
 		return
 	}
-	writeJSON(w, http.StatusOK, h.c.Register(req))
+	service.WriteJSON(w, http.StatusOK, h.c.Register(req))
 }
 
 func (h *api) deregister(w http.ResponseWriter, r *http.Request) {
@@ -68,8 +58,8 @@ func (h *api) deregister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := h.c.Deregister(req.WorkerID); errors.Is(err, ErrUnknownWorker) {
-		writeError(w, http.StatusNotFound, err.Error())
+		service.WriteError(w, http.StatusNotFound, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	service.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }

@@ -109,7 +109,7 @@ func WithTenant(m *Manager, fn TenantHandler) http.HandlerFunc {
 		t, err := m.Tenants().FromRequest(r)
 		if err != nil {
 			w.Header().Set("WWW-Authenticate", `Bearer realm="vmat"`)
-			writeError(w, http.StatusUnauthorized, err.Error())
+			WriteError(w, http.StatusUnauthorized, err.Error())
 			return
 		}
 		fn(w, r, t)
@@ -125,14 +125,14 @@ func writeAdmissionError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.As(err, &adm):
 		w.Header().Set("Retry-After", adm.RetryAfterHeader())
-		writeError(w, http.StatusTooManyRequests, err.Error())
+		WriteError(w, http.StatusTooManyRequests, err.Error())
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, err.Error())
+		WriteError(w, http.StatusTooManyRequests, err.Error())
 	case errors.Is(err, ErrDraining):
-		writeError(w, http.StatusServiceUnavailable, err.Error())
+		WriteError(w, http.StatusServiceUnavailable, err.Error())
 	default:
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 	}
 }
 
@@ -183,14 +183,16 @@ func Instrument(reg *metrics.Registry, route string, fn http.HandlerFunc) http.H
 	}
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as the JSON response body with status code.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
+// WriteError writes the repository's JSON error body, {"error": msg}.
+func WriteError(w http.ResponseWriter, code int, msg string) {
+	WriteJSON(w, code, map[string]string{"error": msg})
 }
 
 func (h *api) submit(w http.ResponseWriter, r *http.Request, t *tenant.Tenant) {
@@ -201,7 +203,7 @@ func (h *api) submit(w http.ResponseWriter, r *http.Request, t *tenant.Tenant) {
 	// and report misleading availability numbers.
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid job spec: "+err.Error())
+		WriteError(w, http.StatusBadRequest, "invalid job spec: "+err.Error())
 		return
 	}
 	job, err := h.m.SubmitAs(t, spec)
@@ -209,7 +211,7 @@ func (h *api) submit(w http.ResponseWriter, r *http.Request, t *tenant.Tenant) {
 		writeAdmissionError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, map[string]string{
+	WriteJSON(w, http.StatusAccepted, map[string]string{
 		"id":     job.ID(),
 		"status": string(job.Status()),
 	})
@@ -231,23 +233,23 @@ func (h *api) lookup(r *http.Request, t *tenant.Tenant) (*Job, bool) {
 func (h *api) get(w http.ResponseWriter, r *http.Request, t *tenant.Tenant) {
 	job, ok := h.lookup(r, t)
 	if !ok {
-		writeError(w, http.StatusNotFound, ErrNotFound.Error())
+		WriteError(w, http.StatusNotFound, ErrNotFound.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, job.View())
+	WriteJSON(w, http.StatusOK, job.View())
 }
 
 func (h *api) cancel(w http.ResponseWriter, r *http.Request, t *tenant.Tenant) {
 	if _, ok := h.lookup(r, t); !ok {
-		writeError(w, http.StatusNotFound, ErrNotFound.Error())
+		WriteError(w, http.StatusNotFound, ErrNotFound.Error())
 		return
 	}
 	job, err := h.m.Cancel(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, err.Error())
+		WriteError(w, http.StatusNotFound, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{
+	WriteJSON(w, http.StatusOK, map[string]string{
 		"id":     job.ID(),
 		"status": string(job.Status()),
 	})
@@ -258,11 +260,11 @@ func (h *api) cancel(w http.ResponseWriter, r *http.Request, t *tenant.Tenant) {
 func (h *api) trace(w http.ResponseWriter, r *http.Request, t *tenant.Tenant) {
 	job, ok := h.lookup(r, t)
 	if !ok {
-		writeError(w, http.StatusNotFound, ErrNotFound.Error())
+		WriteError(w, http.StatusNotFound, ErrNotFound.Error())
 		return
 	}
 	if !job.Spec().Trace {
-		writeError(w, http.StatusBadRequest, "job was not submitted with trace enabled")
+		WriteError(w, http.StatusBadRequest, "job was not submitted with trace enabled")
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -333,14 +335,14 @@ func (h *api) healthz(w http.ResponseWriter, r *http.Request) {
 		body["store"] = ss
 	}
 	body["status"] = status
-	writeJSON(w, http.StatusOK, body)
+	WriteJSON(w, http.StatusOK, body)
 }
 
 func (h *api) metrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	var sb strings.Builder
 	if err := h.m.Registry().WriteText(&sb); err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
+		WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	_, _ = w.Write([]byte(sb.String()))

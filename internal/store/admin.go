@@ -11,9 +11,9 @@ import (
 
 // Offline admin views over a store directory, consumed by the
 // vmat-store command. Inspect and Verify are strictly read-only — they
-// never migrate, truncate, or commit anything, so an operator can point
-// them at a live or suspect data dir without changing what a later Open
-// would see.
+// never truncate or commit anything, so an operator can point them at
+// a live or suspect data dir without changing what a later Open would
+// see.
 
 // SegmentInfo describes one segment file as found on disk.
 type SegmentInfo struct {
@@ -32,8 +32,6 @@ type InspectReport struct {
 	NextID             int64         `json:"next_id,omitempty"`
 	Segments           []SegmentInfo `json:"segments"`
 	Unlisted           []SegmentInfo `json:"unlisted,omitempty"`
-	LegacyJournalBytes int64         `json:"legacy_journal_bytes,omitempty"`
-	HasLegacyJournal   bool          `json:"has_legacy_journal"`
 	HasSnapshot        bool          `json:"has_snapshot"`
 	SnapshotError      string        `json:"snapshot_error,omitempty"`
 	SnapshotKeys       int           `json:"snapshot_keys,omitempty"`
@@ -90,10 +88,6 @@ func Inspect(dir string) (*InspectReport, error) {
 		}
 	}
 
-	if fi, err := os.Stat(filepath.Join(dir, JournalName)); err == nil {
-		rep.HasLegacyJournal = true
-		rep.LegacyJournalBytes = fi.Size()
-	}
 	if sn, reason := loadSnapshotFile(dir); sn != nil {
 		rep.HasSnapshot = true
 		rep.SnapshotKeys = len(sn.keys)
@@ -139,11 +133,6 @@ func Verify(dir string) (*VerifyReport, error) {
 	}
 	if m == nil {
 		if len(files) == 0 {
-			legacy := filepath.Join(dir, JournalName)
-			if _, err := os.Stat(legacy); err == nil {
-				rep.Warnings = append(rep.Warnings, "pre-segmented layout (legacy journal.vmat); open would migrate it")
-				return verifyChain(rep, []string{legacy}, []string{JournalName})
-			}
 			return rep, nil // empty dir: nothing to verify
 		}
 		m, _ = bootstrapManifest(files)
@@ -209,7 +198,7 @@ func verifyChain(rep *VerifyReport, paths, names []string) (*VerifyReport, error
 			f.Close()
 			return nil, fmt.Errorf("store: verify: stat %s: %w", p, err)
 		}
-		off, reason, err := scanFrames(f, journalMagic, func(off int64, payload []byte) error {
+		off, reason, err := scanFile(f, journalMagic, 0, func(off int64, payload []byte) error {
 			var e Entry
 			if jerr := json.Unmarshal(payload, &e); jerr != nil || e.Key == "" {
 				return errors.New("undecodable record payload")

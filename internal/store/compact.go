@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+
+	"repro/internal/frame"
 )
 
 // Compaction merges the sealed prefix — every segment except the active
@@ -95,7 +97,7 @@ func (s *Store) compactLocked() error {
 	}
 	state := map[string]liveRec{}
 	for pos, sg := range prefix {
-		_, reason, err := scanFrames(sg.f, journalMagic, func(off int64, payload []byte) error {
+		_, reason, err := scanFile(sg.f, journalMagic, 0, func(off int64, payload []byte) error {
 			var e Entry
 			if jerr := json.Unmarshal(payload, &e); jerr != nil || e.Key == "" {
 				return errors.New("undecodable record payload")
@@ -105,7 +107,7 @@ func (s *Store) compactLocked() error {
 				return nil
 			}
 			if _, dup := state[e.Key]; !dup {
-				state[e.Key] = liveRec{segPos: pos, off: off, length: int64(frameHeaderLen + len(payload))}
+				state[e.Key] = liveRec{segPos: pos, off: off, length: int64(frame.HeaderLen + len(payload))}
 			}
 			return nil
 		})

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/frame"
 	"repro/internal/metrics"
 )
 
@@ -139,7 +140,7 @@ func TestCorruptChecksumTail(t *testing.T) {
 		t.Fatalf("open journal: %v", err)
 	}
 	// Flip a byte well inside the last record's payload.
-	if _, err := f.WriteAt([]byte{0xff}, bounds[1]+journalHeaderLen+8); err != nil {
+	if _, err := f.WriteAt([]byte{0xff}, bounds[1]+frame.HeaderLen+8); err != nil {
 		t.Fatalf("corrupt byte: %v", err)
 	}
 	f.Close()

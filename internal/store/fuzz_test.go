@@ -5,10 +5,13 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/frame"
 )
 
-// FuzzJournalReplay writes arbitrary bytes as a journal file and opens
-// the store over it: replay must never panic, must recover to some
+// FuzzJournalReplay writes arbitrary bytes as the only segment file of
+// a data dir and opens the store over it, which bootstraps a manifest
+// and replays the segment: replay must never panic, must recover to some
 // clean prefix (counting the corruption), and must leave the store
 // usable — a Put and a Get after recovery behave normally. This is the
 // torn/hostile-journal contract the server's crash recovery depends on.
@@ -25,7 +28,7 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, JournalName), b, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, segName(1, 1)), b, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		s, err := Open(dir, Config{})
@@ -48,7 +51,7 @@ func FuzzJournalReplay(f *testing.F) {
 func FuzzWALReplay(f *testing.F) {
 	frame := func(r WALRecord) []byte {
 		payload, _ := json.Marshal(&r)
-		b, err := encodeFrame(walMagic, payload)
+		b, err := appendFrame(nil, walMagic, payload)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -164,7 +167,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 			if int(k.segIdx) >= len(sn.segs) {
 				t.Fatalf("accepted key %d references missing segment %d", i, k.segIdx)
 			}
-			if k.off < 0 || k.length < frameHeaderLen || k.off+k.length > sn.segs[k.segIdx].covered {
+			if k.off < 0 || k.length < frame.HeaderLen || k.off+k.length > sn.segs[k.segIdx].covered {
 				t.Fatalf("accepted key %d escapes coverage: %+v", i, k)
 			}
 		}

@@ -1,30 +1,51 @@
 package store
 
 import (
-	"bytes"
-	"encoding/binary"
+	"bufio"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
+	"io"
+	"math"
+	"os"
+
+	"repro/internal/frame"
 )
 
-// JournalName is the legacy single-file journal from before the
-// segmented layout. A data directory that still has one (and no
-// manifest) is migrated on first open: the file is renamed into
-// segment 1 and a manifest is committed around it, so old -data-dir
-// trees keep serving their results unchanged. Exported so operators
-// (and tests) can find it.
-const JournalName = "journal.vmat"
-
-// journalMagic marks result-journal records in the shared framing (see
-// frame.go for the layout). Segment files use the same record format as
-// the legacy journal — that equivalence is what makes migration a pure
-// rename.
+// journalMagic marks result-journal records in segment files. Every
+// store file is a sequence of internal/frame frames under its own
+// magic: "VMR1" segments, "VMC1" control WAL, "VMM1" manifest, "VMS1"
+// index snapshot. The per-record checksum is what makes crash recovery
+// possible: a torn write at the tail fails the length or the CRC and is
+// truncated away on open.
 var journalMagic = [4]byte{'V', 'M', 'R', '1'}
 
-// journalHeaderLen aliases the shared frame header size; the record
-// layout itself lives in frame.go.
-const journalHeaderLen = frameHeaderLen
+// maxRecordBytes bounds one frame's payload in every store file, so a
+// corrupt length field cannot drive a multi-gigabyte allocation during
+// replay. Writers refuse anything larger: the store never writes a
+// record its own replay would reject.
+const maxRecordBytes = 1 << 30
+
+// appendFrame appends payload to dst as one frame of a store file.
+func appendFrame(dst []byte, magic [4]byte, payload []byte) ([]byte, error) {
+	if len(payload) > maxRecordBytes {
+		return nil, fmt.Errorf("store: %d-byte record exceeds the %d-byte frame limit", len(payload), maxRecordBytes)
+	}
+	return frame.Append(dst, magic, payload), nil
+}
+
+// scanFile replays the frames of f from byte offset from, passing fn
+// each payload with its file offset. It returns the offset just past
+// the last good frame and the reason the scan stopped there; see
+// frame.Scan. Deciding whether to truncate is the caller's business:
+// the files are append-only, so damage mid-file cannot occur without
+// tail damage first.
+func scanFile(f *os.File, magic [4]byte, from int64, fn func(off int64, payload []byte) error) (int64, string, error) {
+	r := bufio.NewReaderSize(io.NewSectionReader(f, from, math.MaxInt64-from), 1<<20)
+	end, reason, err := frame.Scan(r, magic, maxRecordBytes, func(off int64, payload []byte) error {
+		return fn(from+off, payload)
+	})
+	return from + end, reason, err
+}
 
 // encodeRecord renders one entry as a framed journal record.
 func encodeRecord(e *Entry) ([]byte, error) {
@@ -32,7 +53,7 @@ func encodeRecord(e *Entry) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: marshal record for %s: %w", e.Key, err)
 	}
-	rec, err := encodeFrame(journalMagic, payload)
+	rec, err := appendFrame(nil, journalMagic, payload)
 	if err != nil {
 		return nil, fmt.Errorf("store: record for %s: %w", e.Key, err)
 	}
@@ -42,15 +63,9 @@ func encodeRecord(e *Entry) ([]byte, error) {
 // decodeRecord parses a framed record read back from disk.
 func decodeRecord(rec []byte) (Entry, error) {
 	var e Entry
-	if len(rec) < journalHeaderLen || !bytes.Equal(rec[:4], journalMagic[:]) {
-		return e, fmt.Errorf("bad record header")
-	}
-	payload := rec[journalHeaderLen:]
-	if int(binary.LittleEndian.Uint32(rec[4:])) != len(payload) {
-		return e, fmt.Errorf("record length mismatch")
-	}
-	if binary.LittleEndian.Uint32(rec[8:]) != crc32.ChecksumIEEE(payload) {
-		return e, fmt.Errorf("record checksum mismatch")
+	payload, err := frame.Decode(rec, journalMagic)
+	if err != nil {
+		return e, err
 	}
 	if err := json.Unmarshal(payload, &e); err != nil {
 		return e, fmt.Errorf("decode record: %w", err)

@@ -1,22 +1,21 @@
 package store
 
 import (
-	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
+
+	"repro/internal/frame"
 )
 
 // The manifest is the authoritative description of the segment layout:
 // which segment files exist, in what replay order, and what the next
 // segment id is. It is rewritten — never appended — through a temp file
-// and an atomic rename on every structural change (roll, compaction,
-// migration), so a crash leaves either the old layout or the new one,
-// and any segment file the surviving manifest does not list is provably
+// and an atomic rename on every structural change (roll, compaction),
+// so a crash leaves either the old layout or the new one, and any
+// segment file the surviving manifest does not list is provably
 // uncommitted debris (a half-finished compaction output or a rolled
 // file that never hosted a record) and is deleted on open.
 
@@ -24,8 +23,7 @@ import (
 // directory. Exported so operators (and tests) can find it.
 const ManifestName = "MANIFEST.vmat"
 
-// manifestMagic frames the manifest payload (same framing as journal
-// records, see frame.go).
+// manifestMagic frames the manifest payload.
 var manifestMagic = [4]byte{'V', 'M', 'M', '1'}
 
 // manifestVersion is bumped when the layout encoding changes.
@@ -52,21 +50,15 @@ func encodeManifest(m *manifest) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: marshal manifest: %w", err)
 	}
-	return encodeFrame(manifestMagic, payload)
+	return appendFrame(nil, manifestMagic, payload)
 }
 
 // decodeManifest parses and validates manifest bytes. Every failure is
 // an error, never a panic — the fuzz tests hold it to that.
 func decodeManifest(b []byte) (*manifest, error) {
-	if len(b) < frameHeaderLen || !bytes.Equal(b[:4], manifestMagic[:]) {
-		return nil, fmt.Errorf("bad manifest header")
-	}
-	payload := b[frameHeaderLen:]
-	if int64(binary.LittleEndian.Uint32(b[4:])) != int64(len(payload)) {
-		return nil, fmt.Errorf("manifest length mismatch")
-	}
-	if binary.LittleEndian.Uint32(b[8:]) != crc32.ChecksumIEEE(payload) {
-		return nil, fmt.Errorf("manifest checksum mismatch")
+	payload, err := frame.Decode(b, manifestMagic)
+	if err != nil {
+		return nil, fmt.Errorf("manifest: %w", err)
 	}
 	var m manifest
 	if err := json.Unmarshal(payload, &m); err != nil {
@@ -98,38 +90,14 @@ func decodeManifest(b []byte) (*manifest, error) {
 	return &m, nil
 }
 
-// commitManifest atomically replaces dir's manifest: write a temp file,
-// fsync it, rename over the live name, fsync the directory.
+// commitManifest atomically replaces dir's manifest.
 func commitManifest(dir string, m *manifest) error {
 	rec, err := encodeManifest(m)
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(dir, ManifestName)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: create manifest temp: %w", err)
-	}
-	if _, err := f.Write(rec); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("store: write manifest: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("store: sync manifest: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: close manifest temp: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: swap manifest: %w", err)
-	}
-	return syncDir(dir)
+	_, err = replaceFile(filepath.Join(dir, ManifestName), rec)
+	return err
 }
 
 // loadManifest reads dir's manifest. A missing file returns (nil, nil);
@@ -171,8 +139,8 @@ func scanSegmentFiles(dir string) ([]manifestSegment, error) {
 // disk: sort by id, and where an id has several generations keep the
 // highest (it is the compacted replacement; see segment.go on why
 // (id, gen) order is always a correct replay order). Used when no
-// manifest exists (legacy migration mid-crash, hand-assembled dirs) and
-// as the recovery path for a corrupt manifest. The dropped lower
+// manifest exists (hand-assembled dirs) and as the recovery path for a
+// corrupt manifest. The dropped lower
 // generations are returned so the caller can delete them.
 func bootstrapManifest(files []manifestSegment) (*manifest, []manifestSegment) {
 	var keep []manifestSegment

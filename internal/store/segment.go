@@ -13,10 +13,10 @@ import (
 // memory, replay, and compaction all stop scaling with everything ever
 // written. A store directory holds:
 //
-//	seg-<id>-<gen>.vmat   journal segments (CRC-framed records, frame.go)
+//	seg-<id>-<gen>.vmat   journal segments (CRC-framed records, journal.go)
 //	MANIFEST.vmat         replay order + next id (manifest.go)
 //	index.snap            index snapshot for fast reopen (snapshot.go)
-//	control.wal           control-plane WAL (wal.go, unchanged)
+//	control.wal           control-plane WAL (wal.go)
 //
 // The last manifest entry is the active segment — the only file ever
 // appended to. Everything before it is sealed and immutable, which is
@@ -113,6 +113,34 @@ func (sg *segment) addLive(n int64) {
 func (sg *segment) addDead(n int64) {
 	sg.deadBytes.Add(n)
 	sg.deadRecords.Add(1)
+}
+
+// replaceFile atomically replaces path with data: write path+".tmp",
+// fsync it, rename it over path, fsync the directory. A crash leaves
+// the old file or the new one, never a mix. renamed reports whether
+// path now names the new file, which it does when only the directory
+// sync failed.
+func replaceFile(path string, data []byte) (renamed bool, err error) {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return false, fmt.Errorf("store: create %s: %w", filepath.Base(tmp), err)
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return false, fmt.Errorf("store: replace %s: %w", filepath.Base(path), err)
+	}
+	return true, syncDir(filepath.Dir(path))
 }
 
 // syncDir fsyncs a directory so a just-renamed or just-created file's

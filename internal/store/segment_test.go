@@ -159,52 +159,6 @@ func TestDeleteAcrossSegments(t *testing.T) {
 	}
 }
 
-// TestLegacyJournalMigration builds a pre-segmented data dir by hand
-// (records in journal.vmat, nothing else) and checks that first open
-// migrates it into segment 1, serves identical results, and that the
-// migrated layout round-trips.
-func TestLegacyJournalMigration(t *testing.T) {
-	dir := t.TempDir()
-	want := map[string]string{}
-	var legacy []byte
-	for i := 0; i < 5; i++ {
-		k := fmt.Sprintf("legacy-%d", i)
-		v := fmt.Sprintf("old-value-%d", i)
-		raw, _ := json.Marshal(v)
-		rec, err := encodeRecord(&Entry{Key: k, Kind: "test", Value: raw})
-		if err != nil {
-			t.Fatalf("encodeRecord: %v", err)
-		}
-		legacy = append(legacy, rec...)
-		want[k] = v
-	}
-	if err := os.WriteFile(filepath.Join(dir, JournalName), legacy, 0o644); err != nil {
-		t.Fatalf("write legacy journal: %v", err)
-	}
-
-	s := mustOpen(t, dir, Config{})
-	checkAll(t, s, want)
-	if _, err := os.Stat(filepath.Join(dir, JournalName)); !os.IsNotExist(err) {
-		t.Fatalf("legacy journal still present after migration (err=%v)", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, segName(1, 1))); err != nil {
-		t.Fatalf("migrated segment missing: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, ManifestName)); err != nil {
-		t.Fatalf("manifest missing after migration: %v", err)
-	}
-	// The migrated store is a normal store: writable, reopenable.
-	if err := s.Put("new-key", "test", "post-migration", Meta{}); err != nil {
-		t.Fatalf("Put after migration: %v", err)
-	}
-	want["new-key"] = "post-migration"
-	s.Close()
-
-	s2 := mustOpen(t, dir, Config{})
-	defer s2.Close()
-	checkAll(t, s2, want)
-}
-
 // TestStatusAccounting checks the numbers /healthz shows are grounded:
 // live+dead bytes match file sizes, and deletes move bytes from live to
 // dead.

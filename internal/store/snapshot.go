@@ -1,13 +1,13 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"time"
+
+	"repro/internal/frame"
 )
 
 // The index snapshot makes reopen snapshot-load + tail-replay instead
@@ -112,22 +112,16 @@ func encodeSnapshot(sn *snapshot) ([]byte, error) {
 		u64(uint64(k.off))
 		u32(uint32(k.length))
 	}
-	return encodeFrame(snapshotMagic, payload)
+	return appendFrame(nil, snapshotMagic, payload)
 }
 
 // decodeSnapshot parses snapshot bytes. Any structural problem is an
 // error — the caller treats every error as "no snapshot" and falls back
 // to full replay. Hostile bytes must never panic (fuzz-enforced).
 func decodeSnapshot(b []byte) (*snapshot, error) {
-	if len(b) < frameHeaderLen || !bytes.Equal(b[:4], snapshotMagic[:]) {
-		return nil, fmt.Errorf("bad snapshot header")
-	}
-	payload := b[frameHeaderLen:]
-	if int64(binary.LittleEndian.Uint32(b[4:])) != int64(len(payload)) {
-		return nil, fmt.Errorf("snapshot length mismatch")
-	}
-	if binary.LittleEndian.Uint32(b[8:]) != crc32.ChecksumIEEE(payload) {
-		return nil, fmt.Errorf("snapshot checksum mismatch")
+	payload, err := frame.Decode(b, snapshotMagic)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: %w", err)
 	}
 	// Numeric fields parse straight from the payload slice; keys become
 	// substrings of one backing string, so the parse allocates nothing
@@ -200,7 +194,7 @@ func decodeSnapshot(b []byte) (*snapshot, error) {
 		if int(segIdx) >= len(sn.segs) {
 			return nil, fmt.Errorf("snapshot key %d references segment %d of %d", i, segIdx, len(sn.segs))
 		}
-		if key == "" || length < frameHeaderLen || off < 0 || off+length > sn.segs[segIdx].covered {
+		if key == "" || length < frame.HeaderLen || off < 0 || off+length > sn.segs[segIdx].covered {
 			return nil, fmt.Errorf("snapshot key %d has an out-of-coverage record ref", i)
 		}
 		sn.keys = append(sn.keys, snapKey{key: key, segIdx: segIdx, off: off, length: length})
@@ -211,38 +205,14 @@ func decodeSnapshot(b []byte) (*snapshot, error) {
 	return sn, nil
 }
 
-// writeSnapshotFile atomically replaces dir's snapshot (tmp + rename +
-// dir sync).
+// writeSnapshotFile atomically replaces dir's snapshot.
 func writeSnapshotFile(dir string, sn *snapshot) error {
 	rec, err := encodeSnapshot(sn)
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(dir, SnapshotName)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: create snapshot temp: %w", err)
-	}
-	if _, err := f.Write(rec); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("store: write snapshot: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("store: sync snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: close snapshot temp: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: swap snapshot: %w", err)
-	}
-	return syncDir(dir)
+	_, err = replaceFile(filepath.Join(dir, SnapshotName), rec)
+	return err
 }
 
 // loadSnapshotFile reads and decodes dir's snapshot. Missing file or

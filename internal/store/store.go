@@ -38,6 +38,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/frame"
 	"repro/internal/metrics"
 )
 
@@ -93,17 +94,11 @@ type Config struct {
 	SegmentBytes int64
 	// CompactInterval is the background maintenance period: each tick
 	// refreshes the snapshot-age gauge, writes an index snapshot when
-	// enough appends have accumulated, and compacts when the sealed
-	// dead-byte ratio crosses CompactMinDeadRatio. Zero disables the
-	// background loop (snapshots still happen on Close; Compact and
+	// snapshotEvery appends have accumulated, and compacts when the
+	// sealed dead-byte ratio crosses compactMinDeadRatio. Zero disables
+	// the background loop (snapshots still happen on Close; Compact and
 	// Snapshot can be called explicitly).
 	CompactInterval time.Duration
-	// CompactMinDeadRatio is the sealed dead/total byte ratio that
-	// triggers a background compaction. Default 0.30.
-	CompactMinDeadRatio float64
-	// SnapshotEvery is how many appends may accumulate before the
-	// background loop refreshes the index snapshot. Default 4096.
-	SnapshotEvery int
 	// DisableFsync skips the per-record fsync on Put and Delete. Bulk
 	// loading and benchmarks only: a crash can lose recent appends,
 	// though never corrupt the store (the CRC frames still truncate
@@ -142,12 +137,10 @@ type Status struct {
 // manifest commits happen under it so two structural changes cannot
 // interleave); the index shards and the LRU have their own locks.
 type Store struct {
-	dir           string
-	segmentBytes  int64
-	minDeadRatio  float64
-	snapshotEvery int64
-	fsync         bool
-	log           func(format string, args ...any)
+	dir          string
+	segmentBytes int64
+	fsync        bool
+	log          func(format string, args ...any)
 
 	maintMu  sync.Mutex
 	appendMu sync.Mutex
@@ -186,23 +179,16 @@ type Store struct {
 	snapAge                                         *metrics.Gauge
 }
 
-// Open opens (creating if needed) the store rooted at dir. A legacy
-// single-file journal is migrated into segment 1 transparently; a
-// corrupt or truncated segment tail is recovered, logged via cfg.Log,
-// and counted under MetricCorrupt; a valid index snapshot turns the
-// replay into a tail-replay. Only I/O errors are fatal.
+// Open opens (creating if needed) the store rooted at dir. A corrupt or
+// truncated segment tail is recovered, logged via cfg.Log, and counted
+// under MetricCorrupt; a valid index snapshot turns the replay into a
+// tail-replay. Only I/O errors are fatal.
 func Open(dir string, cfg Config) (*Store, error) {
 	if cfg.CacheEntries <= 0 {
 		cfg.CacheEntries = 256
 	}
 	if cfg.SegmentBytes <= 0 {
 		cfg.SegmentBytes = 64 << 20
-	}
-	if cfg.CompactMinDeadRatio <= 0 {
-		cfg.CompactMinDeadRatio = 0.30
-	}
-	if cfg.SnapshotEvery <= 0 {
-		cfg.SnapshotEvery = 4096
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.New()
@@ -214,31 +200,29 @@ func Open(dir string, cfg Config) (*Store, error) {
 		return nil, fmt.Errorf("store: create %s: %w", dir, err)
 	}
 	s := &Store{
-		dir:           dir,
-		segmentBytes:  cfg.SegmentBytes,
-		minDeadRatio:  cfg.CompactMinDeadRatio,
-		snapshotEvery: int64(cfg.SnapshotEvery),
-		fsync:         !cfg.DisableFsync,
-		log:           cfg.Log,
-		segs:          map[int64]*segment{},
-		idx:           newShardedIndex(),
-		cache:         map[string]*list.Element{},
-		lru:           list.New(),
-		cacheCap:      cfg.CacheEntries,
-		hits:          cfg.Metrics.Counter(MetricHits),
-		misses:        cfg.Metrics.Counter(MetricMisses),
-		puts:          cfg.Metrics.Counter(MetricPuts),
-		deletes:       cfg.Metrics.Counter(MetricDeletes),
-		evictions:     cfg.Metrics.Counter(MetricEvictions),
-		corrupt:       cfg.Metrics.Counter(MetricCorrupt),
-		compactionsC:  cfg.Metrics.Counter(MetricCompactions),
-		reclaimed:     cfg.Metrics.Counter(MetricReclaimed),
-		snapshots:     cfg.Metrics.Counter(MetricSnapshots),
-		entries:       cfg.Metrics.Gauge(MetricEntries),
-		segments:      cfg.Metrics.Gauge(MetricSegments),
-		liveBytesG:    cfg.Metrics.Gauge(MetricLiveBytes),
-		deadBytesG:    cfg.Metrics.Gauge(MetricDeadBytes),
-		snapAge:       cfg.Metrics.Gauge(MetricSnapshotAge),
+		dir:          dir,
+		segmentBytes: cfg.SegmentBytes,
+		fsync:        !cfg.DisableFsync,
+		log:          cfg.Log,
+		segs:         map[int64]*segment{},
+		idx:          newShardedIndex(),
+		cache:        map[string]*list.Element{},
+		lru:          list.New(),
+		cacheCap:     cfg.CacheEntries,
+		hits:         cfg.Metrics.Counter(MetricHits),
+		misses:       cfg.Metrics.Counter(MetricMisses),
+		puts:         cfg.Metrics.Counter(MetricPuts),
+		deletes:      cfg.Metrics.Counter(MetricDeletes),
+		evictions:    cfg.Metrics.Counter(MetricEvictions),
+		corrupt:      cfg.Metrics.Counter(MetricCorrupt),
+		compactionsC: cfg.Metrics.Counter(MetricCompactions),
+		reclaimed:    cfg.Metrics.Counter(MetricReclaimed),
+		snapshots:    cfg.Metrics.Counter(MetricSnapshots),
+		entries:      cfg.Metrics.Gauge(MetricEntries),
+		segments:     cfg.Metrics.Gauge(MetricSegments),
+		liveBytesG:   cfg.Metrics.Gauge(MetricLiveBytes),
+		deadBytesG:   cfg.Metrics.Gauge(MetricDeadBytes),
+		snapAge:      cfg.Metrics.Gauge(MetricSnapshotAge),
 	}
 	if err := s.openLayout(); err != nil {
 		s.closeSegments()
@@ -259,11 +243,11 @@ func Open(dir string, cfg Config) (*Store, error) {
 }
 
 // openLayout establishes the segment layout: clears tmp debris, loads
-// (or rebuilds, or bootstraps) the manifest, migrates a legacy
-// single-file journal, opens every listed segment, and deletes unlisted
-// segment files — which are provably uncommitted (a half-finished
-// compaction output, or a rolled file whose manifest commit never
-// landed and which therefore never hosted a record).
+// (or rebuilds, or bootstraps) the manifest, opens every listed
+// segment, and deletes unlisted segment files — which are provably
+// uncommitted (a half-finished compaction output, or a rolled file
+// whose manifest commit never landed and which therefore never hosted
+// a record).
 func (s *Store) openLayout() error {
 	for _, pat := range []string{ManifestName + ".tmp", SnapshotName + ".tmp", segPattern + ".tmp"} {
 		matches, _ := filepath.Glob(filepath.Join(s.dir, pat))
@@ -289,22 +273,6 @@ func (s *Store) openLayout() error {
 		if err != nil {
 			return err
 		}
-		legacy := filepath.Join(s.dir, JournalName)
-		if len(files) == 0 {
-			if fi, err := os.Stat(legacy); err == nil {
-				// First open of a pre-segmented data dir: the legacy
-				// journal has the same record format as a segment, so
-				// migration is a rename.
-				if err := os.Rename(legacy, filepath.Join(s.dir, segName(1, 1))); err != nil {
-					return fmt.Errorf("store: migrate legacy journal: %w", err)
-				}
-				if err := syncDir(s.dir); err != nil {
-					return err
-				}
-				s.log("store: migrated legacy %s (%d bytes) into segment %s", JournalName, fi.Size(), segName(1, 1))
-				files = []manifestSegment{{ID: 1, Gen: 1}}
-			}
-		}
 		var drop []manifestSegment
 		if len(files) == 0 {
 			m = &manifest{Version: manifestVersion, Generation: 1, NextID: 2, Segments: []manifestSegment{{ID: 1, Gen: 1}}}
@@ -327,8 +295,6 @@ func (s *Store) openLayout() error {
 		if err := commitManifest(s.dir, m); err != nil {
 			return err
 		}
-	} else if _, err := os.Stat(filepath.Join(s.dir, JournalName)); err == nil {
-		s.log("store: ignoring stray %s — this directory already uses the segmented layout", JournalName)
 	}
 
 	for _, ms := range m.Segments {
@@ -445,14 +411,15 @@ func (s *Store) applySnapshot(sn *snapshot, start []int64) (bool, string) {
 // wins, a tombstone kills its key, a later put revives it. The first
 // incomplete or corrupt record marks the recovery point — everything
 // from there on is the debris of a torn write, and is logged, counted,
-// and truncated so subsequent appends start from a clean boundary.
+// and truncated so subsequent appends start from a clean boundary. A
+// read error is not damage: it fails the replay and truncates nothing.
 func (s *Store) replaySegment(sg *segment, from int64) error {
-	off, reason, err := scanFramesFrom(sg.f, journalMagic, from, func(off int64, payload []byte) error {
+	off, reason, err := scanFile(sg.f, journalMagic, from, func(off int64, payload []byte) error {
 		var e Entry
 		if jerr := json.Unmarshal(payload, &e); jerr != nil || e.Key == "" {
 			return errors.New("undecodable record payload")
 		}
-		n := int64(frameHeaderLen + len(payload))
+		n := int64(frame.HeaderLen + len(payload))
 		if e.Tomb {
 			if ref, ok := s.idx.delete(e.Key); ok {
 				s.markDeadRef(ref)
@@ -859,7 +826,7 @@ func (s *Store) background(interval time.Duration) {
 		case <-t.C:
 		}
 		s.updateSnapAge()
-		if s.appendsSinceSnap.Load() >= s.snapshotEvery {
+		if s.appendsSinceSnap.Load() >= snapshotEvery {
 			s.maintMu.Lock()
 			if !s.closed.Load() {
 				if err := s.writeSnapshotLocked(); err != nil {
@@ -876,13 +843,20 @@ func (s *Store) background(interval time.Duration) {
 	}
 }
 
-// compactMaxSealed bounds the sealed-segment count: past it the
-// background loop merges even without dead bytes, so replay cost and
-// file-handle count stay flat under pure-append workloads.
-const compactMaxSealed = 32
+// Background maintenance thresholds. compactMinDeadRatio is the sealed
+// dead/total byte ratio that triggers a compaction. compactMaxSealed
+// bounds the sealed-segment count: past it the loop merges even without
+// dead bytes, so replay cost and file-handle count stay flat under
+// pure-append workloads. snapshotEvery is how many appends may
+// accumulate before the loop refreshes the index snapshot.
+const (
+	compactMinDeadRatio = 0.30
+	compactMaxSealed    = 32
+	snapshotEvery       = 4096
+)
 
 // shouldCompact is the background trigger: sealed dead bytes crossed
-// the configured ratio, or the sealed chain grew too long.
+// compactMinDeadRatio, or the sealed chain grew too long.
 func (s *Store) shouldCompact() bool {
 	s.segMu.RLock()
 	defer s.segMu.RUnlock()
@@ -899,7 +873,7 @@ func (s *Store) shouldCompact() bool {
 	if total == 0 {
 		return len(sealed) > 1 // collapse empty chaff
 	}
-	if float64(dead)/float64(total) >= s.minDeadRatio {
+	if float64(dead)/float64(total) >= compactMinDeadRatio {
 		return true
 	}
 	return len(sealed) >= compactMaxSealed

@@ -114,7 +114,7 @@ func OpenWAL(dir string, cfg WALConfig) (*WAL, []WALRecord, error) {
 		records: cfg.Metrics.Gauge(MetricWALRecords),
 	}
 	var recs []WALRecord
-	off, reason, err := scanFrames(f, walMagic, func(_ int64, payload []byte) error {
+	off, reason, err := scanFile(f, walMagic, 0, func(_ int64, payload []byte) error {
 		var r WALRecord
 		if jerr := json.Unmarshal(payload, &r); jerr != nil || r.Kind == "" {
 			return errors.New("undecodable record payload")
@@ -140,6 +140,21 @@ func OpenWAL(dir string, cfg WALConfig) (*WAL, []WALRecord, error) {
 	return w, recs, nil
 }
 
+// encodeWAL frames recs back to back.
+func encodeWAL(recs []WALRecord) ([]byte, error) {
+	var buf []byte
+	for i := range recs {
+		payload, err := json.Marshal(&recs[i])
+		if err != nil {
+			return nil, fmt.Errorf("store: marshal WAL record (%s): %w", recs[i].Kind, err)
+		}
+		if buf, err = appendFrame(buf, walMagic, payload); err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
+}
+
 // Append writes the records as one batch with a single fsync before
 // returning, so a control-plane transition is durable before the state
 // it promises becomes externally visible. An empty batch is a no-op.
@@ -147,17 +162,9 @@ func (w *WAL) Append(recs ...WALRecord) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	var buf []byte
-	for i := range recs {
-		payload, err := json.Marshal(&recs[i])
-		if err != nil {
-			return fmt.Errorf("store: marshal WAL record (%s): %w", recs[i].Kind, err)
-		}
-		frame, err := encodeFrame(walMagic, payload)
-		if err != nil {
-			return err
-		}
-		buf = append(buf, frame...)
+	buf, err := encodeWAL(recs)
+	if err != nil {
+		return err
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -179,55 +186,36 @@ func (w *WAL) Append(recs ...WALRecord) error {
 
 // Compact atomically replaces the WAL's contents with keep. Recovery
 // calls it after replay so records from closed sweeps and finished
-// units of prior incarnations stop being replayed on every startup; the
-// rewrite goes through a temp file and rename, so a crash mid-compact
-// leaves either the old log or the new one, never a mix.
+// units of prior incarnations stop being replayed on every startup. A
+// crash mid-compact leaves either the old log or the new one, never a
+// mix, and appends after Compact go to the file named WALName.
 func (w *WAL) Compact(keep []WALRecord) error {
-	var buf []byte
-	for i := range keep {
-		payload, err := json.Marshal(&keep[i])
-		if err != nil {
-			return fmt.Errorf("store: marshal WAL record (%s): %w", keep[i].Kind, err)
-		}
-		frame, err := encodeFrame(walMagic, payload)
-		if err != nil {
-			return err
-		}
-		buf = append(buf, frame...)
+	buf, err := encodeWAL(keep)
+	if err != nil {
+		return err
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.f == nil {
 		return errors.New("store: control WAL is closed")
 	}
-	tmpPath := w.path + ".tmp"
-	tmp, err := os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: create WAL compaction file: %w", err)
+	renamed, err := replaceFile(w.path, buf)
+	if !renamed {
+		return err // the old log is untouched and stays live
 	}
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return fmt.Errorf("store: write compacted WAL: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return fmt.Errorf("store: sync compacted WAL: %w", err)
-	}
-	if err := os.Rename(tmpPath, w.path); err != nil {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return fmt.Errorf("store: swap compacted WAL: %w", err)
-	}
-	// The open handle follows the rename (same inode), so tmp becomes
-	// the live file and the old one is released.
+	// The open handle now names an unlinked file. Follow the live name;
+	// if that fails, leave the WAL closed so appends fail instead of
+	// landing in the orphan.
+	f, oerr := os.OpenFile(w.path, os.O_RDWR, 0)
 	w.f.Close()
-	w.f = tmp
+	w.f = f // nil when the reopen failed
+	if oerr != nil {
+		return fmt.Errorf("store: reopen compacted WAL: %w", oerr)
+	}
 	w.size = int64(len(buf))
 	w.n = int64(len(keep))
 	w.records.Set(w.n)
-	return nil
+	return err
 }
 
 // Sync flushes the WAL. Appends already sync per batch; Sync exists for

@@ -36,16 +36,6 @@ type api struct {
 	m *Manager
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
-}
-
 func (h *api) submit(w http.ResponseWriter, r *http.Request, t *tenant.Tenant) {
 	var grid Grid
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxGridBytes))
@@ -53,25 +43,25 @@ func (h *api) submit(w http.ResponseWriter, r *http.Request, t *tenant.Tenant) {
 	// grid, so unknown keys are a hard 400.
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&grid); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid sweep grid: "+err.Error())
+		service.WriteError(w, http.StatusBadRequest, "invalid sweep grid: "+err.Error())
 		return
 	}
 	sw, err := h.m.SubmitAs(t, grid)
 	var adm *tenant.AdmissionError
 	switch {
 	case err == nil:
-		writeJSON(w, http.StatusAccepted, map[string]any{
+		service.WriteJSON(w, http.StatusAccepted, map[string]any{
 			"id":     sw.ID(),
 			"status": sw.Status(),
 			"cells":  len(sw.cells),
 		})
 	case errors.As(err, &adm):
 		w.Header().Set("Retry-After", adm.RetryAfterHeader())
-		writeError(w, http.StatusTooManyRequests, err.Error())
+		service.WriteError(w, http.StatusTooManyRequests, err.Error())
 	case errors.Is(err, ErrDraining):
-		writeError(w, http.StatusServiceUnavailable, err.Error())
+		service.WriteError(w, http.StatusServiceUnavailable, err.Error())
 	default:
-		writeError(w, http.StatusBadRequest, err.Error())
+		service.WriteError(w, http.StatusBadRequest, err.Error())
 	}
 }
 
@@ -91,27 +81,27 @@ func (h *api) lookup(r *http.Request, t *tenant.Tenant) (*Sweep, bool) {
 func (h *api) get(w http.ResponseWriter, r *http.Request, t *tenant.Tenant) {
 	sw, ok := h.lookup(r, t)
 	if !ok {
-		writeError(w, http.StatusNotFound, ErrNotFound.Error())
+		service.WriteError(w, http.StatusNotFound, ErrNotFound.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, sw.View(false))
+	service.WriteJSON(w, http.StatusOK, sw.View(false))
 }
 
 func (h *api) results(w http.ResponseWriter, r *http.Request, t *tenant.Tenant) {
 	sw, ok := h.lookup(r, t)
 	if !ok {
-		writeError(w, http.StatusNotFound, ErrNotFound.Error())
+		service.WriteError(w, http.StatusNotFound, ErrNotFound.Error())
 		return
 	}
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "json":
-		writeJSON(w, http.StatusOK, sw.View(true))
+		service.WriteJSON(w, http.StatusOK, sw.View(true))
 	case "csv":
 		w.Header().Set("Content-Type", "text/csv")
 		w.WriteHeader(http.StatusOK)
 		_ = WriteCSV(w, sw.View(true).Results)
 	default:
-		writeError(w, http.StatusBadRequest, "unknown format "+format+" (want json or csv)")
+		service.WriteError(w, http.StatusBadRequest, "unknown format "+format+" (want json or csv)")
 	}
 }
 
@@ -120,15 +110,15 @@ func (h *api) results(w http.ResponseWriter, r *http.Request, t *tenant.Tenant) 
 // resubmitted the same grid.
 func (h *api) cancel(w http.ResponseWriter, r *http.Request, t *tenant.Tenant) {
 	if sw, ok := h.m.Get(r.PathValue("id")); !ok || !t.CanAccess(sw.Tenant()) {
-		writeError(w, http.StatusNotFound, ErrNotFound.Error())
+		service.WriteError(w, http.StatusNotFound, ErrNotFound.Error())
 		return
 	}
 	sw, err := h.m.Cancel(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, err.Error())
+		service.WriteError(w, http.StatusNotFound, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	service.WriteJSON(w, http.StatusOK, map[string]any{
 		"id":     sw.ID(),
 		"status": sw.Status(),
 	})

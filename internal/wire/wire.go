@@ -1,21 +1,25 @@
 // Package wire is the persistent-connection transport of the sharded
 // execution fabric: compact length-prefixed binary frames over one
 // long-lived TCP conn per worker, replacing the per-unit HTTP polling
-// of the original cluster plane. The framing mirrors the result store's
-// journal records (internal/store): a fixed magic, a bounded length,
-// and a CRC32 of the payload, so a torn, truncated, or hostile byte
-// stream is detected and the conn is closed — never a panic, and never
-// an unbounded allocation. HTTP registration stays as the bootstrap and
-// fallback path; this package carries only the hot loop (batched lease
-// grants, streamed shard completions, piggybacked heartbeats).
+// of the original cluster plane. A wire frame is an internal/frame
+// frame, the same CRC-32 framing as the result store's files, so a
+// torn, truncated, or hostile byte stream is detected and the conn is
+// closed — never a panic, and never an unbounded allocation. HTTP
+// registration stays as the bootstrap path; this package carries only
+// the hot loop (batched lease grants, streamed shard completions,
+// piggybacked heartbeats).
 //
-// Frame layout (13-byte header, little-endian):
+// Frame layout (13 bytes before the message, little-endian):
 //
-//	magic  [4]byte "VMW1"
+//	magic  [4]byte "VMW2"
+//	length uint32  type byte + message bytes, ≤ MaxPayload
+//	crc32  uint32  IEEE CRC of the type byte and the message
 //	type   uint8
-//	length uint32  payload bytes, ≤ MaxPayload
-//	crc32  uint32  IEEE CRC of the payload
-//	payload
+//	message
+//
+// The CRC covers the type byte, so a flipped type fails the check. A
+// peer from a build that framed "VMW1" (type outside the CRC) is
+// refused at its first frame for its magic.
 //
 // The frame types and their payload encodings belong to the protocol
 // layer (internal/cluster): this package moves opaque typed payloads.
@@ -23,14 +27,13 @@ package wire
 
 import (
 	"bufio"
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net"
 	"sync"
 	"time"
+
+	"repro/internal/frame"
 )
 
 // Metric names the transport reports (registered by whichever side
@@ -69,26 +72,21 @@ const (
 	Bye FrameType = 7
 )
 
-var magic = [4]byte{'V', 'M', 'W', '1'}
+var magic = [4]byte{'V', 'M', 'W', '2'}
 
-const headerLen = 13
-
-// MaxPayload bounds one frame's payload: the same cap as the HTTP
-// complete endpoint, since completion uploads are the largest frames.
+// MaxPayload bounds one frame's payload, the type byte included: the
+// same cap as the HTTP complete endpoint, since completion uploads are
+// the largest frames.
 const MaxPayload = 64 << 20
 
 // ErrBadFrame wraps every framing violation (bad magic, zero type,
 // oversized length, CRC mismatch). The conn is unusable after one:
 // close it and re-sync by reconnecting.
-var ErrBadFrame = errors.New("wire: bad frame")
+var ErrBadFrame = frame.ErrBad
 
 // AppendFrame appends one encoded frame to dst.
 func AppendFrame(dst []byte, t FrameType, payload []byte) []byte {
-	dst = append(dst, magic[:]...)
-	dst = append(dst, byte(t))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
-	return append(dst, payload...)
+	return frame.Append(dst, magic, []byte{byte(t)}, payload)
 }
 
 // ReadFrame reads and verifies one frame from r. Errors are terminal
@@ -96,30 +94,14 @@ func AppendFrame(dst []byte, t FrameType, payload []byte) []byte {
 // short reads surface as io errors. The payload allocation is bounded
 // by MaxPayload before it happens.
 func ReadFrame(r io.Reader) (FrameType, []byte, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	p, err := frame.Read(r, magic, MaxPayload)
+	if err != nil {
 		return 0, nil, err
 	}
-	if [4]byte(hdr[:4]) != magic {
-		return 0, nil, fmt.Errorf("%w: bad magic %x", ErrBadFrame, hdr[:4])
-	}
-	t := FrameType(hdr[4])
-	if t == 0 {
+	if len(p) == 0 || p[0] == 0 {
 		return 0, nil, fmt.Errorf("%w: zero frame type", ErrBadFrame)
 	}
-	length := binary.LittleEndian.Uint32(hdr[5:9])
-	if length > MaxPayload {
-		return 0, nil, fmt.Errorf("%w: payload length %d exceeds %d", ErrBadFrame, length, MaxPayload)
-	}
-	sum := binary.LittleEndian.Uint32(hdr[9:13])
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
-	}
-	if crc32.ChecksumIEEE(payload) != sum {
-		return 0, nil, fmt.Errorf("%w: payload CRC mismatch", ErrBadFrame)
-	}
-	return t, payload, nil
+	return FrameType(p[0]), p[1:], nil
 }
 
 // Conn wraps a net.Conn with framed reads and mutex-serialized writes:

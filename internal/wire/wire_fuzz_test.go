@@ -7,6 +7,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"repro/internal/frame"
 )
 
 // FuzzReadFrame is the journal-crash-test of the transport: arbitrary
@@ -17,8 +19,8 @@ import (
 func FuzzReadFrame(f *testing.F) {
 	f.Add(AppendFrame(nil, Hello, []byte(`{"worker_id":"w0001"}`)))
 	f.Add(AppendFrame(AppendFrame(nil, Want, []byte(`{"n":2}`)), Heartbeat, []byte(`{}`)))
-	f.Add([]byte("VMW1"))
-	f.Add(bytes.Repeat([]byte{0}, headerLen))
+	f.Add([]byte("VMW2"))
+	f.Add(bytes.Repeat([]byte{0}, frame.HeaderLen+1))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		r := bytes.NewReader(b)
@@ -48,7 +50,7 @@ func FuzzReadFrame(f *testing.F) {
 // matter what arrives.
 func FuzzConnStream(f *testing.F) {
 	f.Add(AppendFrame(nil, Grant, bytes.Repeat([]byte{1}, 100)))
-	f.Add([]byte("VMW1\x05garbage that is not a frame at all"))
+	f.Add([]byte("VMW2\x05garbage that is not a frame at all"))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {

@@ -3,12 +3,16 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"hash/crc32"
 	"io"
 	"net"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/frame"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -31,6 +35,12 @@ func TestFrameRoundTrip(t *testing.T) {
 	if _, _, err := ReadFrame(r); err != io.EOF {
 		t.Fatalf("after last frame: %v, want EOF", err)
 	}
+
+	// The bytes on the wire: magic, length 3 (type byte and "hi"), the
+	// CRC of all three, the type byte, the message.
+	if got := hex.EncodeToString(AppendFrame(nil, Hello, []byte("hi"))); got != "564d573203000000768bc967016869" {
+		t.Fatalf("Hello frame encodes as %s", got)
+	}
 }
 
 func TestReadFrameRejectsCorruption(t *testing.T) {
@@ -46,19 +56,31 @@ func TestReadFrameRejectsCorruption(t *testing.T) {
 	if err := corrupt(func(b []byte) { b[0] = 'X' }); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("bad magic: %v", err)
 	}
-	if err := corrupt(func(b []byte) { b[4] = 0 }); !errors.Is(err, ErrBadFrame) {
+	if _, _, err := ReadFrame(bytes.NewReader(AppendFrame(nil, 0, []byte("payload bytes")))); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("zero type: %v", err)
 	}
 	if err := corrupt(func(b []byte) {
-		binary.LittleEndian.PutUint32(b[5:9], MaxPayload+1)
+		binary.LittleEndian.PutUint32(b[4:8], MaxPayload+1)
 	}); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("oversized length: %v", err)
 	}
 	if err := corrupt(func(b []byte) { b[len(b)-1] ^= 0xff }); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("flipped payload bit: %v", err)
 	}
+	if err := corrupt(func(b []byte) { b[frame.HeaderLen] = byte(Heartbeat) }); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("flipped type byte: %v", err)
+	}
+	// A peer from a build that framed "VMW1" (type byte before the
+	// length, outside the CRC) is refused at its first frame.
+	hello := []byte(`{"worker_id":"w0001"}`)
+	old := append([]byte("VMW1"), byte(Hello))
+	old = binary.LittleEndian.AppendUint32(old, uint32(len(hello)))
+	old = binary.LittleEndian.AppendUint32(old, crc32.ChecksumIEEE(hello))
+	if _, _, err := ReadFrame(bytes.NewReader(append(old, hello...))); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("VMW1 frame: %v", err)
+	}
 	// Torn mid-payload and mid-header: io errors, not panics.
-	for _, cut := range []int{3, headerLen, len(good) - 2} {
+	for _, cut := range []int{3, frame.HeaderLen + 1, len(good) - 2} {
 		if _, _, err := ReadFrame(bytes.NewReader(good[:cut])); err == nil {
 			t.Fatalf("torn at %d: decoded without error", cut)
 		}
