@@ -149,7 +149,7 @@ func run(args []string, w io.Writer) error {
 		sst := st.Status()
 		logf("result store at %s (%d entries, %d segments)", *dataDir, st.Len(), sst.Segments)
 		// The control-plane WAL rides in the same directory: results are
-		// the journal's business, promises (open sweeps, enqueued units)
+		// the journal's business, promises (open sweeps, failed cells)
 		// are the WAL's. Replaying both is what makes a kill -9 lose no
 		// completed work and resume every open sweep unprompted.
 		wal, walRecords, err = store.OpenWAL(*dataDir, store.WALConfig{Metrics: reg, Log: logf})
@@ -173,11 +173,8 @@ func run(args []string, w io.Writer) error {
 			LeaseTTL:      *leaseTTL,
 			MaxAttempts:   *leaseRetries,
 			ShardTrials:   *shardTrials,
-			Store:         st,
 			Metrics:       reg,
 			Log:           logf,
-			Version:       version,
-			WAL:           wal,
 			WireAdvertise: *wireAdvertise,
 		})
 		defer coord.Close()
@@ -223,10 +220,8 @@ func run(args []string, w io.Writer) error {
 	})
 	swm := sweep.NewManager(sweep.Config{
 		Service:    mgr,
-		Store:      st,
 		Metrics:    reg,
 		Log:        logf,
-		Version:    version,
 		WAL:        wal,
 		WALRecords: walRecords,
 	})

@@ -11,7 +11,7 @@
 // there and executes batched unit grants from it — whole scenarios or
 // trial-range shards — streaming each completion back with the unit's
 // content key and a CRC32 of the encoded rows so the coordinator can
-// verify the bytes before write-back. It runs units side by side on
+// verify the bytes before accepting them. It runs units side by side on
 // GOMAXPROCS trial slots: each unit takes as many as it runs trials at
 // once (its spec's workers, 0 meaning every core), so one-trial shards
 // run one per core, a whole scenario at workers 0 runs alone, and no

@@ -7,6 +7,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -28,8 +29,8 @@ func TestScheduleReproducible(t *testing.T) {
 		}
 	}
 	for _, ev := range a.Events {
-		if ev.After < 1 || ev.After > 11 {
-			t.Fatalf("trigger %d outside [1, cells-1]: %s", ev.After, a)
+		if ev.After < 1 || ev.After > 6 {
+			t.Fatalf("trigger %d outside [1, cells/2]: %s", ev.After, a)
 		}
 		if (ev.Kind == StopWorker || ev.Kind == KillWorker) && (ev.Worker < 0 || ev.Worker >= 4) {
 			t.Fatalf("worker target %d outside fleet: %s", ev.Worker, a)
@@ -46,6 +47,24 @@ func TestScheduleReproducible(t *testing.T) {
 	}
 	if d := Generate(43, 4, 12, counts); reflect.DeepEqual(a, d) {
 		t.Fatal("different seeds produced identical schedules")
+	}
+}
+
+// A run whose schedule did not fire in full fails Verify, however
+// clean the rest of it is: it tested less than its schedule claims.
+func TestVerifyFailsOnUnfiredEvents(t *testing.T) {
+	baseline := Report{CSV: []byte("n,trial\n30,0\n")}
+	rep := Report{
+		CSV:              baseline.CSV,
+		View:             SweepView{Status: "done", Cells: 1, Executed: 1},
+		ServerExecutions: 3,
+	}
+	if err := Verify(rep, baseline, 3); err != nil {
+		t.Fatalf("a clean run failed Verify: %v", err)
+	}
+	rep.Unfired = 1
+	if err := Verify(rep, baseline, 3); err == nil || !strings.Contains(err.Error(), "never fired") {
+		t.Fatalf("Verify with an unfired event = %v, want a failure", err)
 	}
 }
 

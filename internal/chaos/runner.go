@@ -73,6 +73,9 @@ type Report struct {
 	// ResumedSweeps accumulates the restarted incarnations' /healthz
 	// recovery.resumed_sweeps.
 	ResumedSweeps int64
+	// Unfired counts scheduled events that never fired because the
+	// sweep finished before their trigger armed; Verify fails on any.
+	Unfired int
 	// ServerExecutions sums core_executions_total across server
 	// incarnations (scraped just before each kill and at the end).
 	// WorkerExecutions sums the drain-time "engine executions" report of
@@ -371,8 +374,8 @@ func (r *runner) drive() error {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	if len(events) > 0 {
-		r.log("%d scheduled event(s) never armed (sweep finished first)", len(events))
+	if r.rep.Unfired = len(events); r.rep.Unfired > 0 {
+		r.log("%d scheduled event(s) never armed (sweep finished first)", r.rep.Unfired)
 	}
 
 	resp, err = r.client.Get(r.base + "/v1/sweeps/" + sub.ID + "/results?format=csv")

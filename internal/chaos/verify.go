@@ -29,6 +29,8 @@ func Baseline(cfg Config) (Report, error) {
 // Verify checks the recovery contract a chaos run must uphold against
 // its undisturbed baseline:
 //
+//   - every scheduled event fired — a run that outran its schedule
+//     tested less than it claims;
 //   - the sweep finished ("done", nothing failed);
 //   - the final CSV is bit-identical to the baseline's — faults may
 //     change who computed what and when, never the results;
@@ -42,6 +44,9 @@ func Baseline(cfg Config) (Report, error) {
 //     each severed/stopped/killed worker may lose at most its prefetch
 //     in flight to reassignment.
 func Verify(rep, baseline Report, trials int) error {
+	if rep.Unfired > 0 {
+		return fmt.Errorf("chaos: %d scheduled event(s) never fired: the sweep finished first", rep.Unfired)
+	}
 	if rep.View.Status != "done" {
 		return fmt.Errorf("chaos: sweep ended %q, want done: %+v", rep.View.Status, rep.View)
 	}

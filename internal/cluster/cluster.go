@@ -15,14 +15,16 @@
 //   - With sharding on (CoordinatorConfig.ShardTrials > 0), a scenario
 //     is split into per-trial-range units (internal/shard); the
 //     coordinator merges completed shard rows back in trial order and
-//     feeds the store only once the whole scenario is assembled.
+//     returns only the whole assembled scenario. The coordinator holds
+//     no store and no log: the job manager that called Execute stores
+//     the rows, so a partial assembly can never reach the store.
 //   - A heartbeat extends a worker's leases; a lease that outlives its
 //     TTL (worker crash, network partition, missed heartbeats) is
 //     reassigned to the queue with a bounded attempt budget.
 //   - Completed results echo the unit's content address and a CRC32 of
-//     the encoded rows; shard results must additionally carry exactly
-//     the trial indices of their range. The coordinator verifies all of
-//     it before accepting a result.
+//     the encoded rows, and must carry exactly the trial indices of
+//     their range (every trial, for a whole scenario). The coordinator
+//     verifies all of it before accepting a result.
 //   - Because every unit is a pure function of its spec, and the store
 //     is first-write-wins, results are bit-identical no matter how many
 //     workers run, crash, or duplicate work — the end-to-end test in
@@ -133,13 +135,12 @@ type HeartbeatRequest struct {
 // (the rows are absent and the unit completes as failed, same as a
 // local execution would).
 type CompleteRequest struct {
-	WorkerID       string          `json:"worker_id"`
-	UnitID         string          `json:"unit_id"`
-	Key            string          `json:"key"`
-	Rows           json.RawMessage `json:"rows,omitempty"`
-	CRC32          uint32          `json:"crc32"`
-	Error          string          `json:"error,omitempty"`
-	DurationMicros int64           `json:"duration_us,omitempty"`
+	WorkerID string          `json:"worker_id"`
+	UnitID   string          `json:"unit_id"`
+	Key      string          `json:"key"`
+	Rows     json.RawMessage `json:"rows,omitempty"`
+	CRC32    uint32          `json:"crc32"`
+	Error    string          `json:"error,omitempty"`
 }
 
 // DeregisterRequest announces a graceful exit when no wire session is

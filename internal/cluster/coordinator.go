@@ -39,27 +39,11 @@ type CoordinatorConfig struct {
 	// independently and merged in trial order. Zero leases whole
 	// scenarios — the pre-sharding behavior.
 	ShardTrials int
-	// Store, when non-nil, receives verified remote results before the
-	// waiting Execute call returns: raw CRC-checked bytes for
-	// whole-scenario units, the assembled row set (under the parent
-	// scenario's address) once every shard of a sharded scenario has
-	// merged. Partial assemblies never touch the store.
-	Store *store.Store
 	// Metrics receives cluster counters. Nil creates a private registry.
 	Metrics *metrics.Registry
 	// Log receives operational notices (worker churn, reassignments).
 	// Nil discards them.
 	Log func(format string, args ...any)
-	// Version stamps store write-backs from remote results.
-	Version string
-	// WAL, when non-nil, receives an execution audit trail: one
-	// unit-enqueued record when Execute hands a scenario to the fleet and
-	// one unit-completed record when that Execute call returns (source
-	// "cluster", "failed", or "abandoned"). The records carry no sweep,
-	// which is how recovery tells them apart from sweep lifecycle
-	// records; replay pairs them to report scenarios that were in flight
-	// on the fleet when the server died.
-	WAL *store.WAL
 	// WireAdvertise, when set, is the streaming-transport address
 	// Register hands to workers instead of the listener's own (the
 	// listener may sit behind a proxy — the chaos harness severs conns at
@@ -68,19 +52,17 @@ type CoordinatorConfig struct {
 }
 
 // group is one Execute call: a scenario split into one or more units.
-// A whole-scenario group has a single unit and no merger; a sharded
-// group owns a shard.Merger assembling its rows. The group — not the
-// unit — is the terminal-state holder: exactly one close(done) follows
-// finished or abandoned being set.
+// Every group owns a shard.Merger with one range per unit — a whole
+// scenario is the single range [0, Trials) — so every result passes the
+// same row-count and trial-index checks. The group — not the unit — is
+// the terminal-state holder: exactly one close(done) follows finished
+// or abandoned being set.
 type group struct {
-	key  string // parent scenario content address
-	spec experiments.ScenarioConfig
-	all  []*unitState  // every unit of this scenario
-	mrg  *shard.Merger // nil for whole-scenario groups
+	key string        // parent scenario content address
+	all []*unitState  // every unit of this scenario
+	mrg *shard.Merger // one range per unit
 
 	rows      []experiments.ScenarioRow
-	rawRows   json.RawMessage // whole-scenario fast path: verified remote bytes
-	duration  int64           // accumulated shard execution micros, for store meta
 	errMsg    string
 	abandoned bool
 	finished  bool
@@ -250,17 +232,6 @@ func (c *Coordinator) Register(req RegisterRequest) RegisterResponse {
 	return resp
 }
 
-// walAppend records one execution-audit transition. A failed append
-// costs audit fidelity, never serving, so it is logged and swallowed.
-func (c *Coordinator) walAppend(rec store.WALRecord) {
-	if c.cfg.WAL == nil {
-		return
-	}
-	if err := c.cfg.WAL.Append(rec); err != nil {
-		c.log("cluster: audit WAL append failed: %v", err)
-	}
-}
-
 // Deregister removes a worker gracefully. Any lease it still holds
 // (there should be none on the graceful path) is reassigned at once.
 func (c *Coordinator) Deregister(workerID string) error {
@@ -362,11 +333,10 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) error {
 
 // Complete accepts a finished unit after verifying it: the echoed key
 // must match the unit's content address, the CRC32 must match the row
-// bytes, and a shard's rows must carry exactly the trial indices of its
-// range. A whole-scenario result is written back to the store and
-// handed to the waiting Execute call; a shard result is merged, and the
-// group completes (store write-back under the parent address, Execute
-// returns) only when its last shard merges. A failed check costs the
+// bytes, and the rows must carry exactly the trial indices of the
+// unit's range (every trial, for a whole scenario). The rows are merged,
+// and the waiting Execute call returns the assembled scenario when its
+// last unit merges; the job manager stores it. A failed check costs the
 // reporter its lease — the unit is requeued under its attempt budget —
 // but only when the reporter still holds the lease: a failed check or
 // error report from a stale worker (expired and reassigned) must not
@@ -426,55 +396,31 @@ func (c *Coordinator) Complete(req CompleteRequest) error {
 		return nil
 	}
 	workerName := c.workerNameLocked(req.WorkerID)
-	if g.mrg != nil {
-		// Merge-time validation (row count, trial indices) happens
-		// before the unit finishes so a bad payload is a lease-costing
-		// reject, not a wedged assembly.
-		if err := g.mrg.Add(u.shardIdx, rows); err != nil {
-			c.rejectLocked(u, holder, err.Error()+" from "+req.WorkerID)
-			c.mu.Unlock()
-			c.rejectResult("range")
-			return nil
-		}
-		c.finishLocked(u)
+	// Merge-time validation (row count, trial indices) happens before the
+	// unit finishes so a bad payload is a lease-costing reject, not a
+	// wedged assembly.
+	if err := g.mrg.Add(u.shardIdx, rows); err != nil {
+		c.rejectLocked(u, holder, err.Error()+" from "+req.WorkerID)
+		c.mu.Unlock()
+		c.rejectResult("range")
+		return nil
+	}
+	c.finishLocked(u)
+	sharded := g.mrg.Shards() > 1
+	if sharded {
 		c.shardsMg.Inc()
-		g.duration += req.DurationMicros
-		if !g.mrg.Done() {
-			c.mu.Unlock()
-			c.countCompleted(workerName)
-			return nil // more shards outstanding
-		}
-		g.rows = g.mrg.Rows()
+	}
+	if !g.mrg.Done() {
+		c.mu.Unlock()
+		c.countCompleted(workerName)
+		return nil // more shards outstanding
+	}
+	g.rows = g.mrg.Rows()
+	if sharded {
 		c.assembled.Inc()
-		c.finishGroupLocked(g)
-	} else {
-		c.finishLocked(u)
-		g.rows = rows
-		g.rawRows = req.Rows
-		g.duration = req.DurationMicros
-		c.finishGroupLocked(g)
 	}
+	c.finishGroupLocked(g)
 	c.mu.Unlock()
-
-	// Write-back outside the lock: the journal fsyncs on every record.
-	// First-write-wins makes a duplicate completion (a reassigned unit
-	// finishing twice) a no-op. A whole-scenario result reuses the
-	// verified remote bytes; an assembled scenario is encoded once here.
-	if c.cfg.Store != nil {
-		raw := g.rawRows
-		if raw == nil {
-			var err error
-			if raw, err = json.Marshal(g.rows); err != nil {
-				c.log("cluster: encode assembled rows for %s failed: %v", g.key, err)
-			}
-		}
-		if raw != nil {
-			meta := store.Meta{DurationMicros: g.duration, Version: c.cfg.Version}
-			if err := c.cfg.Store.PutScenarioRaw(g.key, raw, meta); err != nil {
-				c.log("cluster: store write-back for %s failed: %v", g.key, err)
-			}
-		}
-	}
 	c.countCompleted(workerName)
 	close(g.done)
 	return nil
@@ -691,7 +637,7 @@ func (c *Coordinator) Execute(ctx context.Context, spec experiments.ScenarioConf
 		c.mu.Unlock()
 		return nil, false, nil
 	}
-	g := &group{key: key, spec: spec, done: make(chan struct{})}
+	g := &group{key: key, done: make(chan struct{})}
 	if ranges := shard.Plan(spec.Trials, c.cfg.ShardTrials); ranges != nil {
 		g.mrg = shard.NewMerger(ranges)
 		c.shardsPl.Add(int64(len(ranges)))
@@ -711,6 +657,7 @@ func (c *Coordinator) Execute(ctx context.Context, spec experiments.ScenarioConf
 			})
 		}
 	} else {
+		g.mrg = shard.NewMerger([]shard.Range{{Start: 0, End: spec.Trials}})
 		c.nextUnit++
 		g.all = []*unitState{{
 			unit: Unit{ID: fmt.Sprintf("u%06d", c.nextUnit), Key: key, Spec: spec},
@@ -723,19 +670,15 @@ func (c *Coordinator) Execute(ctx context.Context, spec experiments.ScenarioConf
 	}
 	c.notifyWorkLocked()
 	c.mu.Unlock()
-	c.walAppend(store.WALRecord{Kind: store.RecUnitEnqueued, Key: key})
 
 	select {
 	case <-g.done:
 		if g.abandoned {
-			c.walAppend(store.WALRecord{Kind: store.RecUnitCompleted, Key: key, Source: "abandoned"})
 			return nil, false, nil
 		}
 		if g.errMsg != "" {
-			c.walAppend(store.WALRecord{Kind: store.RecUnitCompleted, Key: key, Source: "failed", Error: g.errMsg})
 			return nil, true, fmt.Errorf("cluster: remote execution failed: %s", g.errMsg)
 		}
-		c.walAppend(store.WALRecord{Kind: store.RecUnitCompleted, Key: key, Source: "cluster"})
 		return g.rows, true, nil
 	case <-ctx.Done():
 		// Cancelled or timed out: withdraw the whole group. Workers
@@ -747,7 +690,6 @@ func (c *Coordinator) Execute(ctx context.Context, spec experiments.ScenarioConf
 			c.withdrawGroupUnitsLocked(g)
 		}
 		c.mu.Unlock()
-		c.walAppend(store.WALRecord{Kind: store.RecUnitCompleted, Key: key, Source: "abandoned"})
 		return nil, true, ctx.Err()
 	}
 }

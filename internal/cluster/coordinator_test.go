@@ -184,6 +184,41 @@ func TestCompleteKeyMismatchRejected(t *testing.T) {
 	}
 }
 
+// A whole-scenario result must carry every trial, as a shard result
+// must carry its range: a completion one row short costs the lease and
+// the unit is requeued, instead of passing on a truncated scenario.
+func TestCompleteWholeUnitWithTooFewRowsRejected(t *testing.T) {
+	reg := metrics.New()
+	c := newTestCoordinator(t, CoordinatorConfig{Metrics: reg})
+	w := c.Register(RegisterRequest{Name: "short"})
+
+	spec := testSpec(6)
+	res := executeAsync(c, context.Background(), spec)
+	unit := leaseUnit(t, c, w.WorkerID)
+	want, err := experiments.RunScenario(unit.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := json.Marshal(want[:len(want)-1])
+	if err := c.Complete(CompleteRequest{
+		WorkerID: w.WorkerID, UnitID: unit.ID, Key: unit.Key,
+		Rows: raw, CRC32: crc32.ChecksumIEEE(raw),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if v := reg.Counter(MetricResultsRejected + `{reason="range"}`).Value(); v != 1 {
+		t.Fatalf("range rejections = %d, want 1", v)
+	}
+	unit2 := leaseUnit(t, c, w.WorkerID)
+	if unit2.ID != unit.ID {
+		t.Fatalf("requeued unit %s, leased %s", unit.ID, unit2.ID)
+	}
+	completeUnit(t, c, w.WorkerID, unit2)
+	if r := <-res; !r.ok || r.err != nil || !reflect.DeepEqual(r.rows, want) {
+		t.Fatalf("Execute after requeue = (ok=%v, err=%v, %d rows)", r.ok, r.err, len(r.rows))
+	}
+}
+
 func TestRemoteExecutionErrorSurfaces(t *testing.T) {
 	c := newTestCoordinator(t, CoordinatorConfig{})
 	w := c.Register(RegisterRequest{})

@@ -49,7 +49,7 @@ func runClusteredSweep(t *testing.T, nWorkers int, killOne bool, shardTrials int
 		t.Fatal(err)
 	}
 	mgr := service.New(service.Config{Metrics: reg, Cluster: coord, Workers: 4, Version: "e2e"})
-	swm := sweep.NewManager(sweep.Config{Service: mgr, Metrics: reg, Version: "e2e"})
+	swm := sweep.NewManager(sweep.Config{Service: mgr, Metrics: reg})
 	mux := http.NewServeMux()
 	mux.Handle("/", service.NewHandler(mgr, "e2e", coord, nil))
 	sweep.Register(mux, swm)

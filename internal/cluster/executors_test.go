@@ -13,7 +13,6 @@ import (
 	"repro/internal/crypto"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
-	"repro/internal/store"
 )
 
 // concurrency tracks how many units a RunUnit override is executing at
@@ -57,12 +56,11 @@ func waitFor(t *testing.T, ch <-chan struct{}, what string) {
 
 // wiredPlane is a one-trial-shard test plane with the streaming
 // transport up; it returns the coordinator and its HTTP base URL.
-func wiredPlane(t *testing.T, reg *metrics.Registry, st *store.Store) (*Coordinator, string) {
+func wiredPlane(t *testing.T, reg *metrics.Registry) (*Coordinator, string) {
 	t.Helper()
 	cfg := fastCadence()
 	cfg.Metrics = reg
 	cfg.ShardTrials = 1
-	cfg.Store = st
 	c, srv := newTestPlane(t, cfg)
 	return c, srv.URL
 }
@@ -71,7 +69,7 @@ func wiredPlane(t *testing.T, reg *metrics.Registry, st *store.Store) (*Coordina
 // never more, and the assembled rows are exactly a local run's.
 func TestWorkerRunsOneUnitPerCore(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	c, url := wiredPlane(t, metrics.New(), nil)
+	c, url := wiredPlane(t, metrics.New())
 
 	var cc concurrency
 	allIn := make(chan struct{})
@@ -119,7 +117,7 @@ func TestWorkerRunsOneUnitPerCore(t *testing.T) {
 // never two units at once, even with grants queued.
 func TestWorkerAtOneProcRunsOneUnitAtATime(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	c, url := wiredPlane(t, metrics.New(), nil)
+	c, url := wiredPlane(t, metrics.New())
 
 	var cc concurrency
 	w := NewWorker(WorkerConfig{
@@ -264,7 +262,7 @@ func TestTrialSlotsStartNothingAfterStop(t *testing.T) {
 func TestWorkerGracefulDrainReportsEveryInFlightUnit(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	reg := metrics.New()
-	c, url := wiredPlane(t, reg, nil)
+	c, url := wiredPlane(t, reg)
 
 	var cc concurrency
 	allIn := make(chan struct{})
@@ -326,17 +324,12 @@ func TestWorkerGracefulDrainReportsEveryInFlightUnit(t *testing.T) {
 }
 
 // An abort with several units executing reports none of them: their
-// leases expire, another worker runs every one, and the assembled
-// scenario reaches the store exactly once.
+// leases expire, another worker runs every one, and the scenario
+// assembles once.
 func TestWorkerAbortWithUnitsInFlightReportsNone(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	reg := metrics.New()
-	st, err := store.Open(t.TempDir(), store.Config{Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	c, url := wiredPlane(t, reg, st)
+	c, url := wiredPlane(t, reg)
 
 	var cc concurrency
 	abort := make(chan struct{})
@@ -379,7 +372,6 @@ func TestWorkerAbortWithUnitsInFlightReportsNone(t *testing.T) {
 		MetricUnitsCompleted + `{worker="healthy"}`: 4,
 		MetricShardsMerged:                          4,
 		MetricResultsStale:                          0,
-		store.MetricPuts:                            1,
 	} {
 		if got := reg.Counter(name).Value(); got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
@@ -388,55 +380,5 @@ func TestWorkerAbortWithUnitsInFlightReportsNone(t *testing.T) {
 	cancel()
 	if err := <-healthyDone; err != nil {
 		t.Fatalf("healthy worker run: %v", err)
-	}
-}
-
-// Each completion carries its own unit's run time, not whichever unit
-// happened to finish last: two-trial whole scenarios run two at a time
-// for different spans, and each one's stored duration brackets its own.
-func TestWorkerCompletionCarriesItsOwnDuration(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	st, err := store.Open(t.TempDir(), store.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	cfg := fastCadence()
-	cfg.Store = st
-	c, srv := newTestPlane(t, cfg)
-
-	spans := map[uint64]time.Duration{94: 50 * time.Millisecond, 95: 150 * time.Millisecond, 96: 250 * time.Millisecond, 97: 350 * time.Millisecond}
-	w := NewWorker(WorkerConfig{
-		Server: srv.URL, Name: "timed", Reconnect: fastReconnect(),
-		RunUnit: func(u Unit) ([]experiments.ScenarioRow, error) {
-			time.Sleep(spans[u.Spec.Seed])
-			return u.Run()
-		},
-	})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	runDone := startWiredWorker(t, ctx, c, w)
-
-	results := map[uint64]chan execResult{}
-	for seed := range spans {
-		results[seed] = executeAsync(c, context.Background(), testSpec(seed))
-	}
-	for seed, span := range spans {
-		if r := <-results[seed]; !r.ok || r.err != nil {
-			t.Fatalf("Execute seed %d = (ok=%v, err=%v)", seed, r.ok, r.err)
-		}
-		key, _ := store.ScenarioKey(testSpec(seed))
-		e, ok, err := st.Get(key)
-		if !ok || err != nil {
-			t.Fatalf("seed %d not stored: (ok=%v, err=%v)", seed, ok, err)
-		}
-		got := time.Duration(e.Meta.DurationMicros) * time.Microsecond
-		if got < span || got >= span+90*time.Millisecond {
-			t.Errorf("seed %d: completion duration %v, want its own run of %v (+<90ms)", seed, got, span)
-		}
-	}
-	cancel()
-	if err := <-runDone; err != nil {
-		t.Fatalf("worker run: %v", err)
 	}
 }

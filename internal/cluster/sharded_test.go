@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/metrics"
+	"repro/internal/service"
 	"repro/internal/store"
 )
 
@@ -156,18 +157,25 @@ func TestShardBudgetExhaustionAbandonsWholeScenario(t *testing.T) {
 
 // The store sees a sharded scenario exactly once, assembled, under the
 // parent scenario's address — never under a shard's address, never
-// partially.
+// partially. The coordinator holds no store: the job manager that
+// dispatched the scenario to it writes the assembled rows back.
 func TestShardedStoreWriteBackUnderParentKey(t *testing.T) {
-	st, err := store.Open(t.TempDir(), store.Config{})
+	reg := metrics.New()
+	st, err := store.Open(t.TempDir(), store.Config{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	c := newTestCoordinator(t, CoordinatorConfig{ShardTrials: 2, WorkerTTL: time.Hour, Store: st})
+	c := newTestCoordinator(t, CoordinatorConfig{ShardTrials: 2, WorkerTTL: time.Hour})
+	mgr := service.New(service.Config{Workers: 1, Store: st, Cluster: c})
+	defer mgr.Drain(context.Background())
 	w := c.Register(RegisterRequest{})
 
 	spec := shardSpec(53, 4)
-	res := executeAsync(c, context.Background(), spec)
+	job, err := mgr.Submit(service.Spec{ScenarioConfig: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
 	first := leaseUnit(t, c, w.WorkerID)
 	completeShardUnit(t, c, w.WorkerID, first)
 	// Half-assembled: nothing may be in the store yet.
@@ -176,17 +184,20 @@ func TestShardedStoreWriteBackUnderParentKey(t *testing.T) {
 	}
 	second := leaseUnit(t, c, w.WorkerID)
 	completeShardUnit(t, c, w.WorkerID, second)
-	r := <-res
-	if !r.ok || r.err != nil {
-		t.Fatalf("Execute = (ok=%v, err=%v)", r.ok, r.err)
+	waitFor(t, job.Done(), "the sharded job")
+	if job.Status() != service.StatusDone {
+		t.Fatalf("job ended %s: %s", job.Status(), job.Err())
 	}
 
 	got, okS, err := st.GetScenario(spec)
 	if err != nil || !okS {
 		t.Fatalf("assembled scenario missing from store: (ok=%v, err=%v)", okS, err)
 	}
-	if !reflect.DeepEqual(got, r.rows) {
-		t.Fatal("store rows differ from the assembled Execute rows")
+	if !reflect.DeepEqual(got, job.Rows()) {
+		t.Fatal("store rows differ from the assembled job rows")
+	}
+	if v := reg.Counter(store.MetricPuts).Value(); v != 1 {
+		t.Fatalf("store puts = %d, want 1 (the assembled scenario)", v)
 	}
 	for _, u := range []Unit{first, second} {
 		if st.Has(u.Key) {

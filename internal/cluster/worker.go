@@ -542,9 +542,8 @@ func (w *Worker) sendComplete(conn *wire.Conn, unitID string, payload []byte) er
 }
 
 // runUnit executes one unit under the abort watch and assembles its
-// verified completion, timed by this unit's own run. crashed means the
-// simulated fail-stop fired during execution, so nothing may be
-// reported.
+// verified completion. crashed means the simulated fail-stop fired
+// during execution, so nothing may be reported.
 func (w *Worker) runUnit(unit Unit) (req CompleteRequest, crashed bool) {
 	runCtx, cancelRun := context.WithCancel(context.Background())
 	go func() { // a crash aborts the execution itself, not just the loop
@@ -555,25 +554,17 @@ func (w *Worker) runUnit(unit Unit) (req CompleteRequest, crashed bool) {
 		}
 	}()
 	unit.Spec.Context = runCtx
-	start := time.Now()
 	rows, runErr := w.wc.RunUnit(unit)
-	dur := time.Since(start)
 	cancelRun()
 	if w.aborted() {
 		return CompleteRequest{}, true
 	}
-	return w.buildComplete(unit, rows, runErr, dur), false
+	return w.buildComplete(unit, rows, runErr), false
 }
 
-// buildComplete assembles the verified completion payload for a unit
-// that ran for dur.
-func (w *Worker) buildComplete(unit Unit, rows []experiments.ScenarioRow, runErr error, dur time.Duration) CompleteRequest {
-	req := CompleteRequest{
-		WorkerID:       w.id,
-		UnitID:         unit.ID,
-		Key:            unit.Key,
-		DurationMicros: dur.Microseconds(),
-	}
+// buildComplete assembles the verified completion payload for a unit.
+func (w *Worker) buildComplete(unit Unit, rows []experiments.ScenarioRow, runErr error) CompleteRequest {
+	req := CompleteRequest{WorkerID: w.id, UnitID: unit.ID, Key: unit.Key}
 	if runErr != nil {
 		req.Error = runErr.Error()
 	} else {

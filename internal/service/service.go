@@ -41,8 +41,8 @@ import (
 // Spec is a job submission: the scenario to run plus service options.
 type Spec struct {
 	experiments.ScenarioConfig
-	// Trace records engine events (bounded; see Config.MaxTraceEvents)
-	// for streaming from GET /v1/jobs/{id}/trace.
+	// Trace records engine events (at most maxTraceEvents) for
+	// streaming from GET /v1/jobs/{id}/trace.
 	Trace bool `json:"trace"`
 }
 
@@ -116,9 +116,6 @@ type Config struct {
 	// Retain bounds how many terminal jobs stay retrievable; the oldest
 	// completed job is evicted first. Default 128.
 	Retain int
-	// MaxTraceEvents bounds the per-job trace buffer; events beyond the
-	// cap are counted but not stored. Default 65536.
-	MaxTraceEvents int
 	// JobTimeout bounds each job's execution: a job still running after
 	// this long fails with a timeout error at its next trial boundary,
 	// so one huge spec cannot occupy a worker indefinitely. 0 disables
@@ -148,13 +145,11 @@ type Config struct {
 	// submission is the anonymous tenant with unlimited limits, the
 	// pre-tenancy behavior.
 	Tenants *tenant.Controller
-	// DegradedFrac and ShedFrac override the queue occupancies at which
-	// /healthz reports "degraded" and admission starts shedding
-	// over-share tenants. Zero picks the tenant package defaults
-	// (0.75 / 0.9).
-	DegradedFrac float64
-	ShedFrac     float64
 }
+
+// maxTraceEvents bounds each job's trace buffer; events beyond it are
+// counted but not stored.
+const maxTraceEvents = 65536
 
 // Job is one submitted scenario run.
 type Job struct {
@@ -172,7 +167,6 @@ type Job struct {
 	errMsg       string
 	trace        []TraceEvent
 	traceDropped int64
-	maxTrace     int
 	submitted    time.Time
 	started      time.Time
 	finished     time.Time
@@ -229,7 +223,7 @@ func (j *Job) TraceSince(from int) ([]TraceEvent, bool) {
 func (j *Job) appendTrace(trial int, ev core.Event) {
 	te := NewTraceEvent(trial, ev)
 	j.mu.Lock()
-	if len(j.trace) < j.maxTrace {
+	if len(j.trace) < maxTraceEvents {
 		j.trace = append(j.trace, te)
 	} else {
 		j.traceDropped++
@@ -354,9 +348,6 @@ func New(cfg Config) *Manager {
 	if cfg.Retain <= 0 {
 		cfg.Retain = 128
 	}
-	if cfg.MaxTraceEvents <= 0 {
-		cfg.MaxTraceEvents = 65536
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.New()
 	}
@@ -368,9 +359,7 @@ func New(cfg Config) *Manager {
 		reg:     cfg.Metrics,
 		tenants: cfg.Tenants,
 		queue: tenant.NewQueue[*Job](cfg.Tenants, tenant.QueueConfig{
-			Capacity:     cfg.QueueSize,
-			DegradedFrac: cfg.DegradedFrac,
-			ShedFrac:     cfg.ShedFrac,
+			Capacity: cfg.QueueSize,
 		}),
 		jobs:       map[string]*Job{},
 		queueDepth: cfg.Metrics.Gauge(MetricQueueDepth),
@@ -389,6 +378,11 @@ func New(cfg Config) *Manager {
 
 // Registry returns the registry the manager reports into (never nil).
 func (m *Manager) Registry() *metrics.Registry { return m.reg }
+
+// Store returns the result store the manager reads and writes (nil
+// when it runs without one). The sweep manager looks cells up in it
+// before submitting them.
+func (m *Manager) Store() *store.Store { return m.cfg.Store }
 
 // Tenants returns the front-door controller the manager admits through
 // (never nil; an open controller when Config.Tenants was nil). The HTTP
@@ -450,7 +444,6 @@ func (m *Manager) SubmitAs(t *tenant.Tenant, spec Spec) (*Job, error) {
 		cancel:    cancel,
 		done:      make(chan struct{}),
 		status:    StatusQueued,
-		maxTrace:  m.cfg.MaxTraceEvents,
 		submitted: time.Now(),
 	}
 
@@ -504,7 +497,6 @@ func (m *Manager) admitCached(t *tenant.Tenant, spec Spec, rows []experiments.Sc
 		status:    StatusQueued,
 		rows:      rows,
 		fromStore: true,
-		maxTrace:  m.cfg.MaxTraceEvents,
 		submitted: time.Now(),
 	}
 	m.mu.Lock()

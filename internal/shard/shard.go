@@ -76,7 +76,7 @@ type Range struct {
 // Plan splits trials into consecutive ranges of at most per trials
 // each. It returns nil when sharding is off (per <= 0) or the scenario
 // fits in a single shard — the caller should lease the whole scenario
-// as one unit, which skips the merge entirely.
+// as one unit, whose rows still merge as the single range [0, trials).
 func Plan(trials, per int) []Range {
 	if per <= 0 || trials <= per {
 		return nil

@@ -3,8 +3,8 @@ package store
 import "sync"
 
 // The key→record index, sharded so concurrent readers (a sweep
-// re-reading its cells while the cluster coordinator writes back remote
-// completions) never contend on one lock. Keys are content addresses —
+// re-reading its cells while the job manager writes back finished
+// jobs) never contend on one lock. Keys are content addresses —
 // hex SHA-256, uniformly distributed — so a cheap FNV-1a over the first
 // bytes spreads them evenly; the shard count is a power of two to make
 // the modulo a mask.

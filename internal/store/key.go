@@ -65,23 +65,6 @@ func (s *Store) GetScenario(cfg experiments.ScenarioConfig) ([]experiments.Scena
 	return rows, true, nil
 }
 
-// PutScenarioRaw writes back already-encoded scenario rows under a
-// known content address — the remote-result path: the cluster
-// coordinator verified the bytes (CRC32 plus key echo) against the
-// unit's spec and stores exactly what it verified, with no re-marshal
-// in between. Idempotent like Put: first write wins, so a reassigned
-// unit completing twice (or a concurrent local execution of the same
-// spec) is a no-op.
-func (s *Store) PutScenarioRaw(key string, rows json.RawMessage, meta Meta) error {
-	if key == "" {
-		return fmt.Errorf("store: empty key for raw scenario write-back")
-	}
-	if s.Has(key) {
-		return nil
-	}
-	return s.Put(key, KindScenario, rows, meta)
-}
-
 // PutScenario stores a scenario's rows under its content address.
 // Idempotent like Put; the marshal is skipped when the key is already
 // present.

@@ -538,9 +538,9 @@ func (s *Store) Get(key string) (Entry, bool, error) {
 }
 
 // Put stores value (JSON-marshaled) under key. Puts are idempotent:
-// storing an already-present key is a no-op, which makes concurrent
-// write-back from several layers (job manager, sweep orchestrator)
-// safe. The record is fsync'd before Put returns (unless the store was
+// storing an already-present key is a no-op, which makes it safe for
+// two jobs of the same spec that executed side by side to both write
+// back. The record is fsync'd before Put returns (unless the store was
 // opened with DisableFsync).
 func (s *Store) Put(key, kind string, value any, meta Meta) error {
 	if s.closed.Load() {

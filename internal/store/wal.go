@@ -2,14 +2,14 @@ package store
 
 // This file is the control-plane write-ahead log: a second append-only
 // file in the store directory, sharing the journal's CRC'd record
-// framing, that records sweep and cluster state transitions instead of
-// results. The result journal is the authority on *what has been
-// computed*; the WAL is the authority on *what was promised* — which
-// sweeps are open, which units were enqueued, which completed.
-// Replaying both on startup lets a restarted server resume every open
-// sweep with zero operator action: stored cells are skipped, unrecorded
-// ones re-enqueued, and first-write-wins Put makes any duplicate
-// execution harmless.
+// framing, that records sweep state transitions instead of results.
+// The result journal is the authority on *what has been computed*; the
+// WAL is the authority on *what was promised* — which sweeps are open —
+// and on which of their cells failed. Replaying both on startup lets a
+// restarted server resume every open sweep with zero operator action:
+// stored cells are skipped, failed ones stay failed, the rest are
+// re-enqueued, and first-write-wins Put makes any duplicate execution
+// harmless.
 
 import (
 	"encoding/json"
@@ -30,7 +30,10 @@ const WALName = "control.wal"
 var walMagic = [4]byte{'V', 'M', 'C', '1'}
 
 // WAL record kinds. Each record is one control-plane state transition;
-// the set is deliberately small enough to replay by a single pass.
+// the set is deliberately small enough to replay by a single pass. The
+// sweep manager writes sweep-opened, sweep-closed, and unit-completed
+// for a failed cell. Earlier builds also wrote unit-enqueued and
+// executed or cluster unit-completed records; replay skips them.
 const (
 	RecSweepOpened   = "sweep-opened"   // a sweep was accepted (carries its grid)
 	RecUnitEnqueued  = "unit-enqueued"  // a cell/scenario entered the execution path
@@ -47,9 +50,10 @@ const (
 
 // WALRecord is one control-plane state transition. Which fields are
 // meaningful depends on Kind: sweep-opened carries Sweep/GridKey/Grid;
-// unit records carry Key (a content address) and, for sweep cells, the
-// owning Sweep; cluster-audit unit records (from the coordinator) leave
-// Sweep empty; sweep-closed carries Sweep and Status.
+// unit-completed carries the owning Sweep, the cell's Key (a content
+// address), its Source and its Error; sweep-closed carries Sweep and
+// Status. Unit records from earlier builds' cluster coordinator leave
+// Sweep empty.
 type WALRecord struct {
 	Kind    string          `json:"kind"`
 	Sweep   string          `json:"sweep,omitempty"`

@@ -25,7 +25,7 @@ func newTestServer(t *testing.T) (*httptest.Server, *metrics.Registry) {
 		t.Fatalf("store.Open: %v", err)
 	}
 	svc := service.New(service.Config{Workers: 2, Metrics: reg, Store: st})
-	sm := sweep.NewManager(sweep.Config{Service: svc, Store: st, Metrics: reg})
+	sm := sweep.NewManager(sweep.Config{Service: svc, Metrics: reg})
 
 	root := http.NewServeMux()
 	root.Handle("/", service.NewHandler(svc, "test", nil, nil))

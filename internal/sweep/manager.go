@@ -71,12 +71,11 @@ const (
 
 // Config configures a sweep Manager.
 type Config struct {
-	// Service executes cells that miss the store. Required.
-	Service *service.Manager
-	// Store, when non-nil, is consulted before submitting each cell and
-	// written back after each execution, making sweeps restartable: a
+	// Service executes cells that miss its result store, and stores
+	// what they return. Required. The sweep looks each cell up in the
+	// same store before submitting it, which makes sweeps restartable: a
 	// resubmitted grid skips every cell the journal already holds.
-	Store *store.Store
+	Service *service.Manager
 	// Metrics receives sweep counters. Nil creates a private registry.
 	Metrics *metrics.Registry
 	// Log receives progress lines (expansion size, completion). Nil
@@ -88,10 +87,8 @@ type Config struct {
 	MaxInFlight int
 	// Retain bounds how many terminal sweeps stay retrievable. Default 64.
 	Retain int
-	// Version stamps sweep write-backs.
-	Version string
-	// WAL, when non-nil, makes sweeps crash-durable: lifecycle
-	// transitions (sweep-opened, unit-enqueued, unit-completed,
+	// WAL, when non-nil, makes sweeps crash-durable: the records
+	// recovery acts on (sweep-opened, unit-completed for a failed cell,
 	// sweep-closed) are appended to the control-plane write-ahead log,
 	// and a server restarted over the same data dir resumes every open
 	// sweep automatically via Recover.
@@ -498,8 +495,8 @@ func (m *Manager) Drain(ctx context.Context) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-	if m.cfg.Store != nil {
-		if err := m.cfg.Store.Sync(); err != nil {
+	if st := m.cfg.Service.Store(); st != nil {
+		if err := st.Sync(); err != nil {
 			return fmt.Errorf("sweep: flush store on drain: %w", err)
 		}
 	}
@@ -511,15 +508,15 @@ func (m *Manager) cellCounter(source string) {
 	m.reg.Counter(MetricCells + `{source="` + source + `"}`).Inc()
 }
 
-// finishCell records one terminal cell outcome and, for executed or
-// failed cells, makes it durable in the control-plane WAL. Stored cells
-// write no WAL record: the result journal is already their proof, and
-// failed records are load-bearing on resume — a pre-marked poison cell
-// is not re-executed on every restart.
+// finishCell records one terminal cell outcome and, for a failed cell,
+// makes it durable in the control-plane WAL: on resume a pre-marked
+// poison cell is not re-executed on every restart. Executed and stored
+// cells write no WAL record, because the result journal is already
+// their proof.
 func (m *Manager) finishCell(sw *Sweep, i int, source string, rows []experiments.ScenarioRow, errMsg string) {
 	sw.record(i, source, rows, errMsg)
 	m.cellCounter(source)
-	if source == SourceExecuted || source == SourceFailed {
+	if source == SourceFailed {
 		m.walAppend(store.WALRecord{Kind: store.RecUnitCompleted, Sweep: sw.id, Key: sw.cells[i].Key, Source: source, Error: errMsg})
 	}
 }
@@ -549,8 +546,8 @@ submission:
 		}
 
 		// Store lookup first: a stored cell never touches the queue.
-		if m.cfg.Store != nil {
-			if rows, ok, _ := m.cfg.Store.GetScenario(cell.Spec); ok {
+		if st := m.cfg.Service.Store(); st != nil {
+			if rows, ok, _ := st.GetScenario(cell.Spec); ok {
 				sw.record(i, SourceStore, rows, "")
 				m.cellCounter(SourceStore)
 				continue
@@ -583,7 +580,6 @@ submission:
 			}
 			break submission
 		}
-		m.walAppend(store.WALRecord{Kind: store.RecUnitEnqueued, Sweep: sw.id, Key: cell.Key})
 		wg.Add(1)
 		go func(i int, job *service.Job) {
 			defer wg.Done()
@@ -661,20 +657,16 @@ func (m *Manager) submitCell(sw *Sweep, cell Cell) (*service.Job, error) {
 	}
 }
 
-// collect records a finished cell and writes executed results back to
-// the store (idempotent when the service manager shares the store and
-// already wrote them).
+// collect records a finished cell. The service manager stored an
+// executed cell's rows before its job turned done.
 func (m *Manager) collect(sw *Sweep, i int, job *service.Job) {
 	switch job.Status() {
 	case service.StatusDone:
-		rows := job.Rows()
 		source := SourceExecuted
 		if job.View().Source == "store" {
 			source = SourceStore // raced another submitter to the same spec
-		} else if m.cfg.Store != nil {
-			_ = m.cfg.Store.PutScenario(sw.cells[i].Spec, rows, store.Meta{Version: m.cfg.Version})
 		}
-		m.finishCell(sw, i, source, rows, "")
+		m.finishCell(sw, i, source, job.Rows(), "")
 	case service.StatusFailed:
 		m.finishCell(sw, i, SourceFailed, nil, job.Err())
 	default: // cancelled, e.g. by a client hitting the job API directly

@@ -20,15 +20,12 @@ import (
 )
 
 // walTrail is one sweep's reduction of the replayed WAL: the grid it
-// was opened with and the per-cell outcomes recorded before the crash.
+// was opened with and the cells that failed before the crash.
 type walTrail struct {
-	id        string
-	gridKey   string
-	grid      json.RawMessage
-	closed    bool
-	enqueued  map[string]bool   // unit-enqueued keys
-	completed map[string]bool   // unit-completed keys (any source)
-	failed    map[string]string // key -> error for failed completions
+	id     string
+	grid   json.RawMessage
+	closed bool
+	failed map[string]string // key -> error for failed completions
 }
 
 // parseSweepID inverts the "s%06d" ID format so recovery can advance
@@ -76,44 +73,27 @@ func (m *Manager) Recover() {
 	m.rec.ReplayedRecords = int64(len(recs))
 	m.recMu.Unlock()
 
-	// First pass: reduce the flat log to per-sweep trails. Records with
-	// no sweep are the cluster coordinator's execution audit; pairing
-	// their enqueues with completions identifies units that were in
-	// flight on the fleet when the server died (informational only —
-	// worker leases expired with the old incarnation, and any unit still
-	// wanted is re-planned by its resumed sweep).
+	// First pass: reduce the flat log to per-sweep trails. Only three
+	// kinds of record change what recovery does: sweep-opened,
+	// sweep-closed, and unit-completed with source failed. Logs written
+	// by earlier builds also hold unit-enqueued records, executed
+	// completions, and cluster records with no sweep; they are skipped.
 	trails := map[string]*walTrail{}
 	var order []string
-	clusterOpen := map[string]bool{}
 	for _, r := range recs {
 		if r.Sweep == "" {
-			switch r.Kind {
-			case store.RecUnitEnqueued:
-				clusterOpen[r.Key] = true
-			case store.RecUnitCompleted:
-				delete(clusterOpen, r.Key)
-			}
 			continue
 		}
 		t := trails[r.Sweep]
 		if t == nil {
-			t = &walTrail{
-				id:        r.Sweep,
-				enqueued:  map[string]bool{},
-				completed: map[string]bool{},
-				failed:    map[string]string{},
-			}
+			t = &walTrail{id: r.Sweep, failed: map[string]string{}}
 			trails[r.Sweep] = t
 			order = append(order, r.Sweep)
 		}
 		switch r.Kind {
 		case store.RecSweepOpened:
-			t.gridKey = r.GridKey
 			t.grid = r.Grid
-		case store.RecUnitEnqueued:
-			t.enqueued[r.Key] = true
 		case store.RecUnitCompleted:
-			t.completed[r.Key] = true
 			if r.Source == SourceFailed {
 				msg := r.Error
 				if msg == "" {
@@ -142,9 +122,8 @@ func (m *Manager) Recover() {
 	// closed sweeps and satisfied unit records stop being replayed on
 	// every future startup.
 	type adoption struct {
-		sw       *Sweep
-		pending  int
-		inflight int
+		sw      *Sweep
+		pending int
 	}
 	var adopted []adoption
 	var keep []store.WALRecord
@@ -184,25 +163,22 @@ func (m *Manager) Recover() {
 
 		// Pre-mark pre-crash failures so the run loop skips them, and
 		// classify the rest: cells the store holds resolve as cache hits
-		// inside run; everything else re-enqueues. Cells enqueued but
-		// never completed or stored were in flight at the kill — their
-		// work (if any finished on a worker after the crash) is invisible,
-		// so they re-run; idempotent Put makes the duplicate harmless.
+		// inside run; everything else re-enqueues. A cell in flight at the
+		// kill is not in the store, so it re-runs; idempotent Put makes
+		// the duplicate harmless if its first run finished after all.
 		a := adoption{sw: sw}
+		st := m.cfg.Service.Store()
 		for i, c := range cells {
 			if msg, ok := t.failed[c.Key]; ok {
 				sw.record(i, SourceFailed, nil, msg)
 				continue
 			}
-			if m.cfg.Store != nil {
-				if _, ok, _ := m.cfg.Store.GetScenario(c.Spec); ok {
+			if st != nil {
+				if _, ok, _ := st.GetScenario(c.Spec); ok {
 					continue
 				}
 			}
 			a.pending++
-			if t.enqueued[c.Key] && !t.completed[c.Key] {
-				a.inflight++
-			}
 		}
 
 		keep = append(keep, store.WALRecord{Kind: store.RecSweepOpened, Sweep: t.id, GridKey: sw.gridKey, Grid: t.grid})
@@ -242,12 +218,9 @@ func (m *Manager) Recover() {
 	m.rec.ReenqueuedUnits = reenqueued
 	m.recMu.Unlock()
 
-	if len(clusterOpen) > 0 {
-		m.log("sweep: %d cluster unit(s) were in flight at the last shutdown; their leases died with it and resumed sweeps re-plan any still wanted", len(clusterOpen))
-	}
 	for _, a := range adopted {
-		m.log("sweep %s: resumed from control WAL (%d of %d cells pending, %d in flight at the crash, %d failed before it)",
-			a.sw.id, a.pending, len(a.sw.cells), a.inflight, a.sw.failedCount())
+		m.log("sweep %s: resumed from control WAL (%d of %d cells pending, %d failed before the crash)",
+			a.sw.id, a.pending, len(a.sw.cells), a.sw.failedCount())
 		go m.run(a.sw)
 	}
 	m.log("sweep: recovery replayed %d WAL records, resumed %d sweep(s), re-enqueued %d unit(s) in %s",

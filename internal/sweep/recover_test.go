@@ -101,7 +101,7 @@ func TestRecoverResumesInterruptedSweep(t *testing.T) {
 		t.Fatalf("fresh WAL has %d records", len(recs))
 	}
 	svc1 := service.New(service.Config{Workers: 1, Store: st1})
-	sm1 := NewManager(Config{Service: svc1, Store: st1, MaxInFlight: 1, WAL: wal1})
+	sm1 := NewManager(Config{Service: svc1, MaxInFlight: 1, WAL: wal1})
 	sw, err := sm1.Submit(g)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
@@ -134,7 +134,7 @@ func TestRecoverResumesInterruptedSweep(t *testing.T) {
 		t.Fatalf("interrupted sweep left no WAL records")
 	}
 	svc2 := service.New(service.Config{Workers: 2, Metrics: reg, Store: st2})
-	sm2 := NewManager(Config{Service: svc2, Store: st2, Metrics: reg, WAL: wal2, WALRecords: recs})
+	sm2 := NewManager(Config{Service: svc2, Metrics: reg, WAL: wal2, WALRecords: recs})
 	if !sm2.RecoveryStatus().Active {
 		t.Fatalf("manager with WAL records is not in recovery")
 	}
@@ -215,11 +215,13 @@ func TestRecoverPreMarksFailedCells(t *testing.T) {
 		t.Fatalf("Expand: %v", err)
 	}
 	raw, _ := json.Marshal(g)
+	// The unit-enqueued records stand for a log written by an earlier
+	// build, which appended them per cell and per cluster unit (with no
+	// sweep); recovery must skip them.
 	recs := []store.WALRecord{
 		{Kind: store.RecSweepOpened, Sweep: "s000007", GridKey: cellsKey(cells), Grid: raw},
 		{Kind: store.RecUnitEnqueued, Sweep: "s000007", Key: cells[0].Key},
 		{Kind: store.RecUnitCompleted, Sweep: "s000007", Key: cells[0].Key, Source: SourceFailed, Error: "boom before restart"},
-		// A cluster audit record (no sweep) must not confuse the trails.
 		{Kind: store.RecUnitEnqueued, Key: "cluster-unit"},
 	}
 

@@ -2,11 +2,13 @@ package sweep
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/service"
 	"repro/internal/store"
@@ -123,7 +125,7 @@ func TestSweepExecutesThenServesFromStore(t *testing.T) {
 	}
 	defer st.Close()
 	svc := service.New(service.Config{Workers: 2, Metrics: reg, Store: st})
-	sm := NewManager(Config{Service: svc, Store: st, Metrics: reg})
+	sm := NewManager(Config{Service: svc, Metrics: reg})
 
 	sw, err := sm.Submit(smallGrid())
 	if err != nil {
@@ -162,6 +164,61 @@ func TestSweepExecutesThenServesFromStore(t *testing.T) {
 	drainAll(t, sm, svc)
 }
 
+// failCell is a service.Executor that fails the one cell with this
+// content address and hands every other cell back to the local pool.
+type failCell string
+
+func (key failCell) Execute(_ context.Context, cfg experiments.ScenarioConfig) ([]experiments.ScenarioRow, bool, error) {
+	if k, _ := store.ScenarioKey(cfg); k == string(key) {
+		return nil, true, errors.New("synthetic cell failure")
+	}
+	return nil, false, nil
+}
+
+// TestSweepWALHoldsOnlyRecordsRecoveryReads: a sweep appends the
+// records recovery acts on and nothing else — sweep-opened and
+// sweep-closed, plus one unit-completed record per failed cell. An
+// executed cell is proven by the result store, not the log.
+func TestSweepWALHoldsOnlyRecordsRecoveryReads(t *testing.T) {
+	g := smallGrid()
+	cells, err := g.Expand()
+	if err != nil {
+		t.Fatalf("Expand: %v", err)
+	}
+	for _, tc := range []struct {
+		name    string
+		fail    failCell
+		failed  int
+		appends int64
+	}{
+		{name: "all-executed", appends: 2},
+		{name: "one-failed", fail: failCell(cells[1].Key), failed: 1, appends: 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := metrics.New()
+			wal, _, err := store.OpenWAL(t.TempDir(), store.WALConfig{Metrics: reg})
+			if err != nil {
+				t.Fatalf("OpenWAL: %v", err)
+			}
+			defer wal.Close()
+			svc := service.New(service.Config{Workers: 2, Cluster: tc.fail})
+			sm := NewManager(Config{Service: svc, WAL: wal})
+			sw, err := sm.Submit(g)
+			if err != nil {
+				t.Fatalf("Submit: %v", err)
+			}
+			waitSweep(t, sw)
+			if v := sw.View(false); v.Status != StatusDone || v.Failed != tc.failed || v.Executed != len(cells)-tc.failed {
+				t.Fatalf("sweep: %+v", v)
+			}
+			if got := reg.Counter(store.MetricWALAppends).Value(); got != tc.appends {
+				t.Fatalf("%s = %d, want %d", store.MetricWALAppends, got, tc.appends)
+			}
+			drainAll(t, sm, svc)
+		})
+	}
+}
+
 // TestSweepResumeAcrossRestart simulates the restart path: a first
 // process completes a sub-grid and shuts down; a second process (new
 // store handle replaying the journal, new managers) sweeps a superset
@@ -174,7 +231,7 @@ func TestSweepResumeAcrossRestart(t *testing.T) {
 		t.Fatalf("open store: %v", err)
 	}
 	svc1 := service.New(service.Config{Workers: 2, Store: st1})
-	sm1 := NewManager(Config{Service: svc1, Store: st1})
+	sm1 := NewManager(Config{Service: svc1})
 	sub := smallGrid()
 	sub.N = []int{20} // half of the eventual grid
 	sw, err := sm1.Submit(sub)
@@ -198,7 +255,7 @@ func TestSweepResumeAcrossRestart(t *testing.T) {
 	}
 	defer st2.Close()
 	svc2 := service.New(service.Config{Workers: 2, Metrics: reg, Store: st2})
-	sm2 := NewManager(Config{Service: svc2, Store: st2, Metrics: reg})
+	sm2 := NewManager(Config{Service: svc2, Metrics: reg})
 	sw2, err := sm2.Submit(smallGrid())
 	if err != nil {
 		t.Fatalf("submit full grid: %v", err)
@@ -221,7 +278,7 @@ func TestDrainInterruptsSweep(t *testing.T) {
 		t.Fatalf("store.Open: %v", err)
 	}
 	svc := service.New(service.Config{Workers: 1, Store: st})
-	sm := NewManager(Config{Service: svc, Store: st, MaxInFlight: 1})
+	sm := NewManager(Config{Service: svc, MaxInFlight: 1})
 
 	// Enough moderately sized cells that the sweep is still running
 	// when we drain right after the first completions.
@@ -259,7 +316,7 @@ func TestDrainInterruptsSweep(t *testing.T) {
 	}
 	defer st2.Close()
 	svc2 := service.New(service.Config{Workers: 2, Store: st2})
-	sm2 := NewManager(Config{Service: svc2, Store: st2})
+	sm2 := NewManager(Config{Service: svc2})
 	sw2, err := sm2.Submit(g)
 	if err != nil {
 		t.Fatalf("resubmit: %v", err)
