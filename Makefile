@@ -2,7 +2,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS = -ldflags "-X main.version=$(VERSION)"
 
-.PHONY: all build test race vet fuzz run-server run-worker smoke-cluster smoke-chaos smoke-store smoke-tenants clean
+.PHONY: all build test race vet fuzz loc run-server run-worker smoke-cluster smoke-chaos smoke-store smoke-tenants clean
 
 all: build test
 
@@ -30,6 +30,11 @@ fuzz:
 		echo "fuzz $$pkg $$target"; \
 		$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s $$pkg; \
 	done
+
+# Prints the production Go line count: every non-test .go file outside
+# the benchmark module (vmatbench/) and its build dir (.bench_build/).
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './vmatbench/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
 
 # Builds and starts the aggregation service on :8080 (override with
 # ADDR=:9090 make run-server). Add CLUSTER=1 to host the distributed

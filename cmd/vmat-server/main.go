@@ -100,7 +100,7 @@ func run(args []string, w io.Writer) error {
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Minute, "max time to finish in-flight jobs on shutdown")
 	dataDir := fs.String("data-dir", "", "persist results in a content-addressed store under this directory (empty = no persistence)")
 	storeSegmentBytes := fs.Int64("store-segment-bytes", 64<<20, "size at which the store's active journal segment is sealed and a new one started")
-	storeCompactInterval := fs.Duration("store-compact-interval", time.Minute, "background store maintenance period: index snapshots and dead-byte compaction (0 = disabled)")
+	storeSnapshotInterval := fs.Duration("store-compact-interval", time.Minute, "background store maintenance period: refresh the snapshot-age gauge and write an index snapshot once 4096 results were stored since the last (0 = disabled; the store no longer compacts, the name is kept for existing deployments)")
 	clusterOn := fs.Bool("cluster", false, "host the distributed execution plane (vmat-worker fleet) under /v1/cluster")
 	leaseTTL := fs.Duration("lease-ttl", 10*time.Second, "cluster lease lifetime without a heartbeat before a unit is reassigned")
 	leaseRetries := fs.Int("lease-retries", 3, "leases one unit may consume before falling back to local execution")
@@ -133,10 +133,10 @@ func run(args []string, w io.Writer) error {
 	if *dataDir != "" {
 		var err error
 		st, err = store.Open(*dataDir, store.Config{
-			Metrics:         reg,
-			Log:             logf,
-			SegmentBytes:    *storeSegmentBytes,
-			CompactInterval: *storeCompactInterval,
+			Metrics:          reg,
+			Log:              logf,
+			SegmentBytes:     *storeSegmentBytes,
+			SnapshotInterval: *storeSnapshotInterval,
 		})
 		if err != nil {
 			return fmt.Errorf("open result store: %w", err)

@@ -1,18 +1,14 @@
 // Command vmat-store is the offline admin tool for a vmat-server data
-// directory: inspect the segment layout, verify every record without
-// writing a byte, or force a compaction.
+// directory: inspect the segment layout, or verify every record.
 //
 //	vmat-store inspect <data-dir>   show segments, manifest, snapshot
 //	vmat-store verify  <data-dir>   read-only integrity pass (exit 1 on damage)
-//	vmat-store compact <data-dir>   merge sealed segments, drop dead bytes
 //
-// inspect and verify never modify the directory. compact takes
-// exclusive ownership of it for its duration — do not run it against a
+// Neither command modifies the directory, so both are safe against a
 // directory a live vmat-server is serving.
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -36,7 +32,6 @@ func usage(w io.Writer) {
 commands:
   inspect   show the segment layout, manifest, and snapshot state
   verify    read-only integrity pass over every record (exit 1 on damage)
-  compact   merge sealed segments and reclaim dead bytes
   version   print version`)
 }
 
@@ -53,33 +48,19 @@ func run(args []string, w io.Writer) error {
 	case "help", "-h", "--help":
 		usage(w)
 		return nil
-	case "inspect", "verify", "compact":
+	case "inspect", "verify":
 	default:
 		usage(w)
 		return fmt.Errorf("unknown command %q", cmd)
 	}
-
-	fs := flag.NewFlagSet("vmat-store "+cmd, flag.ContinueOnError)
-	fs.SetOutput(w)
-	segmentBytes := fs.Int64("store-segment-bytes", 64<<20, "segment roll threshold for compact")
-	if err := fs.Parse(rest); err != nil {
-		return err
-	}
-	if fs.NArg() != 1 {
+	if len(rest) != 1 {
 		usage(w)
 		return fmt.Errorf("%s takes exactly one data directory", cmd)
 	}
-	dir := fs.Arg(0)
-
-	switch cmd {
-	case "inspect":
-		return inspect(dir, w)
-	case "verify":
-		return verify(dir, w)
-	case "compact":
-		return compact(dir, *segmentBytes, w)
+	if cmd == "inspect" {
+		return inspect(rest[0], w)
 	}
-	return nil
+	return verify(rest[0], w)
 }
 
 func inspect(dir string, w io.Writer) error {
@@ -123,8 +104,7 @@ func verify(dir string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "verified %d segments: %d records, %d live keys, %d dead records\n",
-		rep.Segments, rep.Records, rep.LiveKeys, rep.DeadRecords)
+	fmt.Fprintf(w, "verified %d segments: %d records, %d keys\n", rep.Segments, rep.Records, rep.Keys)
 	for _, warn := range rep.Warnings {
 		fmt.Fprintf(w, "warning: %s\n", warn)
 	}
@@ -135,22 +115,5 @@ func verify(dir string, w io.Writer) error {
 		return fmt.Errorf("%d problems found", len(rep.Problems))
 	}
 	fmt.Fprintln(w, "ok")
-	return nil
-}
-
-func compact(dir string, segmentBytes int64, w io.Writer) error {
-	logf := func(format string, args ...any) { fmt.Fprintf(w, format+"\n", args...) }
-	s, err := store.Open(dir, store.Config{SegmentBytes: segmentBytes, Log: logf})
-	if err != nil {
-		return err
-	}
-	defer s.Close()
-	before := s.Status()
-	if err := s.Compact(); err != nil {
-		return err
-	}
-	after := s.Status()
-	fmt.Fprintf(w, "compacted: %d -> %d segments, dead bytes %d -> %d, %d entries\n",
-		before.Segments, after.Segments, before.DeadBytes, after.DeadBytes, after.Entries)
 	return nil
 }

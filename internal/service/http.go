@@ -30,8 +30,9 @@ type WorkersStatus struct {
 	LeasesActive  int   `json:"leases_active"`
 	LeasesExpired int64 `json:"leases_expired"`
 	// WireConnected counts workers holding a live streaming-transport
-	// conn; always ≤ Connected (HTTP-polling workers are connected but
-	// not wired).
+	// conn; always ≤ Connected. Units go out only over those conns, so a
+	// worker counts in Connected alone between registering and dialling
+	// the wire, and between losing its conn and redialling or expiring.
 	WireConnected int `json:"wire_connected,omitempty"`
 }
 

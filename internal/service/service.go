@@ -577,12 +577,6 @@ func (m *Manager) Draining() bool {
 	return m.draining
 }
 
-// QueueSaturated reports whether the job queue is at capacity, i.e. the
-// next Submit would be rejected with ErrQueueFull.
-func (m *Manager) QueueSaturated() bool {
-	return m.queue.Len() >= m.queue.Cap()
-}
-
 // AdmissionStatus reports the fair queue's tier and occupancy for the
 // "admission" section of /healthz: "ok" under light load, "degraded"
 // once back-pressure builds, "shedding" while over-share tenants are
@@ -592,8 +586,8 @@ func (m *Manager) AdmissionStatus() tenant.Status {
 }
 
 // StoreStatus reports the result-store engine's shape (segments,
-// live/dead bytes, compaction state, snapshot age) for the "store"
-// section of /healthz. ok is false when the service runs without a
+// entries, bytes, snapshot age, generation) for the "store" section of
+// /healthz. ok is false when the service runs without a
 // persistent store.
 func (m *Manager) StoreStatus() (store.Status, bool) {
 	if m.cfg.Store == nil {

@@ -88,26 +88,25 @@ func Inspect(dir string) (*InspectReport, error) {
 		}
 	}
 
-	if sn, reason := loadSnapshotFile(dir); sn != nil {
+	if sn, err := loadSnapshotFile(dir); sn != nil {
 		rep.HasSnapshot = true
 		rep.SnapshotKeys = len(sn.keys)
 		if age := time.Now().Unix() - sn.unixTime; age >= 0 {
 			rep.SnapshotAgeSeconds = age
 		}
-	} else if reason != "" {
-		rep.SnapshotError = reason
+	} else if err != nil {
+		rep.SnapshotError = err.Error()
 	}
 	return rep, nil
 }
 
 // VerifyReport is the result of a full offline integrity pass.
 type VerifyReport struct {
-	Segments    int      `json:"segments"`
-	Records     int64    `json:"records"` // complete, checksummed records
-	LiveKeys    int64    `json:"live_keys"`
-	DeadRecords int64    `json:"dead_records"` // superseded + tombstones
-	Warnings    []string `json:"warnings,omitempty"`
-	Problems    []string `json:"problems,omitempty"`
+	Segments int      `json:"segments"`
+	Records  int64    `json:"records"` // complete, checksummed records
+	Keys     int64    `json:"keys"`    // distinct keys among them
+	Warnings []string `json:"warnings,omitempty"`
+	Problems []string `json:"problems,omitempty"`
 }
 
 // OK reports whether the directory verified clean: recoverable tail
@@ -165,8 +164,8 @@ func Verify(dir string) (*VerifyReport, error) {
 
 	// Snapshot: usable means decodable and within the coverage the
 	// files can actually back.
-	if sn, reason := loadSnapshotFile(dir); reason != "" {
-		rep.Warnings = append(rep.Warnings, fmt.Sprintf("index snapshot unusable (%s); open would replay in full", reason))
+	if sn, err := loadSnapshotFile(dir); err != nil {
+		rep.Warnings = append(rep.Warnings, fmt.Sprintf("index snapshot unusable (%v); open would replay in full", err))
 	} else if sn != nil {
 		if len(sn.segs) > len(m.Segments) {
 			rep.Warnings = append(rep.Warnings, "index snapshot covers more segments than the manifest; open would replay in full")
@@ -184,10 +183,10 @@ func Verify(dir string) (*VerifyReport, error) {
 	return rep, nil
 }
 
-// verifyChain scans the given journal files in replay order, running
-// the put/tombstone state machine and recording damage.
+// verifyChain scans the given journal files in replay order, counting
+// records and distinct keys and recording damage.
 func verifyChain(rep *VerifyReport, paths, names []string) (*VerifyReport, error) {
-	live := map[string]bool{}
+	keys := map[string]bool{}
 	for i, p := range paths {
 		f, err := os.Open(p)
 		if err != nil {
@@ -204,15 +203,7 @@ func verifyChain(rep *VerifyReport, paths, names []string) (*VerifyReport, error
 				return errors.New("undecodable record payload")
 			}
 			rep.Records++
-			switch {
-			case e.Tomb:
-				delete(live, e.Key)
-				rep.DeadRecords++
-			case live[e.Key]:
-				rep.DeadRecords++
-			default:
-				live[e.Key] = true
-			}
+			keys[e.Key] = true
 			return nil
 		})
 		f.Close()
@@ -232,6 +223,6 @@ func verifyChain(rep *VerifyReport, paths, names []string) (*VerifyReport, error
 			}
 		}
 	}
-	rep.LiveKeys = int64(len(live))
+	rep.Keys = int64(len(keys))
 	return rep, nil
 }

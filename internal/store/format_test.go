@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/metrics"
@@ -21,26 +22,24 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/datadir f
 // byte (the index snapshot apart from its capture time).
 const fixtureDir = "testdata/datadir"
 
-// fixture is what writeFixture leaves behind: the live entries, a key
-// whose tombstone is still on disk, and the control WAL as it replays.
+// fixture is what writeFixture leaves behind: the stored entries and
+// the control WAL as it replays.
 type fixture struct {
 	entries map[string]string
-	gone    string
 	wal     []WALRecord
 }
 
-// writeFixture runs a fixed sequence of operations into dir. The store
-// rolls segments, compacts the sealed prefix into a new generation,
-// then takes a tombstone and rolls again; the control WAL is compacted
-// mid-way and appended to after.
+// writeFixture runs a fixed sequence of operations into dir. One store
+// session rolls segments and closes; a second reopens, rolls again and
+// closes. The control WAL is compacted mid-way and appended to after.
 func writeFixture(t *testing.T, dir string) fixture {
 	t.Helper()
-	fx := fixture{entries: map[string]string{}, gone: "fx-d"}
-	s, err := Open(dir, Config{SegmentBytes: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	put := func(keys ...string) {
+	fx := fixture{entries: map[string]string{}}
+	session := func(keys ...string) {
+		s, err := Open(dir, Config{SegmentBytes: 256})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, k := range keys {
 			v := "value of " + k
 			if err := s.Put(k, "test", v, Meta{DurationMicros: int64(len(fx.entries) + 1), Version: "fixture"}); err != nil {
@@ -48,30 +47,18 @@ func writeFixture(t *testing.T, dir string) fixture {
 			}
 			fx.entries[k] = v
 		}
-	}
-	del := func(k string) {
-		if _, err := s.Delete(k); err != nil {
+		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		delete(fx.entries, k)
 	}
-	put("fx-a", "fx-b", "fx-c", "fx-d", "fx-e", "fx-f")
-	del("fx-b")
-	put("fx-g", "fx-h")
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	del(fx.gone)
-	put("fx-i", "fx-j", "fx-k")
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
+	session("fx-a", "fx-b", "fx-c", "fx-d", "fx-e", "fx-f", "fx-g", "fx-h")
+	session("fx-i", "fx-j", "fx-k")
 
 	w, _, err := OpenWAL(dir, WALConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opened := WALRecord{Kind: RecSweepOpened, Sweep: "s000001", GridKey: "g1", Grid: json.RawMessage(`{"n":[30,40]}`)}
+	opened := WALRecord{Kind: RecSweepOpened, Sweep: "s000001", Grid: json.RawMessage(`{"n":[30,40]}`)}
 	pending := WALRecord{Kind: RecUnitEnqueued, Sweep: "s000001", Key: "k2"}
 	appendWAL := func(recs ...WALRecord) {
 		if err := w.Append(recs...); err != nil {
@@ -146,9 +133,6 @@ func TestCheckedInDataDirOpensAndRewritesIdentically(t *testing.T) {
 		}
 		defer s.Close()
 		checkAll(t, s, fx.entries)
-		if _, ok, err := s.Get(fx.gone); ok || err != nil {
-			t.Fatalf("tombstoned %s: ok=%v err=%v", fx.gone, ok, err)
-		}
 		w, recs, err := OpenWAL(dir, WALConfig{Metrics: reg, Log: logf})
 		if err != nil {
 			t.Fatal(err)
@@ -207,4 +191,80 @@ func TestCheckedInDataDirOpensAndRewritesIdentically(t *testing.T) {
 			}
 		}
 	})
+}
+
+// legacyDir is a data dir written by the build at 474f2df, the last
+// with a compactor and version-1 index snapshots, through what its
+// binaries did to a data dir: puts of legacy-00..07 at a 256-byte
+// segment threshold and a clean close; `vmat-store compact
+// -store-segment-bytes 256`, which merged the sealed segments into
+// seg-00000001-0002.vmat; puts of legacy-08..11 and a clean close (each
+// close wrote a version-1 snapshot); then a control WAL as that build's
+// sweep manager and recovery wrote it, grid_key fields included.
+const legacyDir = "testdata/datadir-v1"
+
+func TestCompactedV1DataDirOpens(t *testing.T) {
+	dir := t.TempDir()
+	copyFiles(t, legacyDir, dir)
+	rep, err := Verify(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() || rep.Records != 12 || rep.Keys != 12 {
+		t.Fatalf("verify: %d records, %d keys, problems %q", rep.Records, rep.Keys, rep.Problems)
+	}
+	if len(rep.Warnings) != 1 || !strings.Contains(rep.Warnings[0], "unsupported snapshot version 1") {
+		t.Fatalf("verify warnings %q, want only the snapshot version", rep.Warnings)
+	}
+
+	want := map[string]string{}
+	for i := 0; i < 12; i++ {
+		k := fmt.Sprintf("legacy-%02d", i)
+		want[k] = "value of " + k
+	}
+	open := func() ([]string, *Store) {
+		var notices []string
+		reg := metrics.New()
+		s, err := Open(dir, Config{Metrics: reg, Log: func(format string, args ...any) {
+			notices = append(notices, fmt.Sprintf(format, args...))
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAll(t, s, want)
+		if c := reg.Counter(MetricCorrupt).Value(); c != 0 {
+			t.Fatalf("opening the v1 dir counted %d corrupt records", c)
+		}
+		return notices, s
+	}
+	notices, s := open()
+	if len(notices) != 1 || !strings.Contains(notices[0], "index snapshot stale (unsupported snapshot version 1") {
+		t.Fatalf("first open logged %q, want one stale-snapshot notice", notices)
+	}
+	if st := s.Status(); st.Segments != 4 || st.Generation != 6 {
+		t.Fatalf("status %+v, want the 4 segments of manifest generation 6", st)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Close wrote a current snapshot, so the next open is silent.
+	if notices, s = open(); len(notices) != 0 {
+		t.Fatalf("second open logged %q", notices)
+	}
+	s.Close()
+
+	w, recs, err := OpenWAL(dir, WALConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	wantWAL := []WALRecord{
+		{Kind: RecSweepOpened, Sweep: "s000002", Grid: json.RawMessage(`{"n":[50],"attack":["drop","junk"]}`)},
+		{Kind: RecUnitCompleted, Sweep: "s000002", Key: "cell-2a", Source: "failed", Error: "max slots exceeded"},
+		{Kind: RecSweepClosed, Sweep: "s000002", Status: "done"},
+		{Kind: RecSweepOpened, Sweep: "s000003", Grid: json.RawMessage(`{"n":[60],"trials":2}`)},
+	}
+	if !reflect.DeepEqual(recs, wantWAL) {
+		t.Fatalf("WAL replayed %+v, want %+v", recs, wantWAL)
+	}
 }

@@ -148,7 +148,7 @@ func FuzzManifestDecode(f *testing.F) {
 func FuzzSnapshotDecode(f *testing.F) {
 	good, err := encodeSnapshot(&snapshot{
 		generation: 2, unixTime: 1700000000,
-		segs: []snapSegment{{id: 1, gen: 1, covered: 300, liveBytes: 300, liveRecords: 2}},
+		segs: []snapSegment{{id: 1, gen: 1, covered: 300}},
 		keys: []snapKey{{key: "abc", segIdx: 0, off: 0, length: 150}, {key: "def", segIdx: 0, off: 150, length: 150}},
 	})
 	if err != nil {

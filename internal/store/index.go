@@ -10,12 +10,10 @@ import "sync"
 // the modulo a mask.
 const indexShards = 64
 
-// recordRef locates one live record: which open segment file (by
-// runtime sequence number, not segment id — compaction replaces files
-// while ids persist), the byte offset of its frame, and the frame
-// length.
+// recordRef locates one record: the id of the segment holding it, the
+// byte offset of its frame, and the frame length.
 type recordRef struct {
-	seg    int64 // segment runtime sequence (see segment.seq)
+	seg    int64 // segment id
 	off    int64
 	length int64
 }
@@ -60,49 +58,15 @@ func (x *shardedIndex) has(key string) bool {
 	return ok
 }
 
-// putIfAbsent inserts key→ref unless key is already live, returning
-// whether the insert happened — the index-level half of the store's
-// first-write-wins contract.
-func (x *shardedIndex) putIfAbsent(key string, ref recordRef) bool {
+// putIfAbsent inserts key→ref unless key is already indexed — the
+// index-level half of the store's first-write-wins contract.
+func (x *shardedIndex) putIfAbsent(key string, ref recordRef) {
 	sh := x.shardFor(key)
 	sh.mu.Lock()
-	if _, ok := sh.m[key]; ok {
-		sh.mu.Unlock()
-		return false
-	}
-	sh.m[key] = ref
-	sh.mu.Unlock()
-	return true
-}
-
-// delete removes key, returning its ref and whether it was present.
-func (x *shardedIndex) delete(key string) (recordRef, bool) {
-	sh := x.shardFor(key)
-	sh.mu.Lock()
-	ref, ok := sh.m[key]
-	if ok {
-		delete(sh.m, key)
+	if _, ok := sh.m[key]; !ok {
+		sh.m[key] = ref
 	}
 	sh.mu.Unlock()
-	return ref, ok
-}
-
-// replace updates key→ref only if the current ref's segment is accepted
-// by old (a predicate over the current segment seq). The compactor uses
-// it to repoint entries from compacted segments to the merged output
-// while leaving keys that moved (deleted or re-put into the active
-// segment mid-compaction) alone. Returns whether the swap happened.
-func (x *shardedIndex) replace(key string, old func(int64) bool, ref recordRef) bool {
-	sh := x.shardFor(key)
-	sh.mu.Lock()
-	cur, ok := sh.m[key]
-	if !ok || !old(cur.seg) {
-		sh.mu.Unlock()
-		return false
-	}
-	sh.m[key] = ref
-	sh.mu.Unlock()
-	return true
 }
 
 func (x *shardedIndex) len() int {

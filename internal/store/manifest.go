@@ -13,11 +13,11 @@ import (
 // The manifest is the authoritative description of the segment layout:
 // which segment files exist, in what replay order, and what the next
 // segment id is. It is rewritten — never appended — through a temp file
-// and an atomic rename on every structural change (roll, compaction),
-// so a crash leaves either the old layout or the new one, and any
-// segment file the surviving manifest does not list is provably
-// uncommitted debris (a half-finished compaction output or a rolled
-// file that never hosted a record) and is deleted on open.
+// and an atomic rename on every roll, so a crash leaves either the old
+// layout or the new one, and any segment file the surviving manifest
+// does not list is provably uncommitted debris (a rolled file that
+// never hosted a record, or what an earlier build's compaction left
+// when it was interrupted) and is deleted on open.
 
 // ManifestName is the segment-layout manifest inside the store
 // directory. Exported so operators (and tests) can find it.
@@ -137,8 +137,8 @@ func scanSegmentFiles(dir string) ([]manifestSegment, error) {
 
 // bootstrapManifest reconstructs a manifest from the segment files on
 // disk: sort by id, and where an id has several generations keep the
-// highest (it is the compacted replacement; see segment.go on why
-// (id, gen) order is always a correct replay order). Used when no
+// highest (an earlier build's compacted replacement; see segment.go on
+// why (id, gen) order is always a correct replay order). Used when no
 // manifest exists (hand-assembled dirs) and as the recovery path for a
 // corrupt manifest. The dropped lower
 // generations are returned so the caller can delete them.

@@ -10,8 +10,8 @@ import (
 )
 
 // Segment files carry the result journal, split at a size threshold so
-// memory, replay, and compaction all stop scaling with everything ever
-// written. A store directory holds:
+// no one file grows with everything ever written. A store directory
+// holds:
 //
 //	seg-<id>-<gen>.vmat   journal segments (CRC-framed records, journal.go)
 //	MANIFEST.vmat         replay order + next id (manifest.go)
@@ -20,16 +20,17 @@ import (
 //
 // The last manifest entry is the active segment — the only file ever
 // appended to. Everything before it is sealed and immutable, which is
-// what lets the compactor read cold segments without locks and what
-// makes an index snapshot's coverage of them permanent.
+// what makes an index snapshot's coverage of them permanent.
 //
 // Naming: <id> is the segment's logical position (ids strictly increase
-// with creation order), <gen> its rewrite generation. A compaction
-// merging the sealed prefix writes its output as the first input's id
-// with the generation bumped, so sorting by (id, gen) always yields a
-// correct replay order even if the manifest is lost — lower generations
-// of an id and any surviving later inputs replay as harmless duplicates
-// of the merged output (first-write-wins absorbs them).
+// with creation order), <gen> its rewrite generation. This build writes
+// only generation 1. Earlier builds had a compactor that merged the
+// sealed prefix into the first input's id with the generation bumped,
+// so their data dirs can hold higher generations; sorting by (id, gen)
+// is still a correct replay order if the manifest is lost, because
+// lower generations of an id and any surviving later inputs replay as
+// harmless duplicates of the merged output (first-write-wins absorbs
+// them).
 
 // segPattern matches segment files; see segName.
 const segPattern = "seg-*.vmat"
@@ -58,27 +59,20 @@ func parseSegName(name string) (id, gen int64, ok bool) {
 	return id, gen, true
 }
 
-// segment is one open journal segment file. size and the accounting
-// fields are atomics: appends mutate them under the store's append
-// lock, the compactor swaps whole segments under the segment write
-// lock, and Status reads them with no lock at all.
+// segment is one open journal segment file. size is atomic: appends
+// advance it under the store's append lock, and Status reads it with
+// no lock at all.
 type segment struct {
-	seq  int64 // runtime handle identity (recordRef.seg); unique per open file
 	id   int64
 	gen  int64
 	f    *os.File
 	path string
-
-	size        atomic.Int64 // current byte length
-	liveBytes   atomic.Int64
-	deadBytes   atomic.Int64 // superseded records, tombstones, compaction leftovers
-	liveRecords atomic.Int64
-	deadRecords atomic.Int64
+	size atomic.Int64 // current byte length
 }
 
 // openSegment opens (creating if needed) the segment file for (id, gen)
 // in dir.
-func openSegment(dir string, seq, id, gen int64) (*segment, error) {
+func openSegment(dir string, id, gen int64) (*segment, error) {
 	path := filepath.Join(dir, segName(id, gen))
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -89,30 +83,9 @@ func openSegment(dir string, seq, id, gen int64) (*segment, error) {
 		f.Close()
 		return nil, fmt.Errorf("store: stat segment %s: %w", path, err)
 	}
-	sg := &segment{seq: seq, id: id, gen: gen, f: f, path: path}
+	sg := &segment{id: id, gen: gen, f: f, path: path}
 	sg.size.Store(fi.Size())
 	return sg, nil
-}
-
-// recordDead moves n bytes / one record from live to dead accounting.
-func (sg *segment) recordDead(n int64) {
-	sg.liveBytes.Add(-n)
-	sg.deadBytes.Add(n)
-	sg.liveRecords.Add(-1)
-	sg.deadRecords.Add(1)
-}
-
-// addLive accounts one appended (or replayed) live record.
-func (sg *segment) addLive(n int64) {
-	sg.liveBytes.Add(n)
-	sg.liveRecords.Add(1)
-}
-
-// addDead accounts one record that is dead on arrival (a tombstone, a
-// lost-race duplicate, or a replayed superseded record).
-func (sg *segment) addDead(n int64) {
-	sg.deadBytes.Add(n)
-	sg.deadRecords.Add(1)
 }
 
 // replaceFile atomically replaces path with data: write path+".tmp",

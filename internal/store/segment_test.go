@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/metrics"
@@ -82,86 +83,9 @@ func TestSegmentRollAndReopen(t *testing.T) {
 	checkAll(t, s3, want)
 }
 
-// TestDeleteSemantics: delete kills a key, a later put revives it, and
-// both reopen paths agree on the result.
-func TestDeleteSemantics(t *testing.T) {
-	dir := t.TempDir()
-	reg := metrics.New()
-	s := mustOpen(t, dir, Config{SegmentBytes: tinySeg, Metrics: reg})
-	want := putN(t, s, 12, "del")
-
-	if ok, err := s.Delete("del-003"); err != nil || !ok {
-		t.Fatalf("Delete(del-003): ok=%v err=%v", ok, err)
-	}
-	delete(want, "del-003")
-	if ok, err := s.Delete("del-003"); err != nil || ok {
-		t.Fatalf("second Delete(del-003): ok=%v err=%v, want no-op", ok, err)
-	}
-	if ok, err := s.Delete("never-was"); err != nil || ok {
-		t.Fatalf("Delete(absent): ok=%v err=%v, want no-op", ok, err)
-	}
-	if s.Has("del-003") {
-		t.Fatal("deleted key still Has")
-	}
-	if _, ok, _ := s.Get("del-003"); ok {
-		t.Fatal("deleted key still Gets")
-	}
-	if v := reg.Counter(MetricDeletes).Value(); v != 1 {
-		t.Fatalf("deletes counter = %d, want 1", v)
-	}
-
-	// Revive with a different value: the tombstone shadows the first
-	// record, the revival wins.
-	if err := s.Put("del-003", "test", "revived", Meta{}); err != nil {
-		t.Fatalf("revive Put: %v", err)
-	}
-	want["del-003"] = "revived"
-	checkAll(t, s, want)
-	s.Close()
-
-	s2 := mustOpen(t, dir, Config{SegmentBytes: tinySeg})
-	checkAll(t, s2, want)
-	s2.Close()
-
-	os.Remove(filepath.Join(dir, SnapshotName))
-	s3 := mustOpen(t, dir, Config{SegmentBytes: tinySeg})
-	defer s3.Close()
-	checkAll(t, s3, want)
-}
-
-// TestDeleteAcrossSegments deletes keys whose records live in sealed
-// segments: the tombstone lands in the active segment but must shadow
-// the old record on replay.
-func TestDeleteAcrossSegments(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir, Config{SegmentBytes: tinySeg})
-	want := putN(t, s, 30, "x")
-	if s.Status().Segments < 3 {
-		t.Fatalf("want ≥3 segments, got %d", s.Status().Segments)
-	}
-	// x-000 is in the first (sealed) segment by construction.
-	if ok, err := s.Delete("x-000"); err != nil || !ok {
-		t.Fatalf("Delete(x-000): ok=%v err=%v", ok, err)
-	}
-	delete(want, "x-000")
-	st := s.Status()
-	if st.DeadBytes == 0 {
-		t.Fatal("delete across segments recorded no dead bytes")
-	}
-	s.Close()
-
-	os.Remove(filepath.Join(dir, SnapshotName))
-	s2 := mustOpen(t, dir, Config{SegmentBytes: tinySeg})
-	defer s2.Close()
-	checkAll(t, s2, want)
-	if _, ok, _ := s2.Get("x-000"); ok {
-		t.Fatal("tombstoned key resurrected by full replay")
-	}
-}
-
 // TestStatusAccounting checks the numbers /healthz shows are grounded:
-// live+dead bytes match file sizes, and deletes move bytes from live to
-// dead.
+// the reported bytes are the segment files' size on disk, and the
+// gauges agree with Status.
 func TestStatusAccounting(t *testing.T) {
 	dir := t.TempDir()
 	reg := metrics.New()
@@ -170,34 +94,148 @@ func TestStatusAccounting(t *testing.T) {
 	putN(t, s, 20, "acct")
 
 	st := s.Status()
+	files, err := filepath.Glob(filepath.Join(dir, segPattern))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var fileTotal int64
-	s.segMu.RLock()
-	for _, seq := range s.order {
-		fileTotal += s.segs[seq].size.Load()
+	for _, p := range files {
+		fi, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fileTotal += fi.Size()
 	}
-	s.segMu.RUnlock()
-	if st.LiveBytes+st.DeadBytes != fileTotal {
-		t.Fatalf("live(%d)+dead(%d) != file bytes(%d)", st.LiveBytes, st.DeadBytes, fileTotal)
-	}
-	if st.DeadBytes != 0 {
-		t.Fatalf("pure-append store has %d dead bytes", st.DeadBytes)
-	}
-
-	liveBefore := st.LiveBytes
-	if _, err := s.Delete("acct-000"); err != nil {
-		t.Fatalf("Delete: %v", err)
-	}
-	st = s.Status()
-	if st.LiveBytes >= liveBefore {
-		t.Fatalf("delete did not shrink live bytes: %d -> %d", liveBefore, st.LiveBytes)
-	}
-	if st.DeadBytes == 0 || st.DeadRatio <= 0 {
-		t.Fatalf("delete left dead accounting empty: %+v", st)
-	}
-	if g := reg.Gauge(MetricDeadBytes).Value(); g != st.DeadBytes {
-		t.Fatalf("dead-bytes gauge %d != status %d", g, st.DeadBytes)
+	if st.Bytes != fileTotal || len(files) != st.Segments {
+		t.Fatalf("status reports %d bytes in %d segments, disk has %d bytes in %d files", st.Bytes, st.Segments, fileTotal, len(files))
 	}
 	if g := reg.Gauge(MetricSegments).Value(); int(g) != st.Segments {
 		t.Fatalf("segments gauge %d != status %d", g, st.Segments)
+	}
+	if g := reg.Gauge(MetricEntries).Value(); g != st.Entries || g != 20 {
+		t.Fatalf("entries gauge %d, status %d, want 20", g, st.Entries)
+	}
+}
+
+// TestConcurrentUseAcrossRolls writes while readers read through a
+// two-entry cache and snapshots are taken, at a threshold that rolls
+// the active segment every few puts: no Get may fail and every key
+// must land.
+func TestConcurrentUseAcrossRolls(t *testing.T) {
+	s := mustOpen(t, t.TempDir(), Config{SegmentBytes: tinySeg, CacheEntries: 2})
+	want := putN(t, s, 40, "c")
+
+	done := make(chan error, 3)
+	go func() {
+		for i := 0; i < 30; i++ {
+			k := fmt.Sprintf("live-%03d", i)
+			if err := s.Put(k, "test", k, Meta{}); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	go func() {
+		for i := 0; i < 20; i++ {
+			for k := range want {
+				if _, ok, err := s.Get(k); err != nil || !ok {
+					done <- fmt.Errorf("Get(%s) during rolls: ok=%v err=%v", k, ok, err)
+					return
+				}
+			}
+		}
+		done <- nil
+	}()
+	go func() {
+		for i := 0; i < 5; i++ {
+			if err := s.Snapshot(); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for i := 0; i < 3; i++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 30; i++ {
+		k := fmt.Sprintf("live-%03d", i)
+		want[k] = k
+	}
+	checkAll(t, s, want)
+}
+
+// TestKillMidCompaction opens the layouts an earlier build's compactor
+// left when killed between two of its durable steps. That compactor
+// merged the sealed prefix into seg-<first id>-<first gen+1>.vmat: it
+// wrote the output to a temp file, renamed it into place, committed a
+// manifest listing it in place of its inputs, then deleted the inputs.
+// Open must keep every record, delete the debris, and leave only the
+// committed segments on disk.
+func TestKillMidCompaction(t *testing.T) {
+	for _, stage := range []string{"output-written", "output-renamed", "manifest-committed", "mid-delete"} {
+		t.Run(stage, func(t *testing.T) {
+			dir := t.TempDir()
+			s := mustOpen(t, dir, Config{SegmentBytes: tinySeg})
+			want := putN(t, s, 40, "c")
+			s.closeSegments() // killed: no snapshot
+			m, err := loadManifest(dir)
+			if err != nil || len(m.Segments) < 3 {
+				t.Fatalf("manifest %+v, err %v: want at least two sealed segments", m, err)
+			}
+			sealed, active := m.Segments[:len(m.Segments)-1], m.Segments[len(m.Segments)-1]
+			// With nothing deleted, the merged output is the sealed
+			// segments back to back.
+			var merged []byte
+			for _, ms := range sealed {
+				b, err := os.ReadFile(filepath.Join(dir, segName(ms.ID, ms.Gen)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				merged = append(merged, b...)
+			}
+			out := manifestSegment{ID: sealed[0].ID, Gen: sealed[0].Gen + 1}
+			outPath := filepath.Join(dir, segName(out.ID, out.Gen))
+			if stage == "output-written" {
+				outPath += ".tmp"
+			}
+			if err := os.WriteFile(outPath, merged, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if stage == "manifest-committed" || stage == "mid-delete" {
+				next := &manifest{Version: manifestVersion, Generation: m.Generation + 1, NextID: m.NextID,
+					Segments: []manifestSegment{out, active}}
+				if err := commitManifest(dir, next); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if stage == "mid-delete" {
+				if err := os.Remove(filepath.Join(dir, segName(sealed[0].ID, sealed[0].Gen))); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			s2 := mustOpen(t, dir, Config{SegmentBytes: tinySeg})
+			defer s2.Close()
+			checkAll(t, s2, want)
+			tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp"))
+			if len(tmps) != 0 {
+				t.Fatalf("debris after recovery: %v", tmps)
+			}
+			m2, err := loadManifest(dir)
+			if err != nil || m2 == nil {
+				t.Fatalf("manifest after recovery: %v", err)
+			}
+			files, _ := scanSegmentFiles(dir)
+			if !reflect.DeepEqual(files, m2.Segments) {
+				t.Fatalf("disk holds segments %v, manifest lists %v", files, m2.Segments)
+			}
+			if err := s2.Put("post-crash", "test", "ok", Meta{}); err != nil {
+				t.Fatalf("Put after crash recovery: %v", err)
+			}
+		})
 	}
 }

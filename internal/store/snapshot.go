@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,16 +12,17 @@ import (
 )
 
 // The index snapshot makes reopen snapshot-load + tail-replay instead
-// of full-journal replay. It is a point-in-time capture of the live
-// index and per-segment accounting, stamped with exactly how much of
-// each segment it covers: sealed segments fully, the then-active
-// segment up to its append offset. On open, if the covered segments
-// still prefix the manifest order (rolls after the snapshot only append
-// new segments, so they keep it valid; compaction replaces the prefix,
-// so it invalidates it — and immediately writes a fresh one), the store
-// loads the snapshot and replays only the bytes past each watermark.
-// The snapshot is a pure cache: corrupt, stale, or missing just means a
-// full replay, never an error.
+// of full-journal replay. It is a point-in-time capture of the index,
+// stamped with exactly how much of each segment it covers: sealed
+// segments fully, the then-active segment up to its append offset. On
+// open, if the covered segments still prefix the manifest order (rolls
+// after the snapshot only append new segments, so they keep it valid),
+// the store loads the snapshot and replays only the bytes past each
+// watermark. The snapshot is a pure cache: corrupt, stale, or missing
+// just means a full replay, never an error. A snapshot of another
+// version (version 1 also carried per-segment live/dead accounting) is
+// stale: logged once, replayed in full, and rewritten on the next
+// snapshot.
 //
 // Encoding (inside one CRC frame, magic "VMS1", little-endian):
 //
@@ -28,8 +30,7 @@ import (
 //	u64 manifest generation (informational)
 //	u64 unix seconds at capture (drives store_snapshot_age_seconds)
 //	u32 segment count; per segment:
-//	    u64 id, u64 gen, u64 covered bytes,
-//	    u64 live bytes, u64 dead bytes, u64 live records, u64 dead records
+//	    u64 id, u64 gen, u64 covered bytes
 //	u64 key count; per key:
 //	    u16 key length, key bytes, u32 segment index, u64 offset, u32 frame length
 //
@@ -44,16 +45,15 @@ const SnapshotName = "index.snap"
 
 var snapshotMagic = [4]byte{'V', 'M', 'S', '1'}
 
-const snapshotVersion = 1
+const snapshotVersion = 2
+
+// errSnapshotVersion reports a well-formed snapshot of another version.
+var errSnapshotVersion = errors.New("unsupported snapshot version")
 
 // snapSegment is one covered segment in the snapshot, in replay order.
 type snapSegment struct {
-	id, gen     int64
-	covered     int64
-	liveBytes   int64
-	deadBytes   int64
-	liveRecords int64
-	deadRecords int64
+	id, gen int64
+	covered int64
 }
 
 // snapshot is a decoded index snapshot.
@@ -73,7 +73,7 @@ type snapKey struct {
 
 // encodeSnapshot renders the snapshot payload and frames it.
 func encodeSnapshot(sn *snapshot) ([]byte, error) {
-	size := 4 + 8 + 8 + 4 + len(sn.segs)*56 + 8
+	size := 4 + 8 + 8 + 4 + len(sn.segs)*24 + 8
 	for _, k := range sn.keys {
 		size += 2 + len(k.key) + 4 + 8 + 4
 	}
@@ -95,10 +95,6 @@ func encodeSnapshot(sn *snapshot) ([]byte, error) {
 		u64(uint64(sg.id))
 		u64(uint64(sg.gen))
 		u64(uint64(sg.covered))
-		u64(uint64(sg.liveBytes))
-		u64(uint64(sg.deadBytes))
-		u64(uint64(sg.liveRecords))
-		u64(uint64(sg.deadRecords))
 	}
 	u64(uint64(len(sn.keys)))
 	for _, k := range sn.keys {
@@ -148,7 +144,7 @@ func decodeSnapshot(b []byte) (*snapshot, error) {
 		return nil, err
 	}
 	if v := ru32(); v != snapshotVersion {
-		return nil, fmt.Errorf("unsupported snapshot version %d", v)
+		return nil, fmt.Errorf("%w %d, this build reads %d", errSnapshotVersion, v, snapshotVersion)
 	}
 	sn := &snapshot{generation: int64(ru64()), unixTime: int64(ru64())}
 	nSegs := int(ru32())
@@ -156,14 +152,10 @@ func decodeSnapshot(b []byte) (*snapshot, error) {
 		return nil, fmt.Errorf("implausible snapshot segment count %d", nSegs)
 	}
 	for i := 0; i < nSegs; i++ {
-		if err := need(56); err != nil {
+		if err := need(24); err != nil {
 			return nil, err
 		}
-		sg := snapSegment{
-			id: int64(ru64()), gen: int64(ru64()), covered: int64(ru64()),
-			liveBytes: int64(ru64()), deadBytes: int64(ru64()),
-			liveRecords: int64(ru64()), deadRecords: int64(ru64()),
-		}
+		sg := snapSegment{id: int64(ru64()), gen: int64(ru64()), covered: int64(ru64())}
 		if sg.id < 1 || sg.gen < 1 || sg.covered < 0 {
 			return nil, fmt.Errorf("snapshot segment %d out of range", i)
 		}
@@ -215,22 +207,18 @@ func writeSnapshotFile(dir string, sn *snapshot) error {
 	return err
 }
 
-// loadSnapshotFile reads and decodes dir's snapshot. Missing file or
-// undecodable bytes both return (nil, reason) — the caller logs the
-// reason and replays in full.
-func loadSnapshotFile(dir string) (*snapshot, string) {
+// loadSnapshotFile reads and decodes dir's snapshot. A missing file
+// returns (nil, nil); unreadable or undecodable bytes return an error,
+// which the caller logs before replaying in full.
+func loadSnapshotFile(dir string) (*snapshot, error) {
 	b, err := os.ReadFile(filepath.Join(dir, SnapshotName))
 	if os.IsNotExist(err) {
-		return nil, ""
+		return nil, nil
 	}
 	if err != nil {
-		return nil, err.Error()
+		return nil, err
 	}
-	sn, derr := decodeSnapshot(b)
-	if derr != nil {
-		return nil, derr.Error()
-	}
-	return sn, ""
+	return decodeSnapshot(b)
 }
 
 // captureSnapshot builds a snapshot of the store's current state. The
@@ -241,21 +229,17 @@ func (s *Store) captureSnapshot() *snapshot {
 	s.segMu.RLock()
 	sn := &snapshot{generation: s.generation, unixTime: time.Now().Unix()}
 	segIdx := make(map[int64]uint32, len(s.order))
-	for i, seq := range s.order {
-		sg := s.segs[seq]
-		segIdx[sg.seq] = uint32(i)
-		sn.segs = append(sn.segs, snapSegment{
-			id: sg.id, gen: sg.gen, covered: sg.size.Load(),
-			liveBytes: sg.liveBytes.Load(), deadBytes: sg.deadBytes.Load(),
-			liveRecords: sg.liveRecords.Load(), deadRecords: sg.deadRecords.Load(),
-		})
+	for i, id := range s.order {
+		sg := s.segs[id]
+		segIdx[id] = uint32(i)
+		sn.segs = append(sn.segs, snapSegment{id: id, gen: sg.gen, covered: sg.size.Load()})
 	}
 	s.segMu.RUnlock()
 	sn.keys = make([]snapKey, 0, s.idx.len())
 	s.idx.walk(func(key string, ref recordRef) {
 		idx, ok := segIdx[ref.seg]
 		if !ok {
-			return // unreachable: every live ref points at an open segment
+			return // unreachable: every ref points at an open segment
 		}
 		sn.keys = append(sn.keys, snapKey{key: key, segIdx: idx, off: ref.off, length: ref.length})
 	})

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -18,39 +17,25 @@ func TestSnapshotTailReplay(t *testing.T) {
 	want := putN(t, s, 20, "base")
 	s.Close() // writes the snapshot
 
-	// Second session: more appends, a delete, then a kill (handles
-	// dropped without Close, so the snapshot is not refreshed).
+	// Second session: more appends, then a kill (handles dropped
+	// without Close, so the snapshot is not refreshed).
 	s2 := mustOpen(t, dir, Config{SegmentBytes: tinySeg})
 	for k, v := range putN(t, s2, 10, "tail") {
 		want[k] = v
 	}
-	if ok, err := s2.Delete("base-005"); err != nil || !ok {
-		t.Fatalf("Delete: ok=%v err=%v", ok, err)
-	}
-	delete(want, "base-005")
 	s2.closeSegments()
 
 	s3 := mustOpen(t, dir, Config{SegmentBytes: tinySeg})
 	defer s3.Close()
 	checkAll(t, s3, want)
-	if _, ok, _ := s3.Get("base-005"); ok {
-		t.Fatal("tail-replayed tombstone ignored: base-005 resurrected")
-	}
 }
 
 // TestSnapshotEquivalence: reopening via snapshot and via full replay
-// must produce identical contents and identical accounting.
+// must produce identical contents and an identical status.
 func TestSnapshotEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Config{SegmentBytes: tinySeg})
 	want := putN(t, s, 30, "eq")
-	for i := 0; i < 30; i += 5 {
-		k := fmt.Sprintf("eq-%03d", i)
-		if _, err := s.Delete(k); err != nil {
-			t.Fatalf("Delete: %v", err)
-		}
-		delete(want, k)
-	}
 	s.Close()
 
 	snap := mustOpen(t, dir, Config{SegmentBytes: tinySeg})
@@ -64,11 +49,10 @@ func TestSnapshotEquivalence(t *testing.T) {
 	replayStatus := replay.Status()
 	checkAll(t, replay, want)
 
-	if snapStatus.LiveBytes != replayStatus.LiveBytes ||
-		snapStatus.DeadBytes != replayStatus.DeadBytes ||
+	if snapStatus.Bytes != replayStatus.Bytes ||
 		snapStatus.Entries != replayStatus.Entries ||
 		snapStatus.Segments != replayStatus.Segments {
-		t.Fatalf("snapshot and replay accounting diverge:\n snap: %+v\nreplay: %+v", snapStatus, replayStatus)
+		t.Fatalf("snapshot and replay status diverge:\n snap: %+v\nreplay: %+v", snapStatus, replayStatus)
 	}
 }
 
@@ -122,8 +106,8 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 		generation: 7,
 		unixTime:   1700000000,
 		segs: []snapSegment{
-			{id: 1, gen: 2, covered: 4096, liveBytes: 3000, deadBytes: 1096, liveRecords: 30, deadRecords: 11},
-			{id: 5, gen: 1, covered: 128, liveBytes: 128, liveRecords: 1},
+			{id: 1, gen: 2, covered: 4096},
+			{id: 5, gen: 1, covered: 128},
 		},
 		keys: []snapKey{
 			{key: "abc", segIdx: 0, off: 0, length: 100},

@@ -6,25 +6,26 @@
 // which the rows can be cached forever, and a cache hit is provably
 // equivalent to re-execution.
 //
-// On disk the store is a segmented journal (see segment.go): appends
-// land in the active segment, which rolls into an immutable sealed
-// segment at a size threshold; a background compactor merges the sealed
-// prefix, dropping superseded and tombstoned records (compact.go); the
-// manifest records the replay order through atomic rewrites
-// (manifest.go); and an index snapshot turns reopen into snapshot-load
-// plus tail-replay instead of a full-journal replay (snapshot.go).
-// Every Put appends one checksummed record and fsyncs before the entry
-// becomes visible, so a crash can only ever lose the record being
-// written, never a completed one. A truncated or corrupt segment tail —
-// the signature of a torn write — is logged, counted in metrics, and
-// truncated away rather than treated as fatal.
+// Because a stored result never goes stale, the store is append-only:
+// nothing is ever replaced or deleted, so no dead bytes build up and
+// nothing needs compacting.
+// On disk it is a segmented journal (see segment.go): appends land in
+// the active segment, which rolls into an immutable sealed segment at a
+// size threshold; the manifest records the replay order through atomic
+// rewrites (manifest.go); and an index snapshot turns reopen into
+// snapshot-load plus tail-replay instead of a full-journal replay
+// (snapshot.go). Every Put appends one checksummed record and fsyncs
+// before the entry becomes visible, so a crash can only ever lose the
+// record being written, never a completed one. A truncated or corrupt
+// segment tail — the signature of a torn write — is logged, counted in
+// metrics, and truncated away rather than treated as fatal.
 //
 // In memory, a 64-way sharded key→offset index (index.go) locates every
 // record under per-shard read locks, and a bounded LRU of decoded
 // entries fronts the disk so hot keys (a sweep re-reading its own
 // cells, vmat-bench regenerating a figure) never touch a file.
-// Hit/miss/eviction/corruption counters and segment/byte accounting
-// land in an internal/metrics registry.
+// Hit/miss/eviction/corruption counters and entry/segment gauges land
+// in an internal/metrics registry.
 package store
 
 import (
@@ -47,15 +48,10 @@ const (
 	MetricHits        = "store_hits_total"
 	MetricMisses      = "store_misses_total"
 	MetricPuts        = "store_puts_total"
-	MetricDeletes     = "store_deletes_total"
 	MetricEvictions   = "store_cache_evictions_total"
 	MetricCorrupt     = "store_corrupt_records_total"
 	MetricEntries     = "store_entries"
 	MetricSegments    = "store_segments_total"
-	MetricLiveBytes   = "store_live_bytes"
-	MetricDeadBytes   = "store_dead_bytes"
-	MetricCompactions = "store_compactions_total"
-	MetricReclaimed   = "store_compact_bytes_reclaimed_total"
 	MetricSnapshots   = "store_snapshots_total"
 	MetricSnapshotAge = "store_snapshot_age_seconds"
 )
@@ -72,15 +68,12 @@ type Meta struct {
 
 // Entry is one stored result: the content-address key, the kind of
 // workload that produced it, its metadata, and the result value as raw
-// JSON (decoded by typed helpers such as GetScenario). Tomb marks a
-// tombstone record — a Delete in the journal; tombstones exist only on
-// disk and are never returned by Get.
+// JSON (decoded by typed helpers such as GetScenario).
 type Entry struct {
 	Key   string          `json:"key"`
 	Kind  string          `json:"kind,omitempty"`
 	Meta  Meta            `json:"meta"`
 	Value json.RawMessage `json:"value"`
-	Tomb  bool            `json:"tomb,omitempty"`
 }
 
 // Config configures a Store. Zero values pick serving defaults.
@@ -92,50 +85,43 @@ type Config struct {
 	// SegmentBytes is the size at which the active segment is sealed
 	// and a new one started. Default 64 MiB.
 	SegmentBytes int64
-	// CompactInterval is the background maintenance period: each tick
-	// refreshes the snapshot-age gauge, writes an index snapshot when
-	// snapshotEvery appends have accumulated, and compacts when the
-	// sealed dead-byte ratio crosses compactMinDeadRatio. Zero disables
-	// the background loop (snapshots still happen on Close; Compact and
-	// Snapshot can be called explicitly).
-	CompactInterval time.Duration
-	// DisableFsync skips the per-record fsync on Put and Delete. Bulk
-	// loading and benchmarks only: a crash can lose recent appends,
-	// though never corrupt the store (the CRC frames still truncate
-	// cleanly).
+	// SnapshotInterval is the background maintenance period: each tick
+	// refreshes the snapshot-age gauge and writes an index snapshot
+	// when snapshotEvery appends have accumulated. Zero disables the
+	// background loop (snapshots still happen on Close, and Snapshot
+	// can be called explicitly).
+	SnapshotInterval time.Duration
+	// DisableFsync skips the per-record fsync on Put. Bulk loading and
+	// benchmarks only: a crash can lose recent appends, though never
+	// corrupt the store (the CRC frames still truncate cleanly).
 	DisableFsync bool
 	// Metrics receives the store's counters. Nil creates a private
 	// registry.
 	Metrics *metrics.Registry
 	// Log receives human-readable notices (journal recovery, corrupt
-	// tails, rolls, compactions). Nil discards them.
+	// tails, rolls, stale snapshots). Nil discards them.
 	Log func(format string, args ...any)
 }
 
 // Status is a point-in-time view of the storage engine, served under
 // the "store" section of /healthz.
 type Status struct {
-	Segments           int     `json:"segments"`
-	Entries            int64   `json:"entries"`
-	LiveBytes          int64   `json:"live_bytes"`
-	DeadBytes          int64   `json:"dead_bytes"`
-	DeadRatio          float64 `json:"dead_ratio"`
-	Compacting         bool    `json:"compacting"`
-	Compactions        int64   `json:"compactions"`
-	SnapshotAgeSeconds int64   `json:"snapshot_age_seconds"` // -1 when no snapshot exists
-	Generation         int64   `json:"generation"`
+	Segments           int   `json:"segments"`
+	Entries            int64 `json:"entries"`
+	Bytes              int64 `json:"bytes"`                // total size of the segment files
+	SnapshotAgeSeconds int64 `json:"snapshot_age_seconds"` // -1 when no snapshot exists
+	Generation         int64 `json:"generation"`
 }
 
 // Store is a file-backed content-addressed result store. All methods
 // are safe for concurrent use.
 //
-// Locking, outermost first: maintMu serializes maintenance (compaction,
-// snapshot writes, Close); appendMu serializes appends and rolls so a
-// record's offset, fsync, and index insert stay atomic without blocking
-// readers; segMu guards the segment table (readers hold it shared
-// across ReadAt; rolls and compaction swaps hold it exclusive, and all
-// manifest commits happen under it so two structural changes cannot
-// interleave); the index shards and the LRU have their own locks.
+// Locking, outermost first: maintMu serializes snapshot writes and
+// Close; appendMu serializes appends and rolls so a record's offset,
+// fsync, and index insert stay atomic without blocking readers; segMu
+// guards the segment table (readers hold it shared across ReadAt; rolls
+// and Close hold it exclusive); the index shards and the LRU have their
+// own locks.
 type Store struct {
 	dir          string
 	segmentBytes int64
@@ -146,13 +132,12 @@ type Store struct {
 	appendMu sync.Mutex
 
 	segMu      sync.RWMutex
-	segs       map[int64]*segment // by runtime seq
-	order      []int64            // replay order of seqs; last is active
+	segs       map[int64]*segment // by segment id
+	order      []int64            // replay order of ids; last is active
 	nextID     int64
 	generation int64
 
-	nextSeq atomic.Int64
-	idx     *shardedIndex
+	idx *shardedIndex
 
 	// Bounded decoded-entry cache: cache maps key -> list element whose
 	// value is an Entry; lru's front is the most recently used.
@@ -162,21 +147,15 @@ type Store struct {
 	cacheCap int
 
 	closed           atomic.Bool
-	compacting       atomic.Bool
 	entriesCount     atomic.Int64
 	appendsSinceSnap atomic.Int64
 	lastSnapUnix     atomic.Int64 // 0 = no snapshot this process knows of
-	delEpoch         atomic.Int64 // bumped per Delete; guards cache staleness
 
 	bgStop chan struct{}
 	bgDone chan struct{}
 
-	crashAt func(stage string) bool // test-only compaction crash hook
-
-	hits, misses, puts, deletes, evictions, corrupt *metrics.Counter
-	compactionsC, reclaimed, snapshots              *metrics.Counter
-	entries, segments, liveBytesG, deadBytesG       *metrics.Gauge
-	snapAge                                         *metrics.Gauge
+	hits, misses, puts, evictions, corrupt, snapshots *metrics.Counter
+	entries, segments, snapAge                        *metrics.Gauge
 }
 
 // Open opens (creating if needed) the store rooted at dir. A corrupt or
@@ -212,16 +191,11 @@ func Open(dir string, cfg Config) (*Store, error) {
 		hits:         cfg.Metrics.Counter(MetricHits),
 		misses:       cfg.Metrics.Counter(MetricMisses),
 		puts:         cfg.Metrics.Counter(MetricPuts),
-		deletes:      cfg.Metrics.Counter(MetricDeletes),
 		evictions:    cfg.Metrics.Counter(MetricEvictions),
 		corrupt:      cfg.Metrics.Counter(MetricCorrupt),
-		compactionsC: cfg.Metrics.Counter(MetricCompactions),
-		reclaimed:    cfg.Metrics.Counter(MetricReclaimed),
 		snapshots:    cfg.Metrics.Counter(MetricSnapshots),
 		entries:      cfg.Metrics.Gauge(MetricEntries),
 		segments:     cfg.Metrics.Gauge(MetricSegments),
-		liveBytesG:   cfg.Metrics.Gauge(MetricLiveBytes),
-		deadBytesG:   cfg.Metrics.Gauge(MetricDeadBytes),
 		snapAge:      cfg.Metrics.Gauge(MetricSnapshotAge),
 	}
 	if err := s.openLayout(); err != nil {
@@ -232,22 +206,23 @@ func Open(dir string, cfg Config) (*Store, error) {
 		s.closeSegments()
 		return nil, err
 	}
-	s.refreshAccounting()
+	s.segments.Set(int64(len(s.order)))
+	s.entries.Set(s.entriesCount.Load())
 	s.updateSnapAge()
-	if cfg.CompactInterval > 0 {
+	if cfg.SnapshotInterval > 0 {
 		s.bgStop = make(chan struct{})
 		s.bgDone = make(chan struct{})
-		go s.background(cfg.CompactInterval)
+		go s.background(cfg.SnapshotInterval)
 	}
 	return s, nil
 }
 
 // openLayout establishes the segment layout: clears tmp debris, loads
 // (or rebuilds, or bootstraps) the manifest, opens every listed
-// segment, and deletes unlisted segment files — which are provably
-// uncommitted (a half-finished compaction output, or a rolled file
-// whose manifest commit never landed and which therefore never hosted
-// a record).
+// segment, and deletes unlisted segment files. Those are provably
+// uncommitted: a rolled file whose manifest commit never landed, and
+// which therefore never hosted a record, or the output or inputs of a
+// compaction an earlier build was killed in the middle of.
 func (s *Store) openLayout() error {
 	for _, pat := range []string{ManifestName + ".tmp", SnapshotName + ".tmp", segPattern + ".tmp"} {
 		matches, _ := filepath.Glob(filepath.Join(s.dir, pat))
@@ -278,12 +253,12 @@ func (s *Store) openLayout() error {
 			m = &manifest{Version: manifestVersion, Generation: 1, NextID: 2, Segments: []manifestSegment{{ID: 1, Gen: 1}}}
 			// The active segment file must exist before the manifest
 			// references it.
-			sg, err := openSegment(s.dir, s.nextSeq.Add(1), 1, 1)
+			sg, err := openSegment(s.dir, 1, 1)
 			if err != nil {
 				return err
 			}
-			s.segs[sg.seq] = sg
-			s.order = append(s.order, sg.seq)
+			s.segs[sg.id] = sg
+			s.order = append(s.order, sg.id)
 		} else {
 			m, drop = bootstrapManifest(files)
 		}
@@ -298,21 +273,19 @@ func (s *Store) openLayout() error {
 	}
 
 	for _, ms := range m.Segments {
-		if len(s.order) > 0 {
-			if sg := s.segs[s.order[len(s.order)-1]]; sg.id == ms.ID && sg.gen == ms.Gen {
-				continue // fresh-store segment opened above
-			}
+		if s.segs[ms.ID] != nil {
+			continue // fresh-store segment opened above
 		}
 		path := filepath.Join(s.dir, segName(ms.ID, ms.Gen))
 		if _, err := os.Stat(path); err != nil {
 			return fmt.Errorf("store: manifest lists segment %s but it is missing (%v) — run vmat-store verify", filepath.Base(path), err)
 		}
-		sg, err := openSegment(s.dir, s.nextSeq.Add(1), ms.ID, ms.Gen)
+		sg, err := openSegment(s.dir, ms.ID, ms.Gen)
 		if err != nil {
 			return err
 		}
-		s.segs[sg.seq] = sg
-		s.order = append(s.order, sg.seq)
+		s.segs[sg.id] = sg
+		s.order = append(s.order, sg.id)
 	}
 
 	files, err := scanSegmentFiles(s.dir)
@@ -340,31 +313,23 @@ func (s *Store) openLayout() error {
 // tail replay when the snapshot still matches the layout, from a full
 // replay otherwise.
 func (s *Store) load() error {
-	sn, reason := loadSnapshotFile(s.dir)
-	if reason != "" {
+	sn, err := loadSnapshotFile(s.dir)
+	switch {
+	case errors.Is(err, errSnapshotVersion):
+		s.log("store: index snapshot stale (%v); replaying all segments", err)
+	case err != nil:
 		s.corrupt.Inc()
-		s.log("store: index snapshot unusable (%s); replaying all segments", reason)
+		s.log("store: index snapshot unusable (%v); replaying all segments", err)
 	}
 	start := make([]int64, len(s.order))
 	if sn != nil {
 		if ok, why := s.applySnapshot(sn, start); !ok {
 			s.log("store: index snapshot stale (%s); replaying all segments", why)
-			s.idx = newShardedIndex()
-			for _, seq := range s.order {
-				sg := s.segs[seq]
-				sg.liveBytes.Store(0)
-				sg.deadBytes.Store(0)
-				sg.liveRecords.Store(0)
-				sg.deadRecords.Store(0)
-			}
-			for i := range start {
-				start[i] = 0
-			}
 			sn = nil
 		}
 	}
-	for i, seq := range s.order {
-		if err := s.replaySegment(s.segs[seq], start[i]); err != nil {
+	for i, id := range s.order {
+		if err := s.replaySegment(s.segs[id], start[i]); err != nil {
 			return err
 		}
 	}
@@ -377,7 +342,7 @@ func (s *Store) load() error {
 
 // applySnapshot checks sn against the current layout and, if its
 // covered segments still prefix the manifest order, installs its index
-// and accounting and fills start with per-segment replay watermarks.
+// and fills start with per-segment replay watermarks.
 func (s *Store) applySnapshot(sn *snapshot, start []int64) (bool, string) {
 	if len(sn.segs) > len(s.order) {
 		return false, "covers more segments than the manifest lists"
@@ -392,11 +357,6 @@ func (s *Store) applySnapshot(sn *snapshot, start []int64) (bool, string) {
 		}
 	}
 	for i, ss := range sn.segs {
-		sg := s.segs[s.order[i]]
-		sg.liveBytes.Store(ss.liveBytes)
-		sg.deadBytes.Store(ss.deadBytes)
-		sg.liveRecords.Store(ss.liveRecords)
-		sg.deadRecords.Store(ss.deadRecords)
 		start[i] = ss.covered
 	}
 	s.idx.preallocate(len(sn.keys))
@@ -406,32 +366,21 @@ func (s *Store) applySnapshot(sn *snapshot, start []int64) (bool, string) {
 	return true, ""
 }
 
-// replaySegment indexes sg's records from byte offset from onward,
-// running the same state machine as live appends: first put per key
-// wins, a tombstone kills its key, a later put revives it. The first
-// incomplete or corrupt record marks the recovery point — everything
-// from there on is the debris of a torn write, and is logged, counted,
-// and truncated so subsequent appends start from a clean boundary. A
-// read error is not damage: it fails the replay and truncates nothing.
+// replaySegment indexes sg's records from byte offset from onward. The
+// first record of a key wins, as it does for live appends (a later copy
+// can only come from an earlier build's compaction; see segment.go).
+// The first incomplete or corrupt record marks the recovery point —
+// everything from there on is the debris of a torn write, and is
+// logged, counted, and truncated so subsequent appends start from a
+// clean boundary. A read error is not damage: it fails the replay and
+// truncates nothing.
 func (s *Store) replaySegment(sg *segment, from int64) error {
 	off, reason, err := scanFile(sg.f, journalMagic, from, func(off int64, payload []byte) error {
 		var e Entry
 		if jerr := json.Unmarshal(payload, &e); jerr != nil || e.Key == "" {
 			return errors.New("undecodable record payload")
 		}
-		n := int64(frame.HeaderLen + len(payload))
-		if e.Tomb {
-			if ref, ok := s.idx.delete(e.Key); ok {
-				s.markDeadRef(ref)
-			}
-			sg.addDead(n)
-			return nil
-		}
-		if s.idx.putIfAbsent(e.Key, recordRef{seg: sg.seq, off: off, length: n}) {
-			sg.addLive(n)
-		} else {
-			sg.addDead(n)
-		}
+		s.idx.putIfAbsent(e.Key, recordRef{seg: sg.id, off: off, length: int64(frame.HeaderLen + len(payload))})
 		return nil
 	})
 	if err != nil {
@@ -457,17 +406,6 @@ func (s *Store) active() *segment {
 	return sg
 }
 
-// markDeadRef moves the record behind ref to dead accounting in
-// whichever open segment holds it.
-func (s *Store) markDeadRef(ref recordRef) {
-	s.segMu.RLock()
-	sg := s.segs[ref.seg]
-	s.segMu.RUnlock()
-	if sg != nil {
-		sg.recordDead(ref.length)
-	}
-}
-
 // Len returns the number of stored entries.
 func (s *Store) Len() int {
 	return int(s.entriesCount.Load())
@@ -479,9 +417,12 @@ func (s *Store) Has(key string) bool {
 }
 
 // Get returns the entry stored under key. A miss returns ok=false with
-// no error; the error return is reserved for I/O and decode failures on
-// a record the index says exists.
+// no error; the error return is reserved for a closed store and for I/O
+// and decode failures on a record the index says exists.
 func (s *Store) Get(key string) (Entry, bool, error) {
+	if s.closed.Load() {
+		return Entry{}, false, errClosed
+	}
 	s.cacheMu.Lock()
 	if el, ok := s.cache[key]; ok {
 		s.lru.MoveToFront(el)
@@ -491,50 +432,33 @@ func (s *Store) Get(key string) (Entry, bool, error) {
 		return e, true, nil
 	}
 	s.cacheMu.Unlock()
-	epoch := s.delEpoch.Load()
 	ref, ok := s.idx.get(key)
 	if !ok {
 		s.misses.Inc()
 		return Entry{}, false, nil
 	}
-	for attempt := 0; ; attempt++ {
-		s.segMu.RLock()
-		sg := s.segs[ref.seg]
-		if sg == nil {
-			s.segMu.RUnlock()
-			// A compaction moved the record between the index lookup
-			// and the segment fetch; the index already has its new
-			// home.
-			if attempt >= 8 {
-				return Entry{}, false, fmt.Errorf("store: record for %s kept moving during lookup", key)
-			}
-			if ref, ok = s.idx.get(key); !ok {
-				s.misses.Inc()
-				return Entry{}, false, nil
-			}
-			continue
-		}
-		buf := make([]byte, ref.length)
-		_, err := sg.f.ReadAt(buf, ref.off)
+	s.segMu.RLock()
+	sg := s.segs[ref.seg]
+	if sg == nil { // Close tore the segments down after the check above
 		s.segMu.RUnlock()
-		if err != nil {
-			return Entry{}, false, fmt.Errorf("store: read record for %s: %w", key, err)
-		}
-		e, derr := decodeRecord(buf)
-		if derr != nil {
-			// The record passed its checksum at replay time, so this is
-			// in-place damage, not a torn write; surface it loudly.
-			s.corrupt.Inc()
-			return Entry{}, false, fmt.Errorf("store: record for %s: %w", key, derr)
-		}
-		// Cache only if no Delete landed since the index lookup — a
-		// stale cache entry would outlive its tombstone.
-		if s.delEpoch.Load() == epoch {
-			s.cacheAdd(e)
-		}
-		s.hits.Inc()
-		return e, true, nil
+		return Entry{}, false, errClosed
 	}
+	buf := make([]byte, ref.length)
+	_, err := sg.f.ReadAt(buf, ref.off)
+	s.segMu.RUnlock()
+	if err != nil {
+		return Entry{}, false, fmt.Errorf("store: read record for %s: %w", key, err)
+	}
+	e, derr := decodeRecord(buf)
+	if derr != nil {
+		// The record passed its checksum at replay time, so this is
+		// in-place damage, not a torn write; surface it loudly.
+		s.corrupt.Inc()
+		return Entry{}, false, fmt.Errorf("store: record for %s: %w", key, derr)
+	}
+	s.cacheAdd(e)
+	s.hits.Inc()
+	return e, true, nil
 }
 
 // Put stores value (JSON-marshaled) under key. Puts are idempotent:
@@ -579,68 +503,13 @@ func (s *Store) Put(key, kind string, value any, meta Meta) error {
 	}
 	n := int64(len(rec))
 	active.size.Store(off + n)
-	if s.idx.putIfAbsent(key, recordRef{seg: active.seq, off: off, length: n}) {
-		active.addLive(n)
-		s.entriesCount.Add(1)
-		s.cacheAdd(e)
-	} else {
-		active.addDead(n) // unreachable under appendMu, but keep the books straight
-	}
+	s.idx.putIfAbsent(key, recordRef{seg: active.id, off: off, length: n}) // absent: checked above under appendMu
+	s.entries.Set(s.entriesCount.Add(1))
+	s.cacheAdd(e)
 	s.puts.Inc()
 	s.appendsSinceSnap.Add(1)
-	s.refreshAccounting()
 	s.maybeRollLocked()
 	return nil
-}
-
-// Delete removes key from the store by appending a tombstone record —
-// the record's bytes stay in place (dead) until a compaction drops
-// them. Returns whether the key was present. Deleting an absent key is
-// a no-op. Like Put, the tombstone is fsync'd before Delete returns.
-func (s *Store) Delete(key string) (bool, error) {
-	if s.closed.Load() {
-		return false, errClosed
-	}
-	if !s.idx.has(key) {
-		return false, nil
-	}
-	rec, err := encodeRecord(&Entry{Key: key, Tomb: true})
-	if err != nil {
-		return false, err
-	}
-
-	s.appendMu.Lock()
-	defer s.appendMu.Unlock()
-	if s.closed.Load() {
-		return false, errClosed
-	}
-	if !s.idx.has(key) { // already deleted; don't pay for a second tombstone
-		return false, nil
-	}
-	active := s.active()
-	off := active.size.Load()
-	if _, err := active.f.WriteAt(rec, off); err != nil {
-		return false, fmt.Errorf("store: append tombstone: %w", err)
-	}
-	if s.fsync {
-		if err := active.f.Sync(); err != nil {
-			return false, fmt.Errorf("store: sync segment: %w", err)
-		}
-	}
-	n := int64(len(rec))
-	active.size.Store(off + n)
-	active.addDead(n)
-	if ref, ok := s.idx.delete(key); ok {
-		s.markDeadRef(ref)
-		s.entriesCount.Add(-1)
-	}
-	s.cacheRemove(key)
-	s.delEpoch.Add(1)
-	s.deletes.Inc()
-	s.appendsSinceSnap.Add(1)
-	s.refreshAccounting()
-	s.maybeRollLocked()
-	return true, nil
 }
 
 // maybeRollLocked seals the active segment and starts a new one once it
@@ -668,13 +537,13 @@ func (s *Store) rollLocked() error {
 	s.segMu.Lock()
 	defer s.segMu.Unlock()
 	id := s.nextID
-	sg, err := openSegment(s.dir, s.nextSeq.Add(1), id, 1)
+	sg, err := openSegment(s.dir, id, 1)
 	if err != nil {
 		return err
 	}
 	segsList := make([]manifestSegment, 0, len(s.order)+1)
-	for _, seq := range s.order {
-		cur := s.segs[seq]
+	for _, segID := range s.order {
+		cur := s.segs[segID]
 		segsList = append(segsList, manifestSegment{ID: cur.id, Gen: cur.gen})
 	}
 	segsList = append(segsList, manifestSegment{ID: id, Gen: 1})
@@ -684,8 +553,8 @@ func (s *Store) rollLocked() error {
 		os.Remove(sg.path)
 		return err
 	}
-	s.segs[sg.seq] = sg
-	s.order = append(s.order, sg.seq)
+	s.segs[id] = sg
+	s.order = append(s.order, id)
 	s.nextID = id + 1
 	s.generation++
 	s.segments.Set(int64(len(s.order)))
@@ -753,20 +622,11 @@ func (s *Store) writeSnapshotLocked() error {
 func (s *Store) Status() Status {
 	s.segMu.RLock()
 	st := Status{Segments: len(s.order), Generation: s.generation}
-	var total int64
-	for _, seq := range s.order {
-		sg := s.segs[seq]
-		st.LiveBytes += sg.liveBytes.Load()
-		st.DeadBytes += sg.deadBytes.Load()
-		total += sg.size.Load()
+	for _, id := range s.order {
+		st.Bytes += s.segs[id].size.Load()
 	}
 	s.segMu.RUnlock()
-	if total > 0 {
-		st.DeadRatio = float64(st.DeadBytes) / float64(total)
-	}
 	st.Entries = s.entriesCount.Load()
-	st.Compacting = s.compacting.Load()
-	st.Compactions = s.compactionsC.Value()
 	st.SnapshotAgeSeconds = s.updateSnapAge()
 	return st
 }
@@ -798,23 +658,22 @@ func (s *Store) closeSegments() error {
 	s.segMu.Lock()
 	defer s.segMu.Unlock()
 	var firstErr error
-	for _, seq := range s.order {
-		sg := s.segs[seq]
+	for _, id := range s.order {
+		sg := s.segs[id]
 		if err := sg.f.Sync(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 		if err := sg.f.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
-		delete(s.segs, seq)
+		delete(s.segs, id)
 	}
 	s.order = nil
 	return firstErr
 }
 
-// background is the maintenance loop: refresh the snapshot-age gauge,
-// snapshot after enough appends, compact when the sealed segments carry
-// enough dead bytes.
+// background is the maintenance loop: refresh the snapshot-age gauge
+// and snapshot after enough appends.
 func (s *Store) background(interval time.Duration) {
 	defer close(s.bgDone)
 	t := time.NewTicker(interval)
@@ -835,67 +694,12 @@ func (s *Store) background(interval time.Duration) {
 			}
 			s.maintMu.Unlock()
 		}
-		if s.shouldCompact() {
-			if err := s.Compact(); err != nil && !errors.Is(err, errCompactionAborted) && !errors.Is(err, errClosed) {
-				s.log("store: background compaction: %v", err)
-			}
-		}
 	}
 }
 
-// Background maintenance thresholds. compactMinDeadRatio is the sealed
-// dead/total byte ratio that triggers a compaction. compactMaxSealed
-// bounds the sealed-segment count: past it the loop merges even without
-// dead bytes, so replay cost and file-handle count stay flat under
-// pure-append workloads. snapshotEvery is how many appends may
-// accumulate before the loop refreshes the index snapshot.
-const (
-	compactMinDeadRatio = 0.30
-	compactMaxSealed    = 32
-	snapshotEvery       = 4096
-)
-
-// shouldCompact is the background trigger: sealed dead bytes crossed
-// compactMinDeadRatio, or the sealed chain grew too long.
-func (s *Store) shouldCompact() bool {
-	s.segMu.RLock()
-	defer s.segMu.RUnlock()
-	if len(s.order) < 2 {
-		return false
-	}
-	sealed := s.order[:len(s.order)-1]
-	var total, dead int64
-	for _, seq := range sealed {
-		sg := s.segs[seq]
-		total += sg.size.Load()
-		dead += sg.deadBytes.Load()
-	}
-	if total == 0 {
-		return len(sealed) > 1 // collapse empty chaff
-	}
-	if float64(dead)/float64(total) >= compactMinDeadRatio {
-		return true
-	}
-	return len(sealed) >= compactMaxSealed
-}
-
-// refreshAccounting publishes segment-derived gauges. Sums live
-// atomics, so it is cheap enough to run per append.
-func (s *Store) refreshAccounting() {
-	s.segMu.RLock()
-	var live, dead int64
-	n := len(s.order)
-	for _, seq := range s.order {
-		sg := s.segs[seq]
-		live += sg.liveBytes.Load()
-		dead += sg.deadBytes.Load()
-	}
-	s.segMu.RUnlock()
-	s.liveBytesG.Set(live)
-	s.deadBytesG.Set(dead)
-	s.segments.Set(int64(n))
-	s.entries.Set(s.entriesCount.Load())
-}
+// snapshotEvery is how many appends may accumulate before the
+// background loop refreshes the index snapshot.
+const snapshotEvery = 4096
 
 // updateSnapAge recomputes the snapshot-age gauge and returns the age
 // (-1 when no snapshot exists).
@@ -926,15 +730,5 @@ func (s *Store) cacheAdd(e Entry) {
 		s.lru.Remove(oldest)
 		delete(s.cache, oldest.Value.(Entry).Key)
 		s.evictions.Inc()
-	}
-}
-
-// cacheRemove drops key from the LRU if present.
-func (s *Store) cacheRemove(key string) {
-	s.cacheMu.Lock()
-	defer s.cacheMu.Unlock()
-	if el, ok := s.cache[key]; ok {
-		s.lru.Remove(el)
-		delete(s.cache, key)
 	}
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/json"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -192,5 +193,27 @@ func TestScenarioPutGet(t *testing.T) {
 	cfg.Workers = 4
 	if _, ok, _ := s.GetScenario(cfg); !ok {
 		t.Fatalf("GetScenario missed after changing only Workers")
+	}
+}
+
+// TestGetAfterClose: a closed store answers every Get with the
+// closed-store error, whether or not the key is still in the cache.
+func TestGetAfterClose(t *testing.T) {
+	s, err := Open(t.TempDir(), Config{CacheEntries: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"evicted", "cached"} {
+		if err := s.Put(k, "test", k, Meta{}); err != nil {
+			t.Fatalf("Put(%s): %v", k, err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"evicted", "cached"} {
+		if _, ok, err := s.Get(k); ok || !errors.Is(err, errClosed) {
+			t.Fatalf("Get(%s) after Close: ok=%v err=%v, want %v", k, ok, err, errClosed)
+		}
 	}
 }

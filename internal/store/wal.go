@@ -49,20 +49,20 @@ const (
 )
 
 // WALRecord is one control-plane state transition. Which fields are
-// meaningful depends on Kind: sweep-opened carries Sweep/GridKey/Grid;
+// meaningful depends on Kind: sweep-opened carries Sweep and Grid;
 // unit-completed carries the owning Sweep, the cell's Key (a content
 // address), its Source and its Error; sweep-closed carries Sweep and
 // Status. Unit records from earlier builds' cluster coordinator leave
-// Sweep empty.
+// Sweep empty, and earlier builds' sweep-opened records carry a
+// grid_key that replay ignores.
 type WALRecord struct {
-	Kind    string          `json:"kind"`
-	Sweep   string          `json:"sweep,omitempty"`
-	Key     string          `json:"key,omitempty"`
-	GridKey string          `json:"grid_key,omitempty"`
-	Grid    json.RawMessage `json:"grid,omitempty"`
-	Source  string          `json:"source,omitempty"`
-	Error   string          `json:"error,omitempty"`
-	Status  string          `json:"status,omitempty"`
+	Kind   string          `json:"kind"`
+	Sweep  string          `json:"sweep,omitempty"`
+	Key    string          `json:"key,omitempty"`
+	Grid   json.RawMessage `json:"grid,omitempty"`
+	Source string          `json:"source,omitempty"`
+	Error  string          `json:"error,omitempty"`
+	Status string          `json:"status,omitempty"`
 }
 
 // WALConfig configures a WAL. Zero values are usable defaults.
@@ -220,17 +220,6 @@ func (w *WAL) Compact(keep []WALRecord) error {
 	w.n = int64(len(keep))
 	w.records.Set(w.n)
 	return err
-}
-
-// Sync flushes the WAL. Appends already sync per batch; Sync exists for
-// shutdown paths wanting an explicit final barrier.
-func (w *WAL) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return nil
-	}
-	return w.f.Sync()
 }
 
 // Close syncs and closes the WAL. Appends after Close fail.

@@ -19,7 +19,7 @@ func TestWALAppendReplayRoundTrip(t *testing.T) {
 		t.Fatalf("fresh WAL replayed %d records, want 0", len(recs))
 	}
 	want := []WALRecord{
-		{Kind: RecSweepOpened, Sweep: "s000001", GridKey: "g1", Grid: json.RawMessage(`{"n":[30]}`)},
+		{Kind: RecSweepOpened, Sweep: "s000001", Grid: json.RawMessage(`{"n":[30]}`)},
 		{Kind: RecUnitEnqueued, Sweep: "s000001", Key: "k1"},
 		{Kind: RecUnitCompleted, Sweep: "s000001", Key: "k1", Source: "executed"},
 		{Kind: RecSweepClosed, Sweep: "s000001", Status: "done"},
@@ -45,7 +45,7 @@ func TestWALAppendReplayRoundTrip(t *testing.T) {
 	for i := range want {
 		if got[i].Kind != want[i].Kind || got[i].Sweep != want[i].Sweep ||
 			got[i].Key != want[i].Key || got[i].Source != want[i].Source ||
-			got[i].Status != want[i].Status || got[i].GridKey != want[i].GridKey {
+			got[i].Status != want[i].Status {
 			t.Fatalf("record %d = %+v, want %+v", i, got[i], want[i])
 		}
 	}
@@ -114,7 +114,7 @@ func TestWALCompactKeepsOnlyGivenRecords(t *testing.T) {
 		}
 	}
 	keep := []WALRecord{
-		{Kind: RecSweepOpened, Sweep: "s000002", GridKey: "g2"},
+		{Kind: RecSweepOpened, Sweep: "s000002"},
 		{Kind: RecUnitCompleted, Sweep: "s000002", Key: "k", Source: "failed", Error: "boom"},
 	}
 	if err := w.Compact(keep); err != nil {

@@ -433,7 +433,7 @@ func (m *Manager) SubmitAs(t *tenant.Tenant, g Grid) (*Sweep, error) {
 		if merr != nil {
 			raw = nil
 		}
-		m.walAppend(store.WALRecord{Kind: store.RecSweepOpened, Sweep: sw.id, GridKey: sw.gridKey, Grid: raw})
+		m.walAppend(store.WALRecord{Kind: store.RecSweepOpened, Sweep: sw.id, Grid: raw})
 	}
 
 	m.reg.Counter(MetricSweepsSubmitted).Inc()

@@ -181,7 +181,7 @@ func (m *Manager) Recover() {
 			a.pending++
 		}
 
-		keep = append(keep, store.WALRecord{Kind: store.RecSweepOpened, Sweep: t.id, GridKey: sw.gridKey, Grid: t.grid})
+		keep = append(keep, store.WALRecord{Kind: store.RecSweepOpened, Sweep: t.id, Grid: t.grid})
 		for _, c := range cells { // deterministic cell order, not map order
 			if msg, ok := t.failed[c.Key]; ok {
 				keep = append(keep, store.WALRecord{Kind: store.RecUnitCompleted, Sweep: t.id, Key: c.Key, Source: SourceFailed, Error: msg})

@@ -219,7 +219,7 @@ func TestRecoverPreMarksFailedCells(t *testing.T) {
 	// build, which appended them per cell and per cluster unit (with no
 	// sweep); recovery must skip them.
 	recs := []store.WALRecord{
-		{Kind: store.RecSweepOpened, Sweep: "s000007", GridKey: cellsKey(cells), Grid: raw},
+		{Kind: store.RecSweepOpened, Sweep: "s000007", Grid: raw},
 		{Kind: store.RecUnitEnqueued, Sweep: "s000007", Key: cells[0].Key},
 		{Kind: store.RecUnitCompleted, Sweep: "s000007", Key: cells[0].Key, Source: SourceFailed, Error: "boom before restart"},
 		{Kind: store.RecUnitEnqueued, Key: "cluster-unit"},
@@ -267,7 +267,7 @@ func TestRecoverFailsCellsNowInvalid(t *testing.T) {
 	}
 	raw, _ := json.Marshal(g)
 	recs := []store.WALRecord{
-		{Kind: store.RecSweepOpened, Sweep: "s000009", GridKey: cellsKey(cells), Grid: raw},
+		{Kind: store.RecSweepOpened, Sweep: "s000009", Grid: raw},
 	}
 
 	reg := metrics.New()

@@ -248,9 +248,6 @@ func (q *Queue[T]) Len() int {
 	return q.size
 }
 
-// Cap returns the global capacity.
-func (q *Queue[T]) Cap() int { return q.cfg.Capacity }
-
 // Status is the queue's contribution to /healthz.
 type Status struct {
 	// Tier is "ok", "degraded", or "shedding".
