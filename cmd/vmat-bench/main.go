@@ -122,12 +122,11 @@ func cacheSummary(w io.Writer, cache *benchCache) {
 
 func runFig7(w io.Writer, c *benchCache, quick bool, seed uint64, workers int) error {
 	cfg := experiments.DefaultFig7()
+	if quick {
+		cfg = experiments.QuickFig7()
+	}
 	cfg.Seed = seed
 	cfg.Workers = workers
-	if quick {
-		cfg.NetworkSizes = []int{1000}
-		cfg.Trials = 10
-	}
 	keyCfg := cfg
 	keyCfg.Workers = 0
 	rows, err := cachedRows(c, "fig7", keyCfg, func() ([]experiments.Fig7Row, error) {
@@ -141,12 +140,11 @@ func runFig7(w io.Writer, c *benchCache, quick bool, seed uint64, workers int) e
 
 func runFig8(w io.Writer, c *benchCache, quick bool, seed uint64, workers int) error {
 	cfg := experiments.DefaultFig8()
+	if quick {
+		cfg = experiments.QuickFig8()
+	}
 	cfg.Seed = seed
 	cfg.Workers = workers
-	if quick {
-		cfg.Trials = 50
-		cfg.Counts = []int{10, 100, 1000}
-	}
 	keyCfg := cfg
 	keyCfg.Workers = 0
 	rows, err := cachedRows(c, "fig8", keyCfg, func() ([]experiments.Fig8Row, error) {
@@ -160,11 +158,11 @@ func runFig8(w io.Writer, c *benchCache, quick bool, seed uint64, workers int) e
 
 func runMSweep(w io.Writer, c *benchCache, quick bool, seed uint64, workers int) error {
 	cfg := experiments.DefaultMSweep()
+	if quick {
+		cfg = experiments.QuickMSweep()
+	}
 	cfg.Seed = seed
 	cfg.Workers = workers
-	if quick {
-		cfg.Trials = 40
-	}
 	keyCfg := cfg
 	keyCfg.Workers = 0
 	rows, err := cachedRows(c, "msweep", keyCfg, func() ([]experiments.MSweepRow, error) {
@@ -180,12 +178,11 @@ func runMSweep(w io.Writer, c *benchCache, quick bool, seed uint64, workers int)
 // cmd/vmat-server executes jobs with), printing one row per trial.
 func runScenario(w io.Writer, c *benchCache, quick bool, seed uint64, workers int) error {
 	cfg := experiments.DefaultScenario()
+	if quick {
+		cfg = experiments.QuickScenario()
+	}
 	cfg.Seed = seed
 	cfg.Workers = workers
-	if quick {
-		cfg.N = 40
-		cfg.Trials = 5
-	}
 	keyCfg := cfg
 	keyCfg.Workers = 0
 	rows, err := cachedRows(c, "scenario", keyCfg, func() ([]experiments.ScenarioRow, error) {
@@ -201,14 +198,11 @@ func runScenario(w io.Writer, c *benchCache, quick bool, seed uint64, workers in
 // availability and exact-answer rates for both aggregation modes.
 func runFaults(w io.Writer, c *benchCache, quick bool, seed uint64, workers int) error {
 	cfg := experiments.DefaultFaults()
+	if quick {
+		cfg = experiments.QuickFaults()
+	}
 	cfg.Seed = seed
 	cfg.Workers = workers
-	if quick {
-		cfg.N = 40
-		cfg.CrashProbs = []float64{0, 0.005}
-		cfg.BurstLoss = []float64{0, 0.5}
-		cfg.Trials = 3
-	}
 	keyCfg := cfg
 	keyCfg.Workers = 0
 	rows, err := cachedRows(c, "faults", keyCfg, func() ([]experiments.FaultsRow, error) {
@@ -239,11 +233,11 @@ func runScale(w io.Writer, quick bool, seed uint64) error {
 
 func runComm(w io.Writer, c *benchCache, quick bool, seed uint64, workers int) error {
 	cfg := experiments.DefaultComm()
+	if quick {
+		cfg = experiments.QuickComm()
+	}
 	cfg.Seed = seed
 	cfg.Workers = workers
-	if quick {
-		cfg.NetworkSizes = []int{100, 1000}
-	}
 	keyCfg := cfg
 	keyCfg.Workers = 0
 	rows, err := cachedRows(c, "comm", keyCfg, func() ([]experiments.CommRow, error) {
@@ -257,11 +251,11 @@ func runComm(w io.Writer, c *benchCache, quick bool, seed uint64, workers int) e
 
 func runRounds(w io.Writer, c *benchCache, quick bool, seed uint64, workers int) error {
 	cfg := experiments.DefaultRounds()
+	if quick {
+		cfg = experiments.QuickRounds()
+	}
 	cfg.Seed = seed
 	cfg.Workers = workers
-	if quick {
-		cfg.NetworkSizes = []int{50, 100, 400}
-	}
 	keyCfg := cfg
 	keyCfg.Workers = 0
 	rows, err := cachedRows(c, "rounds", keyCfg, func() ([]experiments.RoundsRow, error) {
@@ -275,12 +269,11 @@ func runRounds(w io.Writer, c *benchCache, quick bool, seed uint64, workers int)
 
 func runPinpoint(w io.Writer, c *benchCache, quick bool, seed uint64, workers int) error {
 	cfg := experiments.DefaultPinpoint()
+	if quick {
+		cfg = experiments.QuickPinpoint()
+	}
 	cfg.Seed = seed
 	cfg.Workers = workers
-	if quick {
-		cfg.NetworkSizes = []int{50}
-		cfg.Trials = 4
-	}
 	keyCfg := cfg
 	keyCfg.Workers = 0
 	rows, err := cachedRows(c, "pinpoint", keyCfg, func() ([]experiments.PinpointRow, error) {
@@ -294,12 +287,11 @@ func runPinpoint(w io.Writer, c *benchCache, quick bool, seed uint64, workers in
 
 func runCampaign(w io.Writer, c *benchCache, quick bool, seed uint64, workers int) error {
 	cfg := experiments.DefaultCampaign()
+	if quick {
+		cfg = experiments.QuickCampaign()
+	}
 	cfg.Seed = seed
 	cfg.Workers = workers
-	if quick {
-		cfg.Thetas = []int{0, 7}
-		cfg.Trials = 2
-	}
 	keyCfg := cfg
 	keyCfg.Workers = 0
 	rows, err := cachedRows(c, "campaign", keyCfg, func() ([]experiments.CampaignRow, error) {
@@ -314,12 +306,11 @@ func runCampaign(w io.Writer, c *benchCache, quick bool, seed uint64, workers in
 
 func runWormhole(w io.Writer, c *benchCache, quick bool, seed uint64, workers int) error {
 	cfg := experiments.DefaultWormhole()
+	if quick {
+		cfg = experiments.QuickWormhole()
+	}
 	cfg.Seed = seed
 	cfg.Workers = workers
-	if quick {
-		cfg.NetworkSizes = []int{60}
-		cfg.Trials = 4
-	}
 	keyCfg := cfg
 	keyCfg.Workers = 0
 	rows, err := cachedRows(c, "wormhole", keyCfg, func() ([]experiments.WormholeRow, error) {
@@ -333,12 +324,11 @@ func runWormhole(w io.Writer, c *benchCache, quick bool, seed uint64, workers in
 
 func runLoss(w io.Writer, c *benchCache, quick bool, seed uint64, workers int) error {
 	cfg := experiments.DefaultLoss()
+	if quick {
+		cfg = experiments.QuickLoss()
+	}
 	cfg.Seed = seed
 	cfg.Workers = workers
-	if quick {
-		cfg.N = 60
-		cfg.Trials = 5
-	}
 	keyCfg := cfg
 	keyCfg.Workers = 0
 	rows, err := cachedRows(c, "loss", keyCfg, func() ([]experiments.LossRow, error) {
@@ -352,12 +342,11 @@ func runLoss(w io.Writer, c *benchCache, quick bool, seed uint64, workers int) e
 
 func runAvailability(w io.Writer, c *benchCache, quick bool, seed uint64, workers int) error {
 	cfg := experiments.DefaultAvailability()
+	if quick {
+		cfg = experiments.QuickAvailability()
+	}
 	cfg.Seed = seed
 	cfg.Workers = workers
-	if quick {
-		cfg.Trials = 2
-		cfg.Executions = 20
-	}
 	keyCfg := cfg
 	keyCfg.Workers = 0
 	rows, err := cachedRows(c, "avail", keyCfg, func() ([]experiments.AvailabilityRow, error) {
@@ -371,12 +360,11 @@ func runAvailability(w io.Writer, c *benchCache, quick bool, seed uint64, worker
 
 func runChoking(w io.Writer, c *benchCache, quick bool, seed uint64, workers int) error {
 	cfg := experiments.DefaultChoking()
+	if quick {
+		cfg = experiments.QuickChoking()
+	}
 	cfg.Seed = seed
 	cfg.Workers = workers
-	if quick {
-		cfg.N = 50
-		cfg.Trials = 5
-	}
 	keyCfg := cfg
 	keyCfg.Workers = 0
 	rows, err := cachedRows(c, "choking", keyCfg, func() ([]experiments.ChokingRow, error) {

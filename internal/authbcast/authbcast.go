@@ -15,6 +15,8 @@
 package authbcast
 
 import (
+	"slices"
+
 	"repro/internal/crypto"
 	"repro/internal/simnet"
 	"repro/internal/topology"
@@ -80,8 +82,8 @@ func (v Verifier) Verify(a Announcement) bool {
 
 // FloodResult reports the outcome of one broadcast flood.
 type FloodResult struct {
-	// Received maps each node to whether it accepted the announcement.
-	Received map[topology.NodeID]bool
+	// Received[id] reports whether node id accepted the announcement.
+	Received []bool
 	// Slots is the number of network slots the flood consumed.
 	Slots int
 }
@@ -93,49 +95,49 @@ type FloodResult struct {
 // copies are ignored, which is why choking the broadcast is impossible:
 // the only message that propagates is the valid announcement, and each
 // node relays it at most once.
+//
+// a's MAC is verified once per flood, not once per receiver: every relay
+// sends the same *Announcement, so a node recognises the copies this
+// flood put on the air by pointer and takes the one verdict for them.
+// Any other announcement value in an inbox is verified in full.
 func Flood(net *simnet.Network, v Verifier, origin topology.NodeID, a Announcement,
 	forward func(topology.NodeID) bool, maxSlots int) FloodResult {
 
-	n := net.Graph().NumNodes()
+	relay := &a
+	valid := v.Verify(a)
+	accepts := func(m simnet.Message) bool {
+		switch ann := m.Payload.(type) {
+		case *Announcement:
+			if ann == relay {
+				return valid
+			}
+			return ann.Seq == a.Seq && v.Verify(*ann)
+		case Announcement:
+			return ann.Seq == a.Seq && v.Verify(ann)
+		}
+		return false
+	}
 	// received is indexed per node; each node's step touches only its own
 	// element. The sweep is sparse: only the origin is woken explicitly
 	// (to inject the announcement), every other node acts purely on
 	// receipt, so a flood costs work proportional to the traffic it
 	// creates rather than to network size.
-	received := make([]bool, n)
+	received := make([]bool, net.Graph().NumNodes())
 	net.WakeAt(net.Slot(), origin)
 	slots := net.RunUntilQuiescentActive(maxSlots, func(ctx *simnet.Context) {
 		id := ctx.Node()
 		if received[id] {
 			return
 		}
-		first := false
-		if id == origin {
-			// The origin injects the announcement on its first step of
-			// this flood.
-			first = true
-		}
-		for _, m := range ctx.Inbox {
-			ann, ok := m.Payload.(Announcement)
-			if !ok || ann.Seq != a.Seq || !v.Verify(ann) {
-				continue
-			}
-			first = true
-			break
-		}
-		if !first {
+		// The origin injects the announcement on its first step of this
+		// flood; every other node needs a valid copy.
+		if id != origin && !slices.ContainsFunc(ctx.Inbox, accepts) {
 			return
 		}
 		received[id] = true
 		if forward == nil || forward(id) {
-			ctx.Broadcast(a)
+			ctx.Broadcast(relay)
 		}
 	})
-	out := FloodResult{Received: make(map[topology.NodeID]bool, n), Slots: slots}
-	for id, ok := range received {
-		if ok {
-			out.Received[topology.NodeID(id)] = true
-		}
-	}
-	return out
+	return FloodResult{Received: received, Slots: slots}
 }

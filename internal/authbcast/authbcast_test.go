@@ -85,8 +85,8 @@ func TestFloodReachesAllNodes(t *testing.T) {
 	ch := NewChannel(crypto.KeyFromUint64(9))
 	a := ch.Announce(note{"hello sensors"})
 	res := Flood(net, ch.Verifier(), topology.BaseStation, a, nil, 100)
-	if len(res.Received) != g.NumNodes() {
-		t.Fatalf("flood reached %d/%d nodes", len(res.Received), g.NumNodes())
+	if got := reached(res); got != g.NumNodes() {
+		t.Fatalf("flood reached %d/%d nodes", got, g.NumNodes())
 	}
 	if res.Slots > g.Depth(0)+2 {
 		t.Fatalf("flood took %d slots, depth is %d", res.Slots, g.Depth(0))
@@ -140,7 +140,60 @@ func TestFloodOnSharedNetworkAccumulatesSlots(t *testing.T) {
 	ch := NewChannel(crypto.KeyFromUint64(12))
 	r1 := Flood(net, ch.Verifier(), topology.BaseStation, ch.Announce(note{"one"}), nil, 50)
 	r2 := Flood(net, ch.Verifier(), topology.BaseStation, ch.Announce(note{"two"}), nil, 50)
-	if len(r1.Received) != 4 || len(r2.Received) != 4 {
-		t.Fatalf("floods reached %d and %d nodes, want 4 and 4", len(r1.Received), len(r2.Received))
+	if reached(r1) != 4 || reached(r2) != 4 {
+		t.Fatalf("floods reached %d and %d nodes, want 4 and 4", reached(r1), reached(r2))
 	}
+}
+
+// TestFloodRejectsForgedCopies puts a copy of the flood's announcement in
+// front of a node the flood itself cannot reach: nodes 3 and 4 form a
+// second component, and in the slot before the flood node 3 sends node 4
+// the copy. A copy with the genuine Seq and MAC over a different payload
+// is rejected, whether sent as a value or as a pointer (only the flood's
+// own relayed pointer skips verification); a value copy of the genuine
+// announcement is accepted and relayed.
+func TestFloodRejectsForgedCopies(t *testing.T) {
+	ch := NewChannel(crypto.KeyFromUint64(13))
+	a := ch.Announce(note{"genuine"})
+	forged := a
+	forged.Payload = note{"tampered"}
+	cases := []struct {
+		name   string
+		copy   simnet.Payload
+		accept bool
+	}{
+		{"tampered value", forged, false},
+		{"tampered pointer", &forged, false},
+		{"genuine value", a, true},
+	}
+	for _, tc := range cases {
+		g := topology.New(5)
+		g.AddEdge(0, 1)
+		g.AddEdge(1, 2)
+		g.AddEdge(3, 4)
+		net := simnet.New(g, simnet.Config{})
+		net.RunSlots(1, func(ctx *simnet.Context) {
+			if ctx.Node() == 3 {
+				ctx.Send(4, tc.copy)
+			}
+		})
+		res := Flood(net, ch.Verifier(), topology.BaseStation, a, nil, 20)
+		if res.Received[4] != tc.accept || res.Received[3] != tc.accept {
+			t.Errorf("%s: nodes 3 and 4 received = %v, %v; want %v", tc.name, res.Received[3], res.Received[4], tc.accept)
+		}
+		if !res.Received[2] {
+			t.Errorf("%s: the flood did not reach its own component", tc.name)
+		}
+	}
+}
+
+// reached counts the nodes that accepted a flood's announcement.
+func reached(res FloodResult) int {
+	n := 0
+	for _, ok := range res.Received {
+		if ok {
+			n++
+		}
+	}
+	return n
 }

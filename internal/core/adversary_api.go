@@ -39,9 +39,9 @@ func (p Phase) String() string {
 // Step is invoked once per malicious node per slot during the three
 // network phases, instead of the honest logic; the context exposes both
 // the honest behavior (ActHonestly) and raw Byzantine sending power.
-// Steps for different malicious nodes run concurrently within a slot, so
-// a strategy coordinating shared state across its nodes must synchronize
-// internally.
+// Steps run one at a time, in node order, on the goroutine that called
+// Run; a strategy shared by executions that run concurrently must
+// synchronize internally.
 //
 // AnswerPredicate is consulted when a keyed predicate test reaches a
 // malicious node that holds the tested key; the truthful answer (what an
@@ -138,7 +138,7 @@ func (a *AdvContext) Inbox() []ReceivedEnvelope {
 			out = append(out, ReceivedEnvelope{From: m.From, KeyIndex: NoKey, Payload: m.Payload, Valid: false})
 			continue
 		}
-		inner, valid := env.Open(a.engine.cfg.Deployment.PoolKey(env.KeyIndex), m.From, a.state.id)
+		inner, valid := env.Open(a.engine.poolKey(env.KeyIndex), m.From, a.state.id)
 		payload := interface{}(inner)
 		if !valid {
 			payload = env.Inner
@@ -171,7 +171,7 @@ func (a *AdvContext) SendSealed(to topology.NodeID, keyIndex int, payload interf
 	if !ok || !a.engine.coalitionHolds(keyIndex) {
 		return false
 	}
-	env := Seal(keyIndex, a.engine.cfg.Deployment.PoolKey(keyIndex), a.state.id, to, in)
+	env := Seal(keyIndex, a.engine.poolKey(keyIndex), a.state.id, to, in)
 	return a.ctx.Send(to, env)
 }
 
@@ -198,7 +198,7 @@ func (a *AdvContext) OwnRecord(instance int) Record {
 // secure-aggregation problem explicitly permits (Section III).
 func (a *AdvContext) RecordWithValue(instance int, value float64) Record {
 	return NewRecord(a.state.id, instance, value,
-		a.engine.cfg.Deployment.SensorKey(a.state.id), a.engine.queryNonce)
+		a.engine.sensorKey(a.state.id), a.engine.queryNonce)
 }
 
 // ForgeRecord returns a record claiming to originate from any node, with a
@@ -212,7 +212,7 @@ func (a *AdvContext) ForgeRecord(origin topology.NodeID, instance int, value flo
 // arbitrary value and level.
 func (a *AdvContext) VetoWithValue(instance int, value float64, level int) VetoMsg {
 	return NewVeto(a.state.id, instance, value, level,
-		a.engine.cfg.Deployment.SensorKey(a.state.id), a.engine.confirmNonce)
+		a.engine.sensorKey(a.state.id), a.engine.confirmNonce)
 }
 
 // ForgeVeto returns a spurious veto claiming any vetoer, with a garbage

@@ -252,6 +252,13 @@ type Engine struct {
 	maxSlots    int
 	unreachable int
 	deadlineHit bool
+
+	// poolKeys and sensorKeys memoise the keys this execution has
+	// derived, so each is computed at most once however many seals, opens
+	// and MAC checks use it. They hold only the keys the execution
+	// touches, and need no lock: the engine runs on one goroutine.
+	poolKeys   map[int]crypto.Key
+	sensorKeys map[topology.NodeID]crypto.Key
 }
 
 // PhaseSlotBreakdown partitions an execution's slots by protocol phase.
@@ -316,6 +323,9 @@ func NewEngine(cfg Config) (*Engine, error) {
 		l:         l,
 		instances: cfg.Instances,
 		rng:       crypto.NewStreamFromSeed(cfg.Seed ^ 0x56a1a7),
+
+		poolKeys:   make(map[int]crypto.Key),
+		sensorKeys: make(map[topology.NodeID]crypto.Key),
 	}
 	e.channel = authbcast.NewChannel(crypto.DeriveKey(crypto.KeyFromUint64(cfg.Seed), "authbcast", 0))
 	e.verifier = e.channel.Verifier()
@@ -492,7 +502,7 @@ func (e *Engine) recordValid(r Record) bool {
 	if e.cfg.Registry.NodeRevoked(r.Origin) {
 		return false
 	}
-	if !r.VerifyWith(e.cfg.Deployment.SensorKey(r.Origin), e.queryNonce) {
+	if !r.VerifyWith(e.sensorKey(r.Origin), e.queryNonce) {
 		return false
 	}
 	if e.cfg.VerifyRecord != nil && !e.cfg.VerifyRecord(r) {
@@ -520,7 +530,7 @@ func (e *Engine) vetoValid(v VetoMsg) bool {
 	if !(v.Value < e.announcedMins[v.Instance]) {
 		return false
 	}
-	return v.VerifyWith(e.cfg.Deployment.SensorKey(v.Vetoer), e.confirmNonce)
+	return v.VerifyWith(e.sensorKey(v.Vetoer), e.confirmNonce)
 }
 
 // finish stamps the cost counters into an outcome.
@@ -644,6 +654,26 @@ func (e *Engine) edgeKey(a, b topology.NodeID) (int, bool) {
 	return e.cfg.Deployment.EdgeKeyIndex(a, b, reg.KeyRevoked)
 }
 
+// poolKey returns the pool key with this index, deriving it on first use.
+func (e *Engine) poolKey(index int) crypto.Key {
+	k, ok := e.poolKeys[index]
+	if !ok {
+		k = e.cfg.Deployment.PoolKey(index)
+		e.poolKeys[index] = k
+	}
+	return k
+}
+
+// sensorKey returns id's sensor key, deriving it on first use.
+func (e *Engine) sensorKey(id topology.NodeID) crypto.Key {
+	k, ok := e.sensorKeys[id]
+	if !ok {
+		k = e.cfg.Deployment.SensorKey(id)
+		e.sensorKeys[id] = k
+	}
+	return k
+}
+
 // ownRecord builds the honest record of a sensor for one instance.
 func (e *Engine) ownRecord(id topology.NodeID, instance int) Record {
 	value := Inf()
@@ -653,7 +683,7 @@ func (e *Engine) ownRecord(id topology.NodeID, instance int) Record {
 	if math.IsInf(value, 1) {
 		return Record{Origin: id, Instance: instance, Value: Inf()}
 	}
-	return NewRecord(id, instance, value, e.cfg.Deployment.SensorKey(id), e.queryNonce)
+	return NewRecord(id, instance, value, e.sensorKey(id), e.queryNonce)
 }
 
 // sendSealed is the honest send path: seal with the canonical edge key
@@ -664,7 +694,7 @@ func (e *Engine) sendSealed(ctx *simnet.Context, to topology.NodeID, payload inn
 	if !ok {
 		return NoKey, false
 	}
-	env := Seal(idx, e.cfg.Deployment.PoolKey(idx), ctx.Node(), to, payload)
+	env := Seal(idx, e.poolKey(idx), ctx.Node(), to, payload)
 	if !ctx.Send(to, env) {
 		return NoKey, false
 	}
@@ -686,7 +716,7 @@ func (e *Engine) acceptEnvelope(m simnet.Message, self topology.NodeID) (inner, 
 	if !e.cfg.Deployment.Holds(self, env.KeyIndex) {
 		return nil, NoKey, false
 	}
-	payload, ok := env.Open(e.cfg.Deployment.PoolKey(env.KeyIndex), m.From, self)
+	payload, ok := env.Open(e.poolKey(env.KeyIndex), m.From, self)
 	if !ok {
 		return nil, NoKey, false
 	}

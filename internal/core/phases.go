@@ -269,7 +269,7 @@ func (e *Engine) ownVeto(s *sensorState) (VetoMsg, bool) {
 		}
 		if v < e.announcedMins[inst] {
 			return NewVeto(s.id, inst, v, s.level,
-				e.cfg.Deployment.SensorKey(s.id), e.confirmNonce), true
+				e.sensorKey(s.id), e.confirmNonce), true
 		}
 	}
 	return VetoMsg{}, false

@@ -95,9 +95,9 @@ func (e *Engine) runPredicateTest(key KeyRef, pred Predicate) bool {
 // the Figure 6 step-6 re-confirmation).
 func (e *Engine) resolveKey(key KeyRef) (crypto.Key, int) {
 	if key.IsSensorKey() {
-		return e.cfg.Deployment.SensorKey(key.Sensor), NoKey
+		return e.sensorKey(key.Sensor), NoKey
 	}
-	return e.cfg.Deployment.PoolKey(key.PoolIndex), key.PoolIndex
+	return e.poolKey(key.PoolIndex), key.PoolIndex
 }
 
 // holdersOf returns the node set able to mint the test's reply.

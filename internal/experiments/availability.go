@@ -36,6 +36,14 @@ func DefaultAvailability() AvailabilityConfig {
 	return AvailabilityConfig{N: 60, Executions: 40, Trials: 5, Theta: 7, Seed: 2011}
 }
 
+// QuickAvailability is the -quick tier: 2 trials of 20 executions.
+func QuickAvailability() AvailabilityConfig {
+	cfg := DefaultAvailability()
+	cfg.Trials = 2
+	cfg.Executions = 20
+	return cfg
+}
+
 // AvailabilityRow aggregates one protocol mode.
 type AvailabilityRow struct {
 	Mode string

@@ -42,6 +42,14 @@ func DefaultCampaign() CampaignConfig {
 	}
 }
 
+// QuickCampaign is the -quick tier: thetas 0 and 7, 2 trials each.
+func QuickCampaign() CampaignConfig {
+	cfg := DefaultCampaign()
+	cfg.Thetas = []int{0, 7}
+	cfg.Trials = 2
+	return cfg
+}
+
 // CampaignRow aggregates one theta's campaigns.
 type CampaignRow struct {
 	Theta int

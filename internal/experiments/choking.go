@@ -29,6 +29,14 @@ func DefaultChoking() ChokingConfig {
 	return ChokingConfig{N: 80, MaliciousCounts: []int{1, 2, 4, 8}, Trials: 12, Seed: 2011}
 }
 
+// QuickChoking is the -quick tier: 50 sensors, 5 trials per f.
+func QuickChoking() ChokingConfig {
+	cfg := DefaultChoking()
+	cfg.N = 50
+	cfg.Trials = 5
+	return cfg
+}
+
 // ChokingRow aggregates one f value.
 type ChokingRow struct {
 	F int

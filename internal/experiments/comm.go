@@ -30,6 +30,13 @@ func DefaultComm() CommConfig {
 	return CommConfig{NetworkSizes: []int{100, 1000, 10000}, Synopses: 100, Seed: 2011}
 }
 
+// QuickComm is the -quick tier: 100 and 1,000 sensors.
+func QuickComm() CommConfig {
+	cfg := DefaultComm()
+	cfg.NetworkSizes = []int{100, 1000}
+	return cfg
+}
+
 // CommRow is one network size's comparison.
 type CommRow struct {
 	N int

@@ -47,6 +47,16 @@ func DefaultFaults() FaultsConfig {
 	}
 }
 
+// QuickFaults is the -quick tier: 40 sensors, a 2x2 grid of crash and
+// burst rates, 3 trials per cell.
+func QuickFaults() FaultsConfig {
+	cfg := DefaultFaults()
+	cfg.N = 40
+	cfg.CrashProbs = []float64{0, 0.005}
+	cfg.Trials = 3
+	return cfg
+}
+
 // FaultsRow aggregates one (crash probability, burst loss) cell.
 type FaultsRow struct {
 	CrashProb float64

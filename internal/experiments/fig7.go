@@ -45,6 +45,14 @@ func DefaultFig7() Fig7Config {
 	}
 }
 
+// QuickFig7 is the -quick tier: 1,000 sensors, 10 trials.
+func QuickFig7() Fig7Config {
+	cfg := DefaultFig7()
+	cfg.NetworkSizes = []int{1000}
+	cfg.Trials = 10
+	return cfg
+}
+
 // Fig7Row is one point of Figure 7.
 type Fig7Row struct {
 	N     int

@@ -37,6 +37,14 @@ func DefaultFig8() Fig8Config {
 	}
 }
 
+// QuickFig8 is the -quick tier: counts 10, 100 and 1,000, 50 trials each.
+func QuickFig8() Fig8Config {
+	cfg := DefaultFig8()
+	cfg.Trials = 50
+	cfg.Counts = []int{10, 100, 1000}
+	return cfg
+}
+
 // Fig8Row is one point of Figure 8: the error distribution for one true
 // count value.
 type Fig8Row struct {
@@ -124,6 +132,13 @@ type MSweepConfig struct {
 // DefaultMSweep returns the default ablation.
 func DefaultMSweep() MSweepConfig {
 	return MSweepConfig{Count: 500, Ms: []int{25, 50, 100, 200, 400}, Trials: 200, Seed: 2011}
+}
+
+// QuickMSweep is the -quick tier: 40 trials per m.
+func QuickMSweep() MSweepConfig {
+	cfg := DefaultMSweep()
+	cfg.Trials = 40
+	return cfg
 }
 
 // MSweepRow is one synopsis count's error distribution.

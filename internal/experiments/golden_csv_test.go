@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -130,6 +131,74 @@ func TestFig8GoldenCSV(t *testing.T) {
 		fmt.Fprintf(&got, "%d,%x,%x,%x,%x,%x\n", r.Count, r.Average, r.P50, r.P90, r.P95, r.P99)
 	}
 	compareGolden(t, path, got.String())
+}
+
+// TestQuickTierGoldenCSV pins the -quick tier of every non-scenario
+// vmat-bench experiment, at the configurations the binary runs (the
+// QuickX constructors) and their default seed. Each row is written field
+// by field with floats in %x, so an engine change that moves any of
+// these numbers, however slightly, fails here rather than passing the
+// shape and worker-count checks.
+func TestQuickTierGoldenCSV(t *testing.T) {
+	must := func(rows any, err error) any {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows
+	}
+	experiments := []struct {
+		name string
+		rows func() any
+	}{
+		{"fig7", func() any { return must(RunFig7(QuickFig7())) }},
+		{"fig8", func() any { return RunFig8(QuickFig8()) }},
+		{"msweep", func() any { return RunMSweep(QuickMSweep()) }},
+		{"comm", func() any { return must(RunComm(QuickComm())) }},
+		{"rounds", func() any { return must(RunRounds(QuickRounds())) }},
+		{"pinpoint", func() any { return must(RunPinpoint(QuickPinpoint())) }},
+		{"campaign", func() any { return must(RunCampaign(QuickCampaign())) }},
+		{"wormhole", func() any { return must(RunWormhole(QuickWormhole())) }},
+		{"choking", func() any { return must(RunChoking(QuickChoking())) }},
+		{"loss", func() any { return must(RunLoss(QuickLoss())) }},
+		{"avail", func() any { return must(RunAvailability(QuickAvailability())) }},
+		{"faults", func() any { return must(RunFaults(QuickFaults())) }},
+	}
+	var got strings.Builder
+	for _, exp := range experiments {
+		writeRowsCSV(t, &got, exp.name, exp.rows())
+	}
+	compareGolden(t, filepath.Join("testdata", "quick_golden.csv"), got.String())
+}
+
+// writeRowsCSV writes a header naming rows' struct fields, then one line
+// per row prefixed by name. Floats are written in %x, which is exact;
+// a field of a kind it cannot print exactly fails the test, so a new
+// row field cannot slip out of the golden unnoticed.
+func writeRowsCSV(t *testing.T, b *strings.Builder, name string, rows any) {
+	t.Helper()
+	v := reflect.ValueOf(rows)
+	typ := v.Type().Elem()
+	fields := make([]string, typ.NumField())
+	for i := range fields {
+		fields[i] = typ.Field(i).Name
+	}
+	fmt.Fprintf(b, "# %s: %s\n", name, strings.Join(fields, ","))
+	for i := 0; i < v.Len(); i++ {
+		b.WriteString(name)
+		for j := range fields {
+			f := v.Index(i).Field(j)
+			switch f.Kind() {
+			case reflect.Float64:
+				fmt.Fprintf(b, ",%x", f.Float())
+			case reflect.Int, reflect.Int64, reflect.String, reflect.Bool:
+				fmt.Fprintf(b, ",%v", f.Interface())
+			default:
+				t.Fatalf("%s.%s: cannot write a %s field", name, fields[j], f.Kind())
+			}
+		}
+		b.WriteByte('\n')
+	}
 }
 
 func compareGolden(t *testing.T, path, got string) {

@@ -33,6 +33,14 @@ func DefaultLoss() LossConfig {
 	}
 }
 
+// QuickLoss is the -quick tier: 60 sensors, 5 trials per cell.
+func QuickLoss() LossConfig {
+	cfg := DefaultLoss()
+	cfg.N = 60
+	cfg.Trials = 5
+	return cfg
+}
+
 // LossRow aggregates one loss rate.
 type LossRow struct {
 	LossRate float64

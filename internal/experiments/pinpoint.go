@@ -28,6 +28,14 @@ func DefaultPinpoint() PinpointConfig {
 	return PinpointConfig{NetworkSizes: []int{50, 100, 200}, Trials: 10, Seed: 2011}
 }
 
+// QuickPinpoint is the -quick tier: 50 sensors, 4 trials per strategy.
+func QuickPinpoint() PinpointConfig {
+	cfg := DefaultPinpoint()
+	cfg.NetworkSizes = []int{50}
+	cfg.Trials = 4
+	return cfg
+}
+
 // PinpointRow aggregates one (n, strategy) cell.
 type PinpointRow struct {
 	N        int

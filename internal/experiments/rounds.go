@@ -25,6 +25,13 @@ func DefaultRounds() RoundsConfig {
 	return RoundsConfig{NetworkSizes: []int{50, 100, 200, 400, 800, 1600}, Repeats: 3, Seed: 2011}
 }
 
+// QuickRounds is the -quick tier: 50, 100 and 400 sensors.
+func QuickRounds() RoundsConfig {
+	cfg := DefaultRounds()
+	cfg.NetworkSizes = []int{50, 100, 400}
+	return cfg
+}
+
 // RoundsRow is one network size's comparison.
 type RoundsRow struct {
 	N int

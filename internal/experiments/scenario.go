@@ -88,6 +88,14 @@ func DefaultScenario() ScenarioConfig {
 	}
 }
 
+// QuickScenario is the -quick tier: 40 sensors, 5 trials.
+func QuickScenario() ScenarioConfig {
+	cfg := DefaultScenario()
+	cfg.N = 40
+	cfg.Trials = 5
+	return cfg
+}
+
 // scenarioTopologies and scenarioQueries/scenarioAttacks are the
 // accepted enum values, shared with Validate's error messages.
 var (

@@ -26,6 +26,14 @@ func DefaultWormhole() WormholeConfig {
 	return WormholeConfig{NetworkSizes: []int{50, 100, 200}, Trials: 10, Seed: 2011}
 }
 
+// QuickWormhole is the -quick tier: 60 sensors, 4 trials.
+func QuickWormhole() WormholeConfig {
+	cfg := DefaultWormhole()
+	cfg.NetworkSizes = []int{60}
+	cfg.Trials = 4
+	return cfg
+}
+
 // WormholeRow aggregates one network size.
 type WormholeRow struct {
 	N int

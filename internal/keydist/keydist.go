@@ -206,7 +206,8 @@ func (d *Deployment) Holders(index int) []topology.NodeID {
 }
 
 // SharedIndices returns the sorted pool indices common to the rings of a
-// and b — their candidate edge keys.
+// and b — their candidate edge keys. No protocol path calls it: it is the
+// reference EdgeKeyIndex is tested against.
 func (d *Deployment) SharedIndices(a, b topology.NodeID) []int {
 	ra, rb := d.Ring(a), d.Ring(b)
 	var out []int
@@ -229,13 +230,26 @@ func (d *Deployment) SharedIndices(a, b topology.NodeID) []int {
 // EdgeKeyIndex returns the pool index of the edge key a and b use: the
 // lowest-indexed common key not filtered out by revoked (which may be
 // nil). The second result reports whether a usable edge key exists. Both
-// endpoints compute the same answer, so no negotiation is needed.
+// endpoints compute the same answer, so no negotiation is needed. It is
+// the first element of SharedIndices that revoked keeps, found by
+// merge-walking the two sorted rings only as far as that element, so it
+// allocates nothing; every sealed send calls it.
 func (d *Deployment) EdgeKeyIndex(a, b topology.NodeID, revoked func(index int) bool) (int, bool) {
-	for _, idx := range d.SharedIndices(a, b) {
-		if revoked != nil && revoked(idx) {
-			continue
+	ra, rb := d.Ring(a), d.Ring(b)
+	i, j := 0, 0
+	for i < len(ra) && j < len(rb) {
+		switch {
+		case ra[i] == rb[j]:
+			if revoked == nil || !revoked(ra[i]) {
+				return ra[i], true
+			}
+			i++
+			j++
+		case ra[i] < rb[j]:
+			i++
+		default:
+			j++
 		}
-		return idx, true
 	}
 	return 0, false
 }

@@ -140,6 +140,68 @@ func TestEdgeKeyIndexDeterministicLowestUnrevoked(t *testing.T) {
 	}
 }
 
+// TestEdgeKeyIndexMatchesSharedIndices checks EdgeKeyIndex against its
+// reference on every node pair of a dense deployment, under filters that
+// keep every key, most keys, only each pair's last shared key, and no
+// key, and checks that it allocates nothing.
+func TestEdgeKeyIndexMatchesSharedIndices(t *testing.T) {
+	const n = 60
+	d := testDeployment(t, n, DenseParams(), 9)
+	rng := crypto.NewStreamFromSeed(10)
+	sparse := make([]bool, DenseParams().PoolSize)
+	for i := range sparse {
+		sparse[i] = rng.Float64() < 0.1
+	}
+	filters := []struct {
+		name    string
+		revoked func(a, b topology.NodeID) func(int) bool
+	}{
+		{"none", func(a, b topology.NodeID) func(int) bool { return nil }},
+		{"sparse", func(a, b topology.NodeID) func(int) bool {
+			return func(i int) bool { return sparse[i] }
+		}},
+		{"all-but-last", func(a, b topology.NodeID) func(int) bool {
+			shared := d.SharedIndices(a, b)
+			return func(i int) bool { return len(shared) == 0 || i != shared[len(shared)-1] }
+		}},
+		{"all", func(a, b topology.NodeID) func(int) bool {
+			return func(int) bool { return true }
+		}},
+	}
+	for _, f := range filters {
+		found := 0
+		for a := topology.NodeID(0); a < n; a++ {
+			for b := topology.NodeID(0); b < n; b++ {
+				if a == b {
+					continue
+				}
+				revoked := f.revoked(a, b)
+				want, wantOK := 0, false
+				for _, idx := range d.SharedIndices(a, b) {
+					if revoked == nil || !revoked(idx) {
+						want, wantOK = idx, true
+						break
+					}
+				}
+				got, ok := d.EdgeKeyIndex(a, b, revoked)
+				if ok != wantOK || got != want {
+					t.Fatalf("%s: EdgeKeyIndex(%d, %d) = %d, %v; want %d, %v", f.name, a, b, got, ok, want, wantOK)
+				}
+				if ok {
+					found++
+				}
+			}
+		}
+		if f.name != "all" && found == 0 {
+			t.Fatalf("%s: no pair had a usable key; the fixture checks nothing", f.name)
+		}
+	}
+	revoked := filters[1].revoked(1, 2)
+	if allocs := testing.AllocsPerRun(100, func() { d.EdgeKeyIndex(1, 2, revoked) }); allocs != 0 {
+		t.Fatalf("EdgeKeyIndex allocates %v times per call, want 0", allocs)
+	}
+}
+
 func TestSecureGraphFiltersKeylessEdges(t *testing.T) {
 	// With a sparse pool, some radio links lack a shared key.
 	d := testDeployment(t, 30, Params{PoolSize: 1000, RingSize: 20}, 5)

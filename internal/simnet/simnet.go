@@ -602,17 +602,20 @@ func (n *Network) stepNode(step StepFunc, faults FaultModel, id topology.NodeID)
 // where the adversary's transmissions always beat honest ones within a
 // slot (the "first veto wins" races of the SOF protocol).
 func MaliciousFirstOrder(malicious map[topology.NodeID]bool) Orderer {
+	// The comparator is built once here: made inside the Orderer, it would
+	// be allocated again on every inbox sort.
+	maliciousFirst := func(a, b Message) int {
+		am, bm := malicious[a.From], malicious[b.From]
+		switch {
+		case am && !bm:
+			return -1
+		case bm && !am:
+			return 1
+		default:
+			return 0
+		}
+	}
 	return func(inbox []Message) {
-		slices.SortStableFunc(inbox, func(a, b Message) int {
-			am, bm := malicious[a.From], malicious[b.From]
-			switch {
-			case am && !bm:
-				return -1
-			case bm && !am:
-				return 1
-			default:
-				return 0
-			}
-		})
+		slices.SortStableFunc(inbox, maliciousFirst)
 	}
 }

@@ -109,8 +109,9 @@ func TestStatusAccounting(t *testing.T) {
 	if st.Bytes != fileTotal || len(files) != st.Segments {
 		t.Fatalf("status reports %d bytes in %d segments, disk has %d bytes in %d files", st.Bytes, st.Segments, fileTotal, len(files))
 	}
-	if g := reg.Gauge(MetricSegments).Value(); int(g) != st.Segments {
-		t.Fatalf("segments gauge %d != status %d", g, st.Segments)
+	// The literal pins the exported name: a gauge, so no _total suffix.
+	if g := reg.Gauge("store_segments").Value(); int(g) != st.Segments {
+		t.Fatalf("store_segments gauge %d != status %d", g, st.Segments)
 	}
 	if g := reg.Gauge(MetricEntries).Value(); g != st.Entries || g != 20 {
 		t.Fatalf("entries gauge %d, status %d, want 20", g, st.Entries)

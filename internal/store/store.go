@@ -51,7 +51,7 @@ const (
 	MetricEvictions   = "store_cache_evictions_total"
 	MetricCorrupt     = "store_corrupt_records_total"
 	MetricEntries     = "store_entries"
-	MetricSegments    = "store_segments_total"
+	MetricSegments    = "store_segments"
 	MetricSnapshots   = "store_snapshots_total"
 	MetricSnapshotAge = "store_snapshot_age_seconds"
 )
