@@ -1,7 +1,7 @@
 // Command vmat-store is the offline admin tool for a vmat-server data
 // directory: inspect the segment layout, or verify every record.
 //
-//	vmat-store inspect <data-dir>   show segments, manifest, snapshot
+//	vmat-store inspect <data-dir>   show the segments and the snapshot
 //	vmat-store verify  <data-dir>   read-only integrity pass (exit 1 on damage)
 //
 // Neither command modifies the directory, so both are safe against a
@@ -30,7 +30,7 @@ func usage(w io.Writer) {
 	fmt.Fprintln(w, `usage: vmat-store <command> <data-dir>
 
 commands:
-  inspect   show the segment layout, manifest, and snapshot state
+  inspect   show the segment layout and the snapshot state
   verify    read-only integrity pass over every record (exit 1 on damage)
   version   print version`)
 }
@@ -69,24 +69,16 @@ func inspect(dir string, w io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(w, "store: %s\n", rep.Dir)
-	switch {
-	case rep.ManifestError != "":
-		fmt.Fprintf(w, "manifest: UNREADABLE (%s)\n", rep.ManifestError)
-	case rep.HasManifest:
-		fmt.Fprintf(w, "manifest: generation %d, next id %d\n", rep.ManifestGeneration, rep.NextID)
-	default:
-		fmt.Fprintln(w, "manifest: none (layout below is what open would bootstrap)")
-	}
 	fmt.Fprintf(w, "segments: %d\n", len(rep.Segments))
-	for _, sg := range rep.Segments {
-		size := "MISSING"
-		if sg.Bytes >= 0 {
-			size = fmt.Sprintf("%d bytes", sg.Bytes)
+	for i, sg := range rep.Segments {
+		note := ""
+		if i == len(rep.Segments)-1 {
+			note = "  (active)"
 		}
-		fmt.Fprintf(w, "  %s  %s\n", sg.Name, size)
+		fmt.Fprintf(w, "  %s  %d bytes%s\n", sg.Name, sg.Bytes, note)
 	}
-	for _, sg := range rep.Unlisted {
-		fmt.Fprintf(w, "  %s  %d bytes  (UNLISTED — open would delete)\n", sg.Name, sg.Bytes)
+	for _, sg := range rep.Superseded {
+		fmt.Fprintf(w, "  %s  %d bytes  (SUPERSEDED — open would delete)\n", sg.Name, sg.Bytes)
 	}
 	switch {
 	case rep.SnapshotError != "":

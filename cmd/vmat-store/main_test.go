@@ -43,10 +43,13 @@ func TestInspectAndVerify(t *testing.T) {
 	if err != nil {
 		t.Fatalf("inspect: %v\n%s", err, out)
 	}
-	for _, want := range []string{"manifest: generation", "segments:", "snapshot:"} {
+	for _, want := range []string{"segments: ", "-0001.vmat  ", "bytes  (active)\n", "snapshot: "} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("inspect output missing %q:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, "manifest") {
+		t.Fatalf("inspect output mentions a manifest:\n%s", out)
 	}
 
 	out, err = runCmd(t, "verify", dir)

@@ -44,9 +44,6 @@ type WorkerConfig struct {
 	// queued beyond the ones executing, so a finishing unit's slots go
 	// to the next without a round-trip. Default 2.
 	Prefetch int
-	// HTTPClient carries registration and deregistration. Nil uses a
-	// client with a 30s request timeout.
-	HTTPClient *http.Client
 	// Log receives progress lines. Nil discards them.
 	Log func(format string, args ...any)
 	// Metrics, when non-nil, receives the engine counters of every unit
@@ -79,7 +76,7 @@ type WorkerConfig struct {
 type Worker struct {
 	wc        WorkerConfig
 	handshake CoordinatorHandshake
-	client    *http.Client
+	client    *http.Client // registration and deregistration
 	log       func(format string, args ...any)
 
 	id         string
@@ -112,9 +109,6 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	if cfg.Prefetch <= 0 {
 		cfg.Prefetch = 2
 	}
-	if cfg.HTTPClient == nil {
-		cfg.HTTPClient = &http.Client{Timeout: 30 * time.Second}
-	}
 	if cfg.Log == nil {
 		cfg.Log = func(string, ...any) {}
 	}
@@ -125,7 +119,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 			return u.Run()
 		}
 	}
-	return &Worker{wc: cfg, client: cfg.HTTPClient, log: cfg.Log, held: map[string][]byte{}}
+	return &Worker{wc: cfg, client: &http.Client{Timeout: 30 * time.Second}, log: cfg.Log, held: map[string][]byte{}}
 }
 
 // Completed returns how many units this worker finished and reported.

@@ -18,8 +18,8 @@ package keydist
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
-	"sort"
 
 	"repro/internal/crypto"
 	"repro/internal/topology"
@@ -134,25 +134,25 @@ func NewDeployment(n int, params Params, master crypto.Key, rng *crypto.Stream) 
 
 // sampleDistinct draws len(ring) distinct integers from [0, u) via Floyd's
 // algorithm and stores them in ring, sorted. The scratch bitset must have
-// at least u bits; it is used to test membership and is left cleared on
-// return, so one scratch buffer serves every node of a deployment. The
-// rejection-sampling draws are identical to the earlier map-backed
-// implementation, so rings are unchanged for a given seed.
+// at least u bits; it holds the sample, which is read back in order, and
+// is left cleared on return, so one scratch buffer serves every node of a
+// deployment. The rejection-sampling draws are identical to the earlier
+// map-backed implementation, so rings are unchanged for a given seed.
 func sampleDistinct(ring []int, u int, rng *crypto.Stream, scratch []uint64) {
-	k := len(ring)
-	out := ring[:0]
-	for j := u - k; j < u; j++ {
+	for j := u - len(ring); j < u; j++ {
 		t := rng.Intn(j + 1)
 		if scratch[t>>6]&(1<<(uint(t)&63)) != 0 {
 			t = j
 		}
 		scratch[t>>6] |= 1 << (uint(t) & 63)
-		out = append(out, t)
 	}
-	for _, idx := range out {
-		scratch[idx>>6] &^= 1 << (uint(idx) & 63)
+	out := ring[:0]
+	for w, word := range scratch {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, w<<6+bits.TrailingZeros64(word))
+		}
+		scratch[w] = 0
 	}
-	sort.Ints(ring)
 }
 
 // NumNodes returns the number of nodes in the deployment.

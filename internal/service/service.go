@@ -586,9 +586,8 @@ func (m *Manager) AdmissionStatus() tenant.Status {
 }
 
 // StoreStatus reports the result-store engine's shape (segments,
-// entries, bytes, snapshot age, generation) for the "store" section of
-// /healthz. ok is false when the service runs without a
-// persistent store.
+// entries, bytes, snapshot age) for the "store" section of /healthz. ok
+// is false when the service runs without a persistent store.
 func (m *Manager) StoreStatus() (store.Status, bool) {
 	if m.cfg.Store == nil {
 		return store.Status{}, false

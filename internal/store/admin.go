@@ -26,68 +26,26 @@ type SegmentInfo struct {
 // InspectReport is the layout of a store directory, as-is.
 type InspectReport struct {
 	Dir                string        `json:"dir"`
-	HasManifest        bool          `json:"has_manifest"`
-	ManifestError      string        `json:"manifest_error,omitempty"`
-	ManifestGeneration int64         `json:"manifest_generation,omitempty"`
-	NextID             int64         `json:"next_id,omitempty"`
-	Segments           []SegmentInfo `json:"segments"`
-	Unlisted           []SegmentInfo `json:"unlisted,omitempty"`
+	Segments           []SegmentInfo `json:"segments"`             // replay order; the last is active
+	Superseded         []SegmentInfo `json:"superseded,omitempty"` // lower generations open would delete
 	HasSnapshot        bool          `json:"has_snapshot"`
 	SnapshotError      string        `json:"snapshot_error,omitempty"`
 	SnapshotKeys       int           `json:"snapshot_keys,omitempty"`
 	SnapshotAgeSeconds int64         `json:"snapshot_age_seconds,omitempty"`
 }
 
-// Inspect reads a store directory's layout without touching it.
+// Inspect reads a store directory's layout without touching it. A
+// missing segment does not show here; Verify reports it.
 func Inspect(dir string) (*InspectReport, error) {
 	if _, err := os.Stat(dir); err != nil {
 		return nil, fmt.Errorf("store: inspect %s: %w", dir, err)
 	}
-	rep := &InspectReport{Dir: dir}
-
-	segInfo := func(ms manifestSegment) SegmentInfo {
-		info := SegmentInfo{Name: segName(ms.ID, ms.Gen), ID: ms.ID, Gen: ms.Gen, Bytes: -1}
-		if fi, err := os.Stat(filepath.Join(dir, info.Name)); err == nil {
-			info.Bytes = fi.Size()
-		}
-		return info
-	}
-
-	m, merr := loadManifest(dir)
-	files, err := scanSegmentFiles(dir)
+	files, err := listSegments(dir)
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case merr != nil:
-		rep.ManifestError = merr.Error()
-	case m != nil:
-		rep.HasManifest = true
-		rep.ManifestGeneration = m.Generation
-		rep.NextID = m.NextID
-		listed := map[[2]int64]bool{}
-		for _, ms := range m.Segments {
-			rep.Segments = append(rep.Segments, segInfo(ms))
-			listed[[2]int64{ms.ID, ms.Gen}] = true
-		}
-		for _, f := range files {
-			if !listed[[2]int64{f.ID, f.Gen}] {
-				rep.Unlisted = append(rep.Unlisted, segInfo(f))
-			}
-		}
-	default:
-		// No manifest: show the layout a bootstrap would adopt.
-		boot, drop := bootstrapManifest(files)
-		if len(files) > 0 {
-			for _, ms := range boot.Segments {
-				rep.Segments = append(rep.Segments, segInfo(ms))
-			}
-			for _, d := range drop {
-				rep.Unlisted = append(rep.Unlisted, segInfo(d))
-			}
-		}
-	}
-
+	order, superseded, _ := layout(files)
+	rep := &InspectReport{Dir: dir, Segments: segInfos(dir, order), Superseded: segInfos(dir, superseded)}
 	if sn, err := loadSnapshotFile(dir); sn != nil {
 		rep.HasSnapshot = true
 		rep.SnapshotKeys = len(sn.keys)
@@ -98,6 +56,20 @@ func Inspect(dir string) (*InspectReport, error) {
 		rep.SnapshotError = err.Error()
 	}
 	return rep, nil
+}
+
+// segInfos stats the given segment files of dir; a file that vanished
+// since it was listed reports -1 bytes.
+func segInfos(dir string, segs []segRef) []SegmentInfo {
+	var out []SegmentInfo
+	for _, f := range segs {
+		info := SegmentInfo{Name: segName(f.id, f.gen), ID: f.id, Gen: f.gen, Bytes: -1}
+		if fi, err := os.Stat(filepath.Join(dir, info.Name)); err == nil {
+			info.Bytes = fi.Size()
+		}
+		out = append(out, info)
+	}
+	return out
 }
 
 // VerifyReport is the result of a full offline integrity pass.
@@ -115,50 +87,25 @@ type VerifyReport struct {
 func (v *VerifyReport) OK() bool { return len(v.Problems) == 0 }
 
 // Verify replays every committed segment record-by-record (CRC and
-// JSON checks), checks the manifest against the files on disk, and
+// JSON checks), checks the segment names for a missing segment, and
 // validates the index snapshot's coverage — all without writing.
 func Verify(dir string) (*VerifyReport, error) {
 	if _, err := os.Stat(dir); err != nil {
 		return nil, fmt.Errorf("store: verify %s: %w", dir, err)
 	}
 	rep := &VerifyReport{}
-	m, merr := loadManifest(dir)
-	files, err := scanSegmentFiles(dir)
+	files, err := listSegments(dir)
 	if err != nil {
 		return nil, err
 	}
-	if merr != nil {
-		rep.Problems = append(rep.Problems, fmt.Sprintf("manifest unreadable (%v); open would rebuild from segment files", merr))
+	order, superseded, gap := layout(files)
+	if gap != nil {
+		rep.Problems = append(rep.Problems, gap.Error()+"; open would fail")
 	}
-	if m == nil {
-		if len(files) == 0 {
-			return rep, nil // empty dir: nothing to verify
-		}
-		m, _ = bootstrapManifest(files)
-		rep.Warnings = append(rep.Warnings, "no manifest; verifying the bootstrap order (id, gen)")
+	for _, f := range superseded {
+		rep.Warnings = append(rep.Warnings, fmt.Sprintf("superseded segment %s; open would delete it", segName(f.id, f.gen)))
 	}
-
-	var paths, names []string
-	for _, ms := range m.Segments {
-		name := segName(ms.ID, ms.Gen)
-		p := filepath.Join(dir, name)
-		if _, err := os.Stat(p); err != nil {
-			rep.Problems = append(rep.Problems, fmt.Sprintf("manifest lists %s but it is missing", name))
-			continue
-		}
-		paths = append(paths, p)
-		names = append(names, name)
-	}
-	listed := map[[2]int64]bool{}
-	for _, ms := range m.Segments {
-		listed[[2]int64{ms.ID, ms.Gen}] = true
-	}
-	for _, f := range files {
-		if !listed[[2]int64{f.ID, f.Gen}] {
-			rep.Warnings = append(rep.Warnings, fmt.Sprintf("unlisted segment %s; open would delete it as uncommitted", segName(f.ID, f.Gen)))
-		}
-	}
-	if _, err := verifyChain(rep, paths, names); err != nil {
+	if err := verifyChain(rep, dir, order); err != nil {
 		return nil, err
 	}
 
@@ -167,13 +114,13 @@ func Verify(dir string) (*VerifyReport, error) {
 	if sn, err := loadSnapshotFile(dir); err != nil {
 		rep.Warnings = append(rep.Warnings, fmt.Sprintf("index snapshot unusable (%v); open would replay in full", err))
 	} else if sn != nil {
-		if len(sn.segs) > len(m.Segments) {
-			rep.Warnings = append(rep.Warnings, "index snapshot covers more segments than the manifest; open would replay in full")
+		if len(sn.segs) > len(order) {
+			rep.Warnings = append(rep.Warnings, "index snapshot covers more segments than the directory holds; open would replay in full")
 		} else {
 			for i, ss := range sn.segs {
-				ms := m.Segments[i]
-				fi, err := os.Stat(filepath.Join(dir, segName(ms.ID, ms.Gen)))
-				if ss.id != ms.ID || ss.gen != ms.Gen || err != nil || ss.covered > fi.Size() {
+				f := order[i]
+				fi, err := os.Stat(filepath.Join(dir, segName(f.id, f.gen)))
+				if ss.id != f.id || ss.gen != f.gen || err != nil || ss.covered > fi.Size() {
 					rep.Warnings = append(rep.Warnings, "index snapshot stale; open would replay in full")
 					break
 				}
@@ -183,19 +130,20 @@ func Verify(dir string) (*VerifyReport, error) {
 	return rep, nil
 }
 
-// verifyChain scans the given journal files in replay order, counting
+// verifyChain scans the segment files of dir in replay order, counting
 // records and distinct keys and recording damage.
-func verifyChain(rep *VerifyReport, paths, names []string) (*VerifyReport, error) {
+func verifyChain(rep *VerifyReport, dir string, order []segRef) error {
 	keys := map[string]bool{}
-	for i, p := range paths {
-		f, err := os.Open(p)
+	for i, sr := range order {
+		name := segName(sr.id, sr.gen)
+		f, err := os.Open(filepath.Join(dir, name))
 		if err != nil {
-			return nil, fmt.Errorf("store: verify: open %s: %w", p, err)
+			return fmt.Errorf("store: verify: open %s: %w", name, err)
 		}
 		fi, err := f.Stat()
 		if err != nil {
 			f.Close()
-			return nil, fmt.Errorf("store: verify: stat %s: %w", p, err)
+			return fmt.Errorf("store: verify: stat %s: %w", name, err)
 		}
 		off, reason, err := scanFile(f, journalMagic, 0, func(off int64, payload []byte) error {
 			var e Entry
@@ -208,13 +156,13 @@ func verifyChain(rep *VerifyReport, paths, names []string) (*VerifyReport, error
 		})
 		f.Close()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		rep.Segments++
 		if reason != "" {
 			lost := fi.Size() - off
-			msg := fmt.Sprintf("%s corrupt at offset %d (%s), %d bytes affected", names[i], off, reason, lost)
-			if i == len(paths)-1 {
+			msg := fmt.Sprintf("%s corrupt at offset %d (%s), %d bytes affected", name, off, reason, lost)
+			if i == len(order)-1 {
 				// Tail damage in the active segment is the expected
 				// signature of a torn write; open recovers it.
 				rep.Warnings = append(rep.Warnings, msg+"; open would truncate (torn tail)")
@@ -224,5 +172,5 @@ func verifyChain(rep *VerifyReport, paths, names []string) (*VerifyReport, error
 		}
 	}
 	rep.Keys = int64(len(keys))
-	return rep, nil
+	return nil
 }

@@ -101,6 +101,43 @@ func copyFiles(t *testing.T, src, dst string) {
 	}
 }
 
+// openFixture opens a copy of the checked-in data dir src, which must
+// verify clean, open with no notice and read back fx, and returns the
+// copy with the store and WAL closed again.
+func openFixture(t *testing.T, src string, fx fixture) string {
+	t.Helper()
+	dir := t.TempDir()
+	copyFiles(t, src, dir)
+	rep, err := Verify(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() || len(rep.Warnings) > 0 {
+		t.Fatalf("verify: warnings %q, problems %q", rep.Warnings, rep.Problems)
+	}
+	var notices []string
+	logf := func(format string, args ...any) { notices = append(notices, fmt.Sprintf(format, args...)) }
+	reg := metrics.New()
+	s, err := Open(dir, Config{Metrics: reg, Log: logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	checkAll(t, s, fx.entries)
+	w, recs, err := OpenWAL(dir, WALConfig{Metrics: reg, Log: logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if !reflect.DeepEqual(recs, fx.wal) {
+		t.Fatalf("WAL replayed %+v, want %+v", recs, fx.wal)
+	}
+	if len(notices) > 0 || reg.Counter(MetricCorrupt).Value() != 0 || reg.Counter(MetricWALCorrupt).Value() != 0 {
+		t.Fatalf("opening %s logged %q", src, notices)
+	}
+	return dir
+}
+
 func TestCheckedInDataDirOpensAndRewritesIdentically(t *testing.T) {
 	fresh := t.TempDir()
 	fx := writeFixture(t, fresh)
@@ -115,35 +152,7 @@ func TestCheckedInDataDirOpensAndRewritesIdentically(t *testing.T) {
 	}
 
 	t.Run("opens", func(t *testing.T) {
-		dir := t.TempDir()
-		copyFiles(t, fixtureDir, dir)
-		rep, err := Verify(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rep.OK() || len(rep.Warnings) > 0 {
-			t.Fatalf("verify: warnings %q, problems %q", rep.Warnings, rep.Problems)
-		}
-		var notices []string
-		logf := func(format string, args ...any) { notices = append(notices, fmt.Sprintf(format, args...)) }
-		reg := metrics.New()
-		s, err := Open(dir, Config{Metrics: reg, Log: logf})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		checkAll(t, s, fx.entries)
-		w, recs, err := OpenWAL(dir, WALConfig{Metrics: reg, Log: logf})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer w.Close()
-		if !reflect.DeepEqual(recs, fx.wal) {
-			t.Fatalf("WAL replayed %+v, want %+v", recs, fx.wal)
-		}
-		if len(notices) > 0 || reg.Counter(MetricCorrupt).Value() != 0 || reg.Counter(MetricWALCorrupt).Value() != 0 {
-			t.Fatalf("opening the checked-in dir logged %q", notices)
-		}
+		openFixture(t, fixtureDir, fx)
 	})
 
 	t.Run("same-bytes", func(t *testing.T) {
@@ -191,6 +200,31 @@ func TestCheckedInDataDirOpensAndRewritesIdentically(t *testing.T) {
 			}
 		}
 	})
+}
+
+// manifestDir is the data dir writeFixture's operations left under the
+// builds from 8210c05 to 01b1656, the last to keep a MANIFEST.vmat: the
+// segments and WAL of fixtureDir, plus the manifest and a snapshot
+// whose generation word is 4. It is never regenerated. It opens with no
+// notice, and the open deletes the manifest.
+const manifestDir = "testdata/datadir-v2"
+
+func TestManifestDataDirOpens(t *testing.T) {
+	fx := writeFixture(t, t.TempDir())
+	if _, err := os.Stat(filepath.Join(manifestDir, legacyManifest)); err != nil {
+		t.Fatalf("fixture lost its manifest: %v", err)
+	}
+	dir := openFixture(t, manifestDir, fx)
+	if _, err := os.Stat(filepath.Join(dir, legacyManifest)); !os.IsNotExist(err) {
+		t.Fatalf("open left %s in place (stat err %v)", legacyManifest, err)
+	}
+	rep, err := Verify(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() || len(rep.Warnings) > 0 || rep.Keys != int64(len(fx.entries)) {
+		t.Fatalf("verify after open: %d keys, warnings %q, problems %q", rep.Keys, rep.Warnings, rep.Problems)
+	}
 }
 
 // legacyDir is a data dir written by the build at 474f2df, the last
@@ -241,8 +275,8 @@ func TestCompactedV1DataDirOpens(t *testing.T) {
 	if len(notices) != 1 || !strings.Contains(notices[0], "index snapshot stale (unsupported snapshot version 1") {
 		t.Fatalf("first open logged %q, want one stale-snapshot notice", notices)
 	}
-	if st := s.Status(); st.Segments != 4 || st.Generation != 6 {
-		t.Fatalf("status %+v, want the 4 segments of manifest generation 6", st)
+	if st := s.Status(); st.Segments != 4 {
+		t.Fatalf("status %+v, want 4 segments", st)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)

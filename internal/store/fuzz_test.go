@@ -4,14 +4,15 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/frame"
 )
 
 // FuzzJournalReplay writes arbitrary bytes as the only segment file of
-// a data dir and opens the store over it, which bootstraps a manifest
-// and replays the segment: replay must never panic, must recover to some
+// a data dir and opens the store over it, which replays the segment:
+// replay must never panic, must recover to some
 // clean prefix (counting the corruption), and must leave the store
 // usable — a Put and a Get after recovery behave normally. This is the
 // torn/hostile-journal contract the server's crash recovery depends on.
@@ -110,46 +111,15 @@ func FuzzDecodeRecord(f *testing.F) {
 	})
 }
 
-// FuzzManifestDecode feeds arbitrary bytes to the manifest decoder:
-// errors, never panics, and anything it accepts is internally
-// consistent and re-encodes stably.
-func FuzzManifestDecode(f *testing.F) {
-	good, err := encodeManifest(&manifest{Version: manifestVersion, Generation: 3, NextID: 4,
-		Segments: []manifestSegment{{ID: 1, Gen: 2}, {ID: 3, Gen: 1}}})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(good)
-	f.Add([]byte{})
-	f.Add(good[:len(good)-4])
-	f.Add([]byte("VMM1 but nothing that parses"))
-	f.Fuzz(func(t *testing.T, b []byte) {
-		m, err := decodeManifest(b)
-		if err != nil {
-			return
-		}
-		if len(m.Segments) == 0 {
-			t.Fatal("decoder accepted a manifest with no segments")
-		}
-		re, err := encodeManifest(m)
-		if err != nil {
-			t.Fatalf("accepted manifest does not re-encode: %v", err)
-		}
-		if _, err := decodeManifest(re); err != nil {
-			t.Fatalf("accepted manifest is not round-trip stable: %v", err)
-		}
-	})
-}
-
 // FuzzSnapshotDecode feeds arbitrary bytes to the index-snapshot
 // decoder: errors, never panics, and every accepted ref stays inside
 // its segment's covered range (the invariant reopen relies on instead
 // of re-checking each record).
 func FuzzSnapshotDecode(f *testing.F) {
 	good, err := encodeSnapshot(&snapshot{
-		generation: 2, unixTime: 1700000000,
-		segs: []snapSegment{{id: 1, gen: 1, covered: 300}},
-		keys: []snapKey{{key: "abc", segIdx: 0, off: 0, length: 150}, {key: "def", segIdx: 0, off: 150, length: 150}},
+		unixTime: 1700000000,
+		segs:     []snapSegment{{id: 1, gen: 1, covered: 300}},
+		keys:     []snapKey{{key: "abc", segIdx: 0, off: 0, length: 150}, {key: "def", segIdx: 0, off: 150, length: 150}},
 	})
 	if err != nil {
 		f.Fatal(err)
@@ -175,12 +145,12 @@ func FuzzSnapshotDecode(f *testing.F) {
 }
 
 // FuzzManifestOpen drops arbitrary bytes in as MANIFEST.vmat over a
-// real segment layout: Open must never panic, and must either succeed
-// (store fully usable) or fail cleanly in a way that deleting the
-// manifest recovers from.
+// real segment layout, as an earlier build may have left it: Open must
+// never panic and never read it, so it opens, deletes the manifest,
+// keeps every stored key and leaves the store usable.
 func FuzzManifestOpen(f *testing.F) {
-	goodManifest, err := encodeManifest(&manifest{Version: manifestVersion, Generation: 1, NextID: 2,
-		Segments: []manifestSegment{{ID: 1, Gen: 1}}})
+	goodManifest, err := appendFrame(nil, [4]byte{'V', 'M', 'M', '1'},
+		[]byte(`{"version":1,"generation":1,"next_id":2,"segments":[{"id":1,"gen":1}]}`))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -195,30 +165,81 @@ func FuzzManifestOpen(f *testing.F) {
 			t.Fatal(err)
 		}
 		seed.Close()
-		if err := os.WriteFile(filepath.Join(dir, ManifestName), b, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, legacyManifest), b, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		// A mutated manifest may claim coverage the layout can't back;
-		// the stale snapshot must not be allowed to mask that.
-		os.Remove(filepath.Join(dir, SnapshotName))
 		s, err := Open(dir, Config{})
 		if err != nil {
-			// Clean failure (e.g. a valid manifest naming segments that
-			// do not exist). Removing the manifest must recover.
-			os.Remove(filepath.Join(dir, ManifestName))
-			s2, err := Open(dir, Config{})
-			if err != nil {
-				t.Fatalf("Open still fails after manifest removal: %v", err)
-			}
-			s2.Close()
-			return
+			t.Fatalf("manifest bytes made Open fail: %v", err)
 		}
 		defer s.Close()
+		if _, err := os.Stat(filepath.Join(dir, legacyManifest)); !os.IsNotExist(err) {
+			t.Fatalf("open left %s in place (stat err %v)", legacyManifest, err)
+		}
+		if _, ok, err := s.Get("seeded"); !ok || err != nil {
+			t.Fatalf("seeded entry lost: ok=%v err=%v", ok, err)
+		}
 		if err := s.Put("fuzz-probe", "test", 1, Meta{}); err != nil {
-			t.Fatalf("store unusable after manifest recovery: %v", err)
+			t.Fatalf("store unusable after dropping the manifest: %v", err)
 		}
 		if _, ok, err := s.Get("fuzz-probe"); !ok || err != nil {
 			t.Fatalf("probe unreadable: ok=%v err=%v", ok, err)
+		}
+	})
+}
+
+// FuzzSegmentLayout builds a data dir from arbitrary segment file
+// names: well-formed ones drawn from (id, gen) byte pairs, and any
+// names at all from a '/'-separated list. Each file holds one record.
+// Open must never panic and may fail only where Verify, run first,
+// reports a problem; a dir it opened and closed again verifies clean.
+func FuzzSegmentLayout(f *testing.F) {
+	f.Add([]byte{}, "")
+	f.Add([]byte{1, 1, 2, 1, 3, 1}, "")                                   // a clean layout
+	f.Add([]byte{1, 1, 3, 1}, "")                                         // seg 2 lost
+	f.Add([]byte{1, 2, 3, 1, 4, 1, 5, 1}, "MANIFEST.vmat")                // datadir-v1's shape
+	f.Add([]byte{2, 1, 3, 1}, "index.snap")                               // seg 1 lost
+	f.Add([]byte{1, 1, 1, 2, 2, 1}, "seg-00000003-0001.vmat.tmp")         // superseded gen, tmp debris
+	f.Add([]byte{1, 1}, "seg-1-1.vmat/seg-00000000-0001.vmat/seg-x.vmat") // ill-formed names
+	f.Fuzz(func(t *testing.T, pairs []byte, extra string) {
+		var names []string
+		for i := 0; i+1 < len(pairs); i += 2 {
+			names = append(names, segName(int64(pairs[i]%8)+1, int64(pairs[i+1]%3)+1))
+		}
+		for _, name := range strings.Split(extra, "/") {
+			if name != "" && name != "." && name != ".." && len(name) < 100 && !strings.ContainsRune(name, 0) {
+				names = append(names, name)
+			}
+		}
+		dir := t.TempDir()
+		for _, name := range names {
+			rec, err := encodeRecord(&Entry{Key: name, Value: json.RawMessage(`1`)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), rec, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rep, err := Verify(dir)
+		if err != nil {
+			t.Fatalf("Verify: %v", err)
+		}
+		s, err := Open(dir, Config{})
+		if err != nil {
+			if rep.OK() {
+				t.Fatalf("Open failed (%v) on a dir Verify passed", err)
+			}
+			return
+		}
+		if err := s.Put("fuzz-probe", "test", 1, Meta{}); err != nil {
+			t.Fatalf("store unusable: %v", err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if rep, err := Verify(dir); err != nil || !rep.OK() {
+			t.Fatalf("Verify after Open and Close: %+v, %v", rep, err)
 		}
 	})
 }

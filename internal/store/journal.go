@@ -13,10 +13,10 @@ import (
 
 // journalMagic marks result-journal records in segment files. Every
 // store file is a sequence of internal/frame frames under its own
-// magic: "VMR1" segments, "VMC1" control WAL, "VMM1" manifest, "VMS1"
-// index snapshot. The per-record checksum is what makes crash recovery
-// possible: a torn write at the tail fails the length or the CRC and is
-// truncated away on open.
+// magic: "VMR1" segments, "VMC1" control WAL, "VMS1" index snapshot.
+// The per-record checksum is what makes crash recovery possible: a torn
+// write at the tail fails the length or the CRC and is truncated away
+// on open.
 var journalMagic = [4]byte{'V', 'M', 'R', '1'}
 
 // maxRecordBytes bounds one frame's payload in every store file, so a

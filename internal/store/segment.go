@@ -1,9 +1,11 @@
 package store
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -14,26 +16,38 @@ import (
 // holds:
 //
 //	seg-<id>-<gen>.vmat   journal segments (CRC-framed records, journal.go)
-//	MANIFEST.vmat         replay order + next id (manifest.go)
 //	index.snap            index snapshot for fast reopen (snapshot.go)
 //	control.wal           control-plane WAL (wal.go)
 //
-// The last manifest entry is the active segment — the only file ever
-// appended to. Everything before it is sealed and immutable, which is
-// what makes an index snapshot's coverage of them permanent.
+// The file names are the layout: segments replay in (id, gen) order and
+// the last is the active segment — the only file ever appended to.
+// Everything before it is sealed and immutable, which is what makes an
+// index snapshot's coverage of them permanent. A roll creates the next
+// id's file and fsyncs the directory, so nothing else records the set.
 //
 // Naming: <id> is the segment's logical position (ids strictly increase
 // with creation order), <gen> its rewrite generation. This build writes
 // only generation 1. Earlier builds had a compactor that merged the
 // sealed prefix into the first input's id with the generation bumped,
-// so their data dirs can hold higher generations; sorting by (id, gen)
-// is still a correct replay order if the manifest is lost, because
-// lower generations of an id and any surviving later inputs replay as
-// harmless duplicates of the merged output (first-write-wins absorbs
-// them).
+// and a MANIFEST.vmat listing the layout, which Open now deletes. So
+// their data dirs can hold higher generations, and (id, gen) order is
+// still a correct replay order: a lower generation of an id is
+// superseded and deleted, and any surviving later input replays as a
+// harmless duplicate of the merged output (first-write-wins absorbs it).
+// The names also show a lost segment: ids start at 1 and run
+// consecutively, except right after a segment of generation > 1, whose
+// merge absorbed the ids that followed it.
 
 // segPattern matches segment files; see segName.
 const segPattern = "seg-*.vmat"
+
+// legacyManifest is the layout manifest earlier builds kept beside the
+// segments. Open deletes it, so that a downgraded build rebuilds its
+// layout from the file names rather than trust a stale list.
+const legacyManifest = "MANIFEST.vmat"
+
+// segRef names one segment file.
+type segRef struct{ id, gen int64 }
 
 // segName renders a segment file name from its id and generation.
 func segName(id, gen int64) string {
@@ -41,7 +55,7 @@ func segName(id, gen int64) string {
 }
 
 // parseSegName extracts (id, gen) from a segment file name; ok=false
-// for anything that does not look like one.
+// for anything segName would not have written.
 func parseSegName(name string) (id, gen int64, ok bool) {
 	if !strings.HasPrefix(name, "seg-") || !strings.HasSuffix(name, ".vmat") {
 		return 0, 0, false
@@ -53,10 +67,51 @@ func parseSegName(name string) (id, gen int64, ok bool) {
 	}
 	id, err1 := strconv.ParseInt(mid[:dash], 10, 64)
 	gen, err2 := strconv.ParseInt(mid[dash+1:], 10, 64)
-	if err1 != nil || err2 != nil || id < 1 || gen < 1 {
+	if err1 != nil || err2 != nil || id < 1 || gen < 1 || segName(id, gen) != name {
 		return 0, 0, false
 	}
 	return id, gen, true
+}
+
+// listSegments lists the segment files in dir in (id, gen) order.
+func listSegments(dir string) ([]segRef, error) {
+	names, err := filepath.Glob(filepath.Join(dir, segPattern))
+	if err != nil {
+		return nil, fmt.Errorf("store: scan segments: %w", err)
+	}
+	var segs []segRef
+	for _, p := range names {
+		if id, gen, ok := parseSegName(filepath.Base(p)); ok {
+			segs = append(segs, segRef{id, gen})
+		}
+	}
+	slices.SortFunc(segs, func(a, b segRef) int {
+		return cmp.Or(cmp.Compare(a.id, b.id), cmp.Compare(a.gen, b.gen))
+	})
+	return segs, nil
+}
+
+// layout derives the replay order from files, sorted by (id, gen): the
+// highest generation of each id, in id order. It returns the lower
+// generations apart, for Open to delete, and an error naming the first
+// missing segment, if any (see the naming rules above).
+func layout(files []segRef) (order, superseded []segRef, err error) {
+	for _, f := range files {
+		if n := len(order); n > 0 && order[n-1].id == f.id {
+			superseded = append(superseded, order[n-1])
+			order[n-1] = f
+			continue
+		}
+		order = append(order, f)
+	}
+	next, strict := int64(1), true // the id that comes next, if it must
+	for _, f := range order {
+		if strict && f.id != next {
+			return order, superseded, fmt.Errorf("segment %s is missing", segName(next, 1))
+		}
+		next, strict = f.id+1, f.gen == 1
+	}
+	return order, superseded, nil
 }
 
 // segment is one open journal segment file. size is atomic: appends

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/metrics"
@@ -174,8 +174,8 @@ func TestConcurrentUseAcrossRolls(t *testing.T) {
 // merged the sealed prefix into seg-<first id>-<first gen+1>.vmat: it
 // wrote the output to a temp file, renamed it into place, committed a
 // manifest listing it in place of its inputs, then deleted the inputs.
-// Open must keep every record, delete the debris, and leave only the
-// committed segments on disk.
+// Open must keep every record, delete the debris, the superseded input
+// and the manifest, and leave one segment per id.
 func TestKillMidCompaction(t *testing.T) {
 	for _, stage := range []string{"output-written", "output-renamed", "manifest-committed", "mid-delete"} {
 		t.Run(stage, func(t *testing.T) {
@@ -183,23 +183,22 @@ func TestKillMidCompaction(t *testing.T) {
 			s := mustOpen(t, dir, Config{SegmentBytes: tinySeg})
 			want := putN(t, s, 40, "c")
 			s.closeSegments() // killed: no snapshot
-			m, err := loadManifest(dir)
-			if err != nil || len(m.Segments) < 3 {
-				t.Fatalf("manifest %+v, err %v: want at least two sealed segments", m, err)
+			files, err := listSegments(dir)
+			if err != nil || len(files) < 3 {
+				t.Fatalf("segments %v, err %v: want at least two sealed segments", files, err)
 			}
-			sealed, active := m.Segments[:len(m.Segments)-1], m.Segments[len(m.Segments)-1]
+			sealed := files[:len(files)-1]
 			// With nothing deleted, the merged output is the sealed
 			// segments back to back.
 			var merged []byte
-			for _, ms := range sealed {
-				b, err := os.ReadFile(filepath.Join(dir, segName(ms.ID, ms.Gen)))
+			for _, f := range sealed {
+				b, err := os.ReadFile(filepath.Join(dir, segName(f.id, f.gen)))
 				if err != nil {
 					t.Fatal(err)
 				}
 				merged = append(merged, b...)
 			}
-			out := manifestSegment{ID: sealed[0].ID, Gen: sealed[0].Gen + 1}
-			outPath := filepath.Join(dir, segName(out.ID, out.Gen))
+			outPath := filepath.Join(dir, segName(sealed[0].id, sealed[0].gen+1))
 			if stage == "output-written" {
 				outPath += ".tmp"
 			}
@@ -207,14 +206,13 @@ func TestKillMidCompaction(t *testing.T) {
 				t.Fatal(err)
 			}
 			if stage == "manifest-committed" || stage == "mid-delete" {
-				next := &manifest{Version: manifestVersion, Generation: m.Generation + 1, NextID: m.NextID,
-					Segments: []manifestSegment{out, active}}
-				if err := commitManifest(dir, next); err != nil {
+				// This build never reads the manifest, only deletes it.
+				if err := os.WriteFile(filepath.Join(dir, legacyManifest), []byte("VMM1 earlier build"), 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}
 			if stage == "mid-delete" {
-				if err := os.Remove(filepath.Join(dir, segName(sealed[0].ID, sealed[0].Gen))); err != nil {
+				if err := os.Remove(filepath.Join(dir, segName(sealed[0].id, sealed[0].gen))); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -222,21 +220,107 @@ func TestKillMidCompaction(t *testing.T) {
 			s2 := mustOpen(t, dir, Config{SegmentBytes: tinySeg})
 			defer s2.Close()
 			checkAll(t, s2, want)
-			tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp"))
-			if len(tmps) != 0 {
-				t.Fatalf("debris after recovery: %v", tmps)
+			debris, _ := filepath.Glob(filepath.Join(dir, "*.tmp"))
+			if _, err := os.Stat(filepath.Join(dir, legacyManifest)); err == nil {
+				debris = append(debris, legacyManifest)
 			}
-			m2, err := loadManifest(dir)
-			if err != nil || m2 == nil {
-				t.Fatalf("manifest after recovery: %v", err)
+			if len(debris) != 0 {
+				t.Fatalf("debris after recovery: %v", debris)
 			}
-			files, _ := scanSegmentFiles(dir)
-			if !reflect.DeepEqual(files, m2.Segments) {
-				t.Fatalf("disk holds segments %v, manifest lists %v", files, m2.Segments)
+			after, _ := listSegments(dir)
+			order, superseded, err := layout(after)
+			if err != nil || len(superseded) != 0 || len(order) != len(files) || s2.Status().Segments != len(files) {
+				t.Fatalf("disk holds segments %v (err %v), store has %d, want one per id of %v", after, err, s2.Status().Segments, files)
 			}
 			if err := s2.Put("post-crash", "test", "ok", Meta{}); err != nil {
 				t.Fatalf("Put after crash recovery: %v", err)
 			}
 		})
 	}
+}
+
+// TestLostSegmentFailsOpen deletes a sealed segment: the names show the
+// gap, so Open fails without deleting anything and Verify names the
+// lost file. A gap right after a segment of generation > 1 is an
+// earlier build's merge, not a loss (the datadir-v1 shape).
+func TestLostSegmentFailsOpen(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Config{SegmentBytes: tinySeg})
+	putN(t, s, 40, "lost")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	files, err := listSegments(dir)
+	if err != nil || len(files) < 3 {
+		t.Fatalf("segments %v, err %v: want at least two sealed segments", files, err)
+	}
+	lost := segName(2, 1)
+	if err := os.Remove(filepath.Join(dir, lost)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, legacyManifest), []byte("stale"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := os.ReadDir(dir)
+	if _, err := Open(dir, Config{}); err == nil || !strings.Contains(err.Error(), lost) || !strings.Contains(err.Error(), "run vmat-store verify") {
+		t.Fatalf("Open with %s lost: err %v, want it named", lost, err)
+	}
+	if after, _ := os.ReadDir(dir); len(after) != len(before) {
+		t.Fatalf("failed Open changed the directory: %d files before, %d after", len(before), len(after))
+	}
+	rep, err := Verify(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.OK() || !strings.Contains(strings.Join(rep.Problems, "\n"), lost) {
+		t.Fatalf("verify problems %q, want %s named", rep.Problems, lost)
+	}
+
+	// The same gap behind a merged segment is the shape an earlier
+	// build's compactor left: it opens, and keeps the ids it had.
+	if err := os.Rename(filepath.Join(dir, segName(1, 1)), filepath.Join(dir, segName(1, 2))); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := Verify(dir); err != nil || !rep.OK() {
+		t.Fatalf("verify of a merged layout: %+v, %v", rep, err)
+	}
+	s2 := mustOpen(t, dir, Config{})
+	defer s2.Close()
+	if got := s2.Status().Segments; got != len(files)-1 {
+		t.Fatalf("merged layout opened %d segments, want %d", got, len(files)-1)
+	}
+}
+
+// TestNoManifest: no roll writes a MANIFEST.vmat, and Open deletes one
+// an earlier build left, so that build, run again, rebuilds its layout
+// from the names rather than delete the segments its stale list omits.
+func TestNoManifest(t *testing.T) {
+	dir := t.TempDir()
+	manifest := filepath.Join(dir, legacyManifest)
+	assertNone := func(when string) {
+		t.Helper()
+		if _, err := os.Stat(manifest); !os.IsNotExist(err) {
+			t.Fatalf("%s: %s exists (stat err %v)", when, legacyManifest, err)
+		}
+	}
+	s := mustOpen(t, dir, Config{SegmentBytes: tinySeg})
+	want := putN(t, s, 20, "m")
+	if s.Status().Segments < 3 {
+		t.Fatalf("only %d segments: want rolls", s.Status().Segments)
+	}
+	assertNone("after rolls")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(manifest, []byte("a stale manifest"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s = mustOpen(t, dir, Config{SegmentBytes: tinySeg})
+	defer s.Close()
+	assertNone("after reopen")
+	for k, v := range putN(t, s, 20, "n") {
+		want[k] = v
+	}
+	assertNone("after more rolls")
+	checkAll(t, s, want)
 }

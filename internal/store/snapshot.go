@@ -15,8 +15,8 @@ import (
 // of full-journal replay. It is a point-in-time capture of the index,
 // stamped with exactly how much of each segment it covers: sealed
 // segments fully, the then-active segment up to its append offset. On
-// open, if the covered segments still prefix the manifest order (rolls
-// after the snapshot only append new segments, so they keep it valid),
+// open, if the covered segments still prefix the layout (rolls after
+// the snapshot only append new segments, so they keep it valid),
 // the store loads the snapshot and replays only the bytes past each
 // watermark. The snapshot is a pure cache: corrupt, stale, or missing
 // just means a full replay, never an error. A snapshot of another
@@ -27,7 +27,7 @@ import (
 // Encoding (inside one CRC frame, magic "VMS1", little-endian):
 //
 //	u32 version
-//	u64 manifest generation (informational)
+//	u64 zero (an earlier build's manifest generation; ignored)
 //	u64 unix seconds at capture (drives store_snapshot_age_seconds)
 //	u32 segment count; per segment:
 //	    u64 id, u64 gen, u64 covered bytes
@@ -58,10 +58,9 @@ type snapSegment struct {
 
 // snapshot is a decoded index snapshot.
 type snapshot struct {
-	generation int64
-	unixTime   int64
-	segs       []snapSegment
-	keys       []snapKey
+	unixTime int64
+	segs     []snapSegment
+	keys     []snapKey
 }
 
 type snapKey struct {
@@ -88,7 +87,7 @@ func encodeSnapshot(sn *snapshot) ([]byte, error) {
 		payload = append(payload, scratch[:8]...)
 	}
 	u32(snapshotVersion)
-	u64(uint64(sn.generation))
+	u64(0)
 	u64(uint64(sn.unixTime))
 	u32(uint32(len(sn.segs)))
 	for _, sg := range sn.segs {
@@ -146,7 +145,8 @@ func decodeSnapshot(b []byte) (*snapshot, error) {
 	if v := ru32(); v != snapshotVersion {
 		return nil, fmt.Errorf("%w %d, this build reads %d", errSnapshotVersion, v, snapshotVersion)
 	}
-	sn := &snapshot{generation: int64(ru64()), unixTime: int64(ru64())}
+	pos += 8 // the ignored generation word
+	sn := &snapshot{unixTime: int64(ru64())}
 	nSegs := int(ru32())
 	if nSegs < 0 || nSegs > 1<<20 {
 		return nil, fmt.Errorf("implausible snapshot segment count %d", nSegs)
@@ -227,7 +227,7 @@ func loadSnapshotFile(dir string) (*snapshot, error) {
 // during the index walk.
 func (s *Store) captureSnapshot() *snapshot {
 	s.segMu.RLock()
-	sn := &snapshot{generation: s.generation, unixTime: time.Now().Unix()}
+	sn := &snapshot{unixTime: time.Now().Unix()}
 	segIdx := make(map[int64]uint32, len(s.order))
 	for i, id := range s.order {
 		sg := s.segs[id]

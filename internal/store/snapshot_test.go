@@ -103,8 +103,7 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 // must be lossless.
 func TestSnapshotCodecRoundTrip(t *testing.T) {
 	sn := &snapshot{
-		generation: 7,
-		unixTime:   1700000000,
+		unixTime: 1700000000,
 		segs: []snapSegment{
 			{id: 1, gen: 2, covered: 4096},
 			{id: 5, gen: 1, covered: 128},
@@ -122,7 +121,7 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if got.generation != sn.generation || got.unixTime != sn.unixTime ||
+	if got.unixTime != sn.unixTime ||
 		len(got.segs) != len(sn.segs) || len(got.keys) != len(sn.keys) {
 		t.Fatalf("round trip diverged: %+v vs %+v", got, sn)
 	}

@@ -11,14 +11,14 @@
 // nothing needs compacting.
 // On disk it is a segmented journal (see segment.go): appends land in
 // the active segment, which rolls into an immutable sealed segment at a
-// size threshold; the manifest records the replay order through atomic
-// rewrites (manifest.go); and an index snapshot turns reopen into
-// snapshot-load plus tail-replay instead of a full-journal replay
-// (snapshot.go). Every Put appends one checksummed record and fsyncs
-// before the entry becomes visible, so a crash can only ever lose the
-// record being written, never a completed one. A truncated or corrupt
-// segment tail — the signature of a torn write — is logged, counted in
-// metrics, and truncated away rather than treated as fatal.
+// size threshold; the segment file names are the replay order; and an
+// index snapshot turns reopen into snapshot-load plus tail-replay
+// instead of a full-journal replay (snapshot.go). Every Put appends one
+// checksummed record and fsyncs before the entry becomes visible, so a
+// crash can only ever lose the record being written, never a completed
+// one. A truncated or corrupt segment tail — the signature of a torn
+// write — is logged, counted in metrics, and truncated away rather than
+// treated as fatal.
 //
 // In memory, a 64-way sharded key→offset index (index.go) locates every
 // record under per-shard read locks, and a bounded LRU of decoded
@@ -110,7 +110,6 @@ type Status struct {
 	Entries            int64 `json:"entries"`
 	Bytes              int64 `json:"bytes"`                // total size of the segment files
 	SnapshotAgeSeconds int64 `json:"snapshot_age_seconds"` // -1 when no snapshot exists
-	Generation         int64 `json:"generation"`
 }
 
 // Store is a file-backed content-addressed result store. All methods
@@ -131,11 +130,9 @@ type Store struct {
 	maintMu  sync.Mutex
 	appendMu sync.Mutex
 
-	segMu      sync.RWMutex
-	segs       map[int64]*segment // by segment id
-	order      []int64            // replay order of ids; last is active
-	nextID     int64
-	generation int64
+	segMu sync.RWMutex
+	segs  map[int64]*segment // by segment id
+	order []int64            // replay order of ids; last is active
 
 	idx *shardedIndex
 
@@ -217,95 +214,45 @@ func Open(dir string, cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// openLayout establishes the segment layout: clears tmp debris, loads
-// (or rebuilds, or bootstraps) the manifest, opens every listed
-// segment, and deletes unlisted segment files. Those are provably
-// uncommitted: a rolled file whose manifest commit never landed, and
-// which therefore never hosted a record, or the output or inputs of a
-// compaction an earlier build was killed in the middle of.
+// openLayout opens the layout the segment file names describe (see
+// segment.go). A missing segment fails the open before anything is
+// deleted. Otherwise it deletes what a crash or an earlier build left
+// behind: tmp files, superseded generations and the manifest.
 func (s *Store) openLayout() error {
-	for _, pat := range []string{ManifestName + ".tmp", SnapshotName + ".tmp", segPattern + ".tmp"} {
-		matches, _ := filepath.Glob(filepath.Join(s.dir, pat))
-		for _, p := range matches {
-			os.Remove(p)
-		}
-	}
-	m, err := loadManifest(s.dir)
+	files, err := listSegments(s.dir)
 	if err != nil {
-		// A corrupt manifest is recoverable: segment names encode a
-		// correct replay order (see segment.go). Keep the bytes for the
-		// operator and rebuild.
-		s.corrupt.Inc()
-		s.log("store: manifest unreadable (%v); rebuilding from segment files", err)
-		p := filepath.Join(s.dir, ManifestName)
-		if rerr := os.Rename(p, p+".corrupt"); rerr != nil {
-			return fmt.Errorf("store: set aside corrupt manifest: %w", rerr)
-		}
-		m = nil
+		return err
 	}
-	if m == nil {
-		files, err := scanSegmentFiles(s.dir)
-		if err != nil {
-			return err
-		}
-		var drop []manifestSegment
-		if len(files) == 0 {
-			m = &manifest{Version: manifestVersion, Generation: 1, NextID: 2, Segments: []manifestSegment{{ID: 1, Gen: 1}}}
-			// The active segment file must exist before the manifest
-			// references it.
-			sg, err := openSegment(s.dir, 1, 1)
-			if err != nil {
-				return err
-			}
-			s.segs[sg.id] = sg
-			s.order = append(s.order, sg.id)
-		} else {
-			m, drop = bootstrapManifest(files)
-		}
-		for _, d := range drop {
-			p := filepath.Join(s.dir, segName(d.ID, d.Gen))
-			s.log("store: dropping superseded segment %s (newer generation exists)", filepath.Base(p))
-			os.Remove(p)
-		}
-		if err := commitManifest(s.dir, m); err != nil {
-			return err
-		}
+	order, superseded, err := layout(files)
+	if err != nil {
+		return fmt.Errorf("store: %v — run vmat-store verify", err)
 	}
-
-	for _, ms := range m.Segments {
-		if s.segs[ms.ID] != nil {
-			continue // fresh-store segment opened above
-		}
-		path := filepath.Join(s.dir, segName(ms.ID, ms.Gen))
-		if _, err := os.Stat(path); err != nil {
-			return fmt.Errorf("store: manifest lists segment %s but it is missing (%v) — run vmat-store verify", filepath.Base(path), err)
-		}
-		sg, err := openSegment(s.dir, ms.ID, ms.Gen)
+	var debris []string
+	for _, pat := range []string{legacyManifest, legacyManifest + ".tmp", SnapshotName + ".tmp", segPattern + ".tmp"} {
+		matches, _ := filepath.Glob(filepath.Join(s.dir, pat))
+		debris = append(debris, matches...)
+	}
+	for _, f := range superseded {
+		s.log("store: dropping superseded segment %s (newer generation exists)", segName(f.id, f.gen))
+		debris = append(debris, filepath.Join(s.dir, segName(f.id, f.gen)))
+	}
+	for _, p := range debris {
+		os.Remove(p) // what survives a failed remove, the next open removes
+	}
+	if len(order) == 0 {
+		order = []segRef{{id: 1, gen: 1}}
+	}
+	for _, f := range order {
+		sg, err := openSegment(s.dir, f.id, f.gen)
 		if err != nil {
 			return err
 		}
 		s.segs[sg.id] = sg
 		s.order = append(s.order, sg.id)
 	}
-
-	files, err := scanSegmentFiles(s.dir)
-	if err != nil {
-		return err
+	if len(debris) > 0 || len(files) == 0 {
+		return syncDir(s.dir)
 	}
-	listed := make(map[[2]int64]bool, len(m.Segments))
-	for _, ms := range m.Segments {
-		listed[[2]int64{ms.ID, ms.Gen}] = true
-	}
-	for _, f := range files {
-		if !listed[[2]int64{f.ID, f.Gen}] {
-			p := filepath.Join(s.dir, segName(f.ID, f.Gen))
-			s.log("store: removing uncommitted segment %s (not in manifest)", filepath.Base(p))
-			os.Remove(p)
-		}
-	}
-
-	s.nextID = m.NextID
-	s.generation = m.Generation
 	return nil
 }
 
@@ -341,11 +288,11 @@ func (s *Store) load() error {
 }
 
 // applySnapshot checks sn against the current layout and, if its
-// covered segments still prefix the manifest order, installs its index
+// covered segments still prefix the layout, installs its index
 // and fills start with per-segment replay watermarks.
 func (s *Store) applySnapshot(sn *snapshot, start []int64) (bool, string) {
 	if len(sn.segs) > len(s.order) {
-		return false, "covers more segments than the manifest lists"
+		return false, "covers more segments than the directory holds"
 	}
 	for i, ss := range sn.segs {
 		sg := s.segs[s.order[i]]
@@ -525,40 +472,30 @@ func (s *Store) maybeRollLocked() {
 	}
 }
 
-// rollLocked creates the next segment file, commits the manifest that
-// lists it, and makes it the append target. Caller holds appendMu. The
-// file is created before the manifest commit so the manifest never
-// lists a missing file; a crash between the two leaves an empty
-// unlisted file that the next open deletes.
+// rollLocked creates the next segment file, makes its directory entry
+// durable, and makes it the append target. Caller holds appendMu. A
+// crash after the create leaves an empty active segment.
 func (s *Store) rollLocked() error {
-	if err := s.active().f.Sync(); err != nil { // seal durably even with DisableFsync
+	sealing := s.active()
+	if err := sealing.f.Sync(); err != nil { // seal durably even with DisableFsync
 		return fmt.Errorf("store: sync sealing segment: %w", err)
 	}
-	s.segMu.Lock()
-	defer s.segMu.Unlock()
-	id := s.nextID
-	sg, err := openSegment(s.dir, id, 1)
+	sg, err := openSegment(s.dir, sealing.id+1, 1)
 	if err != nil {
 		return err
 	}
-	segsList := make([]manifestSegment, 0, len(s.order)+1)
-	for _, segID := range s.order {
-		cur := s.segs[segID]
-		segsList = append(segsList, manifestSegment{ID: cur.id, Gen: cur.gen})
-	}
-	segsList = append(segsList, manifestSegment{ID: id, Gen: 1})
-	m := &manifest{Version: manifestVersion, Generation: s.generation + 1, NextID: id + 1, Segments: segsList}
-	if err := commitManifest(s.dir, m); err != nil {
+	if err := syncDir(s.dir); err != nil {
 		sg.f.Close()
 		os.Remove(sg.path)
 		return err
 	}
-	s.segs[id] = sg
-	s.order = append(s.order, id)
-	s.nextID = id + 1
-	s.generation++
-	s.segments.Set(int64(len(s.order)))
-	s.log("store: rolled to segment %s (%d segments)", segName(id, 1), len(s.order))
+	s.segMu.Lock()
+	s.segs[sg.id] = sg
+	s.order = append(s.order, sg.id)
+	n := len(s.order)
+	s.segMu.Unlock()
+	s.segments.Set(int64(n))
+	s.log("store: rolled to segment %s (%d segments)", filepath.Base(sg.path), n)
 	return nil
 }
 
@@ -621,7 +558,7 @@ func (s *Store) writeSnapshotLocked() error {
 // tooling.
 func (s *Store) Status() Status {
 	s.segMu.RLock()
-	st := Status{Segments: len(s.order), Generation: s.generation}
+	st := Status{Segments: len(s.order)}
 	for _, id := range s.order {
 		st.Bytes += s.segs[id].size.Load()
 	}

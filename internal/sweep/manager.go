@@ -62,6 +62,9 @@ const (
 	MetricRecoveryWallTime   = "store_recovery_wall_time_us"
 )
 
+// retainSweeps bounds how many terminal sweeps stay retrievable.
+const retainSweeps = 64
+
 // Cell sources recorded in results and metrics.
 const (
 	SourceExecuted = "executed" // ran through the service worker pool
@@ -85,8 +88,6 @@ type Config struct {
 	// queue/worker pool at once, so a single sweep cannot monopolize
 	// admission. Default 8.
 	MaxInFlight int
-	// Retain bounds how many terminal sweeps stay retrievable. Default 64.
-	Retain int
 	// WAL, when non-nil, makes sweeps crash-durable: the records
 	// recovery acts on (sweep-opened, unit-completed for a failed cell,
 	// sweep-closed) are appended to the control-plane write-ahead log,
@@ -294,9 +295,6 @@ func NewManager(cfg Config) *Manager {
 	}
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 8
-	}
-	if cfg.Retain <= 0 {
-		cfg.Retain = 64
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.New()
@@ -683,7 +681,7 @@ func (m *Manager) retire(sw *Sweep) {
 		delete(m.open, sw.gridKey)
 	}
 	m.doneOrder = append(m.doneOrder, sw.id)
-	for len(m.doneOrder) > m.cfg.Retain {
+	for len(m.doneOrder) > retainSweeps {
 		evict := m.doneOrder[0]
 		m.doneOrder = m.doneOrder[1:]
 		delete(m.sweeps, evict)

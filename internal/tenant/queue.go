@@ -24,21 +24,25 @@ const (
 	TierShedding = "shedding"
 )
 
+// Occupancy fractions of the queue's capacity at which the admission
+// tiers start.
+const (
+	// degradedFrac is the occupancy at which Status reports the
+	// degraded tier.
+	degradedFrac = 0.75
+	// shedFrac is the occupancy at which admission starts shedding: a
+	// push is admitted only while the tenant's own backlog stays within
+	// its fair share of the queue (capacity x weight / total active
+	// weight). Low-weight tenants have small shares, so they shed
+	// first; a heavy, high-weight tenant can still fill its slice.
+	shedFrac = 0.9
+)
+
 // QueueConfig configures a Queue. Zero values pick serving defaults.
 type QueueConfig struct {
 	// Capacity bounds the total queued items across all tenants.
 	// Default 64.
 	Capacity int
-	// DegradedFrac is the occupancy at which Status reports the
-	// degraded tier. Default 0.75.
-	DegradedFrac float64
-	// ShedFrac is the occupancy at which admission starts shedding:
-	// a push is admitted only while the tenant's own backlog stays
-	// within its fair share of the queue (capacity x weight / total
-	// active weight). Low-weight tenants have small shares, so they
-	// shed first; a heavy, high-weight tenant can still fill its slice.
-	// Default 0.9.
-	ShedFrac float64
 }
 
 // tq is one tenant's FIFO plus its deficit-round-robin credit.
@@ -82,12 +86,6 @@ func NewQueue[T any](ctl *Controller, cfg QueueConfig) *Queue[T] {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = 64
 	}
-	if cfg.DegradedFrac <= 0 || cfg.DegradedFrac > 1 {
-		cfg.DegradedFrac = 0.75
-	}
-	if cfg.ShedFrac <= 0 || cfg.ShedFrac > 1 {
-		cfg.ShedFrac = 0.9
-	}
 	if ctl == nil {
 		ctl = Open(nil)
 	}
@@ -97,8 +95,8 @@ func NewQueue[T any](ctl *Controller, cfg QueueConfig) *Queue[T] {
 }
 
 // thresholds in items (computed, not stored: Capacity is fixed).
-func (q *Queue[T]) degradedAt() int { return threshold(q.cfg.Capacity, q.cfg.DegradedFrac) }
-func (q *Queue[T]) shedAt() int     { return threshold(q.cfg.Capacity, q.cfg.ShedFrac) }
+func (q *Queue[T]) degradedAt() int { return threshold(q.cfg.Capacity, degradedFrac) }
+func (q *Queue[T]) shedAt() int     { return threshold(q.cfg.Capacity, shedFrac) }
 
 func threshold(capacity int, frac float64) int {
 	at := int(frac * float64(capacity))

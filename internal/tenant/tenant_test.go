@@ -463,15 +463,16 @@ func TestQueueNewcomerWaitsOneRound(t *testing.T) {
 func TestQueueShedsOverShareTenantsFirst(t *testing.T) {
 	c, heavy, light := twoTenantController(t,
 		`{"tenants": [{"id": "heavy", "key": "kh", "weight": 3}, {"id": "light", "key": "kl", "weight": 1}]}`)
-	q := NewQueue[int](c, QueueConfig{Capacity: 20, ShedFrac: 0.5})
+	q := NewQueue[int](c, QueueConfig{Capacity: 40})
 
-	// Fill to the shed threshold (10 items) split 8 heavy / 2 light.
-	for i := 0; i < 8; i++ {
+	// Fill to the shed threshold (0.9 x 40 = 36 items) split 28 heavy /
+	// 8 light.
+	for i := 0; i < 28; i++ {
 		if err := q.Push(heavy, i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 8; i++ {
 		if err := q.Push(light, i); err != nil {
 			t.Fatal(err)
 		}
@@ -479,14 +480,14 @@ func TestQueueShedsOverShareTenantsFirst(t *testing.T) {
 	if got := q.Status().Tier; got != TierShedding {
 		t.Fatalf("tier at threshold = %s, want shedding", got)
 	}
-	// light's fair share is 20*1/4 = 5: pushes up to 5 queued are still
-	// admitted, the 6th sheds.
-	for i := 2; i < 5; i++ {
+	// light's fair share is 40*1/4 = 10: pushes up to 10 queued are
+	// still admitted, the 11th sheds.
+	for i := 8; i < 10; i++ {
 		if err := q.Push(light, i); err != nil {
 			t.Fatalf("light push %d within fair share rejected: %v", i, err)
 		}
 	}
-	err := q.Push(light, 5)
+	err := q.Push(light, 10)
 	if !errors.Is(err, ErrShed) {
 		t.Fatalf("light push beyond fair share = %v, want ErrShed", err)
 	}
@@ -494,20 +495,20 @@ func TestQueueShedsOverShareTenantsFirst(t *testing.T) {
 	if !errors.As(err, &adm) || adm.Reason != ReasonShed {
 		t.Fatalf("shed error reason = %v, want %s", err, ReasonShed)
 	}
-	// heavy's share is 20*3/4 = 15: while light is frozen out, heavy
+	// heavy's share is 40*3/4 = 30: while light is frozen out, heavy
 	// keeps pushing right up to its slice — that is "low-weight tenants
 	// shed first".
-	for i := 8; i < 15; i++ {
+	for i := 28; i < 30; i++ {
 		if err := q.Push(heavy, i); err != nil {
 			t.Fatalf("heavy push %d within fair share rejected: %v", i, err)
 		}
 	}
 	// The fair shares sum to capacity, so the queue is now full and
 	// everyone — heavy included — gets queue_full.
-	if err := q.Push(heavy, 15); !errors.Is(err, ErrQueueFull) {
+	if err := q.Push(heavy, 30); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("heavy push at capacity = %v, want ErrQueueFull", err)
 	}
-	if err := q.Push(light, 6); !errors.Is(err, ErrQueueFull) {
+	if err := q.Push(light, 11); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("light push at capacity = %v, want ErrQueueFull", err)
 	}
 }

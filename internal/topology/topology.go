@@ -13,7 +13,7 @@ package topology
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/crypto"
 )
@@ -27,9 +27,9 @@ const BaseStation NodeID = 0
 // Graph is an undirected graph over nodes 0..N-1. The zero value is not
 // usable; construct with New.
 type Graph struct {
-	n   int
-	adj [][]NodeID         // sorted neighbor lists
-	set map[[2]NodeID]bool // edge membership, normalized lo<hi
+	n     int
+	adj   [][]NodeID // sorted neighbor lists, the one record of the edges
+	edges int        // undirected edge count
 }
 
 // New returns an empty graph over n nodes.
@@ -37,11 +37,7 @@ func New(n int) *Graph {
 	if n <= 0 {
 		panic(fmt.Sprintf("topology: graph must have at least one node, got %d", n))
 	}
-	return &Graph{
-		n:   n,
-		adj: make([][]NodeID, n),
-		set: make(map[[2]NodeID]bool),
-	}
+	return &Graph{n: n, adj: make([][]NodeID, n)}
 }
 
 // NumNodes returns the number of nodes in the graph.
@@ -53,13 +49,14 @@ func (g *Graph) AddEdge(a, b NodeID) {
 	if a == b || a < 0 || b < 0 || int(a) >= g.n || int(b) >= g.n {
 		return
 	}
-	k := normEdge(a, b)
-	if g.set[k] {
+	i, found := slices.BinarySearch(g.adj[a], b)
+	if found {
 		return
 	}
-	g.set[k] = true
-	g.adj[a] = insertSorted(g.adj[a], b)
-	g.adj[b] = insertSorted(g.adj[b], a)
+	g.adj[a] = slices.Insert(g.adj[a], i, b)
+	j, _ := slices.BinarySearch(g.adj[b], a)
+	g.adj[b] = slices.Insert(g.adj[b], j, a)
+	g.edges++
 }
 
 // HasEdge reports whether the undirected edge (a, b) exists.
@@ -67,7 +64,8 @@ func (g *Graph) HasEdge(a, b NodeID) bool {
 	if a < 0 || b < 0 || int(a) >= g.n || int(b) >= g.n {
 		return false
 	}
-	return g.set[normEdge(a, b)]
+	_, found := slices.BinarySearch(g.adj[a], b)
+	return found
 }
 
 // Neighbors returns the sorted neighbor list of id. The returned slice is
@@ -83,37 +81,32 @@ func (g *Graph) Neighbors(id NodeID) []NodeID {
 func (g *Graph) Degree(id NodeID) int { return len(g.Neighbors(id)) }
 
 // NumEdges returns the number of undirected edges.
-func (g *Graph) NumEdges() int { return len(g.set) }
+func (g *Graph) NumEdges() int { return g.edges }
 
-// Edges returns all undirected edges with a < b, in sorted order.
+// Edges returns all undirected edges with a < b, in sorted order: the
+// sorted neighbor lists, walked in node order, already yield it.
 func (g *Graph) Edges() [][2]NodeID {
-	out := make([][2]NodeID, 0, len(g.set))
-	for e := range g.set {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
+	out := make([][2]NodeID, 0, g.edges)
+	for a, nbs := range g.adj {
+		for _, b := range nbs {
+			if NodeID(a) < b {
+				out = append(out, [2]NodeID{NodeID(a), b})
+			}
 		}
-		return out[i][1] < out[j][1]
-	})
+	}
 	return out
 }
 
 // Clone returns a deep copy of the graph.
 func (g *Graph) Clone() *Graph {
-	c := New(g.n)
-	for e := range g.set {
-		c.AddEdge(e[0], e[1])
-	}
-	return c
+	return g.Subgraph(func(a, b NodeID) bool { return true })
 }
 
 // Subgraph returns a copy of g keeping only edges for which keep returns
-// true. Nodes are preserved.
+// true, called with a < b. Nodes are preserved.
 func (g *Graph) Subgraph(keep func(a, b NodeID) bool) *Graph {
 	c := New(g.n)
-	for e := range g.set {
+	for _, e := range g.Edges() {
 		if keep(e[0], e[1]) {
 			c.AddEdge(e[0], e[1])
 		}
@@ -197,21 +190,6 @@ func (g *Graph) ConnectedExcluding(root NodeID, excluded map[NodeID]bool) bool {
 		}
 	}
 	return true
-}
-
-func normEdge(a, b NodeID) [2]NodeID {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]NodeID{a, b}
-}
-
-func insertSorted(s []NodeID, v NodeID) []NodeID {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
 }
 
 // Line returns a path graph 0-1-2-...-(n-1). Its depth from node 0 is n-1,

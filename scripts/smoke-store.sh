@@ -5,7 +5,8 @@
 # index snapshot. Restarted, it runs a second sweep whose cells land
 # after the snapshot, and is then SIGKILLed with no warning. It must
 # come back whole: `vmat-store verify` passes offline on the killed
-# directory, the restart loads the snapshot and replays only the tail
+# directory (and fails naming a sealed segment deleted from a copy of
+# it), the restart loads the snapshot and replays only the tail
 # (no full replay), a restarted server serves every cell of both sweeps
 # from the store (cached == cells, executed == 0), and each re-exported
 # CSV is bit-identical to its pre-kill baseline. SMOKE_PORT and
@@ -104,6 +105,8 @@ curl -fsS "$BASE/v1/sweeps/$SWEEP_ID/results?format=csv" >"$WORK/baseline.csv"
 
 SEGS=$(ls "$WORK/store"/seg-*.vmat 2>/dev/null | wc -l)
 [ "$SEGS" -ge 3 ] || fail "only $SEGS segment files on disk, want >= 3 rolls"
+[ ! -e "$WORK/store/MANIFEST.vmat" ] \
+  || fail "the live data dir holds a MANIFEST.vmat; the segment names are the layout"
 curl -fsS "$BASE/metrics" | grep -q '^store_segments ' \
   || fail "store_segments missing from /metrics"
 curl -fsS "$BASE/healthz" | grep -q '"store"' \
@@ -132,6 +135,17 @@ echo "smoke-store: offline verify of the killed directory"
 "$WORK/vmat-store" verify "$WORK/store" >"$WORK/verify.txt" \
   || fail "vmat-store verify failed: $(cat "$WORK/verify.txt")"
 grep -q '^ok$' "$WORK/verify.txt" || fail "verify did not report ok"
+
+# A lost sealed segment leaves a gap in the segment ids, which verify
+# must report, naming the file.
+LOST=seg-00000002-0001.vmat
+cp -r "$WORK/store" "$WORK/lost"
+rm "$WORK/lost/$LOST"
+if "$WORK/vmat-store" verify "$WORK/lost" >"$WORK/verify-lost.txt" 2>&1; then
+  fail "verify passed with $LOST deleted: $(cat "$WORK/verify-lost.txt")"
+fi
+grep -q "PROBLEM: .*$LOST" "$WORK/verify-lost.txt" \
+  || fail "verify did not name the lost $LOST: $(cat "$WORK/verify-lost.txt")"
 
 echo "smoke-store: restarting on the same data dir"
 LOG_MARK=$(wc -l <"$WORK/server.log")

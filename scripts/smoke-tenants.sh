@@ -139,10 +139,15 @@ echo "smoke-tenants: SIGHUP hot-reloads a rotated key"
 sed 's/limited-key/rotated-key/' "$WORK/tenants.json" > "$WORK/tenants.json.new"
 mv "$WORK/tenants.json.new" "$WORK/tenants.json"
 kill -HUP "$SERVER_PID"
+# The startup load counts as the first reload, so the SIGHUP's is the
+# second.
+RELOADS=""
 for _ in $(seq 1 50); do
-  if grep -q "loaded 2 tenant(s)" "$WORK/server.log"; then break; fi
+  RELOADS=$(curl -fsS "$BASE/metrics" | sed -n 's/^tenant_keyfile_reloads_total \([0-9]*\)$/\1/p')
+  [ "$RELOADS" = 2 ] && break
   sleep 0.1
 done
+[ "$RELOADS" = 2 ] || fail "tenant_keyfile_reloads_total is '${RELOADS}' after SIGHUP, want 2"
 CODE=$(post "limited-key")
 [ "$CODE" = 401 ] || fail "old key still works after reload -> $CODE"
 # The rotated tenant keeps its drained bucket (429), proving live state
