@@ -2,9 +2,16 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// updateGolden rewrites testdata/all_quick.golden. Use it only for an
+// intended, explained change to what vmat-bench prints.
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/all_quick.golden from the current binary")
 
 func runBench(t *testing.T, args ...string) string {
 	t.Helper()
@@ -13,6 +20,44 @@ func runBench(t *testing.T, args ...string) string {
 		t.Fatalf("run(%v): %v", args, err)
 	}
 	return buf.String()
+}
+
+// TestBenchAllQuickGolden pins the exact stdout of `vmat-bench -exp all
+// -quick`: every table of every experiment in the table's order, with
+// its blank separator lines. internal/experiments pins the rows; this
+// pins what the binary does with them (config tiers, seed and workers
+// plumbing, table writers and their arguments).
+func TestBenchAllQuickGolden(t *testing.T) {
+	got := runBench(t, "-exp", "all", "-quick")
+	path := filepath.Join("testdata", "all_quick.golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (regenerate with -update-golden): %v", err)
+	}
+	if got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) || i < len(wl); i++ {
+			var g, w string
+			if i < len(gl) {
+				g = gl[i]
+			}
+			if i < len(wl) {
+				w = wl[i]
+			}
+			if g != w {
+				t.Fatalf("%s: line %d differs:\ngot:  %q\nwant: %q", path, i+1, g, w)
+			}
+		}
+	}
 }
 
 func TestBenchUnknownExperiment(t *testing.T) {

@@ -3,9 +3,109 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// updateGolden rewrites testdata/cases.golden. Use it only for an
+// intended, explained change to what vmat-sim prints.
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/cases.golden from the current binary")
+
+// goldenCases cover every query, topology (a grid n that fills its
+// rectangle and two that round up), attack, aggregation and loss flag,
+// the revocation threshold, campaign mode, both trace encodings, each
+// fault flag with the ARQ and a slot deadline, and the flag errors.
+var goldenCases = [][]string{
+	{"-n", "30", "-seed", "3"},
+	{"-n", "30", "-query", "count", "-synopses", "40", "-seed", "4"},
+	{"-n", "25", "-query", "sum", "-synopses", "40", "-seed", "5"},
+	{"-n", "25", "-query", "average", "-synopses", "40", "-seed", "10"},
+	{"-n", "12", "-topology", "grid", "-seed", "11"},
+	{"-n", "10", "-topology", "grid", "-query", "count", "-synopses", "20", "-seed", "11"},
+	{"-n", "14", "-topology", "grid", "-query", "sum", "-synopses", "20", "-attack", "junk", "-seed", "2"},
+	{"-n", "13", "-topology", "grid", "-query", "average", "-synopses", "20", "-seed", "3"},
+	{"-n", "12", "-topology", "line", "-seed", "11"},
+	{"-n", "16", "-topology", "line", "-query", "min", "-attack", "drop", "-seed", "4"},
+	{"-n", "30", "-attack", "drop", "-malicious", "2", "-seed", "9"},
+	{"-n", "25", "-attack", "hide", "-seed", "6"},
+	{"-n", "25", "-attack", "junk", "-seed", "6"},
+	{"-n", "30", "-attack", "choke", "-malicious", "2", "-seed", "7"},
+	{"-n", "30", "-attack", "drop-choke", "-malicious", "3", "-multipath", "-seed", "8"},
+	{"-n", "30", "-attack", "mute", "-seed", "8"},
+	{"-n", "30", "-query", "count", "-synopses", "30", "-attack", "junk", "-malicious", "2", "-seed", "14"},
+	{"-n", "30", "-query", "average", "-synopses", "30", "-attack", "drop", "-seed", "15"},
+	{"-n", "25", "-multipath", "-seed", "8"},
+	{"-n", "20", "-loss", "0.01", "-seed", "13"},
+	{"-n", "25", "-attack", "junk", "-theta", "1", "-seed", "6"},
+	{"-n", "30", "-attack", "drop", "-campaign", "10", "-seed", "12"},
+	{"-n", "40", "-attack", "drop", "-malicious", "3", "-campaign", "8", "-seed", "4"},
+	{"-n", "30", "-attack", "junk", "-malicious", "2", "-campaign", "6", "-seed", "6"},
+	{"-n", "20", "-v", "-seed", "7"},
+	{"-n", "12", "-attack", "junk", "-v", "-seed", "6"},
+	{"-n", "20", "-trace", "-seed", "3"},
+	{"-n", "30", "-crash", "0.005", "-arq", "-seed", "41"},
+	{"-n", "30", "-crash", "0.01", "-recover", "0.02", "-max-slots", "300", "-seed", "43"},
+	{"-n", "30", "-link-down", "0.01", "-link-up", "0.3", "-arq", "-seed", "41"},
+	{"-n", "30", "-burst-loss", "0.7", "-arq", "-max-slots", "400", "-seed", "43"},
+	{"-n", "30", "-query", "count", "-synopses", "20", "-crash", "0.005", "-link-down", "0.01", "-arq", "-max-slots", "600", "-seed", "5"},
+	{"-n", "1"},
+	{"-topology", "torus"},
+	{"-attack", "nuke"},
+	{"-n", "10", "-query", "mode"},
+}
+
+// TestSimGolden pins vmat-sim's exact output for every case in
+// goldenCases: stdout, then the error run returned (main prints it
+// after "vmat-sim: ").
+func TestSimGolden(t *testing.T) {
+	var b strings.Builder
+	for _, args := range goldenCases {
+		fmt.Fprintf(&b, "=== vmat-sim %s\n", strings.Join(args, " "))
+		var out bytes.Buffer
+		if err := run(args, &out); err != nil {
+			fmt.Fprintf(&out, "error: %v\n", err)
+		}
+		b.Write(out.Bytes())
+	}
+	got := b.String()
+	path := filepath.Join("testdata", "cases.golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (regenerate with -update-golden): %v", err)
+	}
+	if got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		header := ""
+		for i := 0; i < len(gl) || i < len(wl); i++ {
+			var g, w string
+			if i < len(gl) {
+				g = gl[i]
+			}
+			if i < len(wl) {
+				w = wl[i]
+			}
+			if strings.HasPrefix(w, "=== ") {
+				header = w
+			}
+			if g != w {
+				t.Fatalf("%s: line %d (case %q) differs:\ngot:  %q\nwant: %q", path, i+1, header, g, w)
+			}
+		}
+	}
+}
 
 func runCLI(t *testing.T, args ...string) string {
 	t.Helper()
