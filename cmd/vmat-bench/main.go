@@ -9,10 +9,11 @@
 //	vmat-bench -exp all -quick      # everything, reduced scale
 //	vmat-bench -exp scale           # simulator capacity sweep to 1M nodes
 //
-// Experiments: fig7, fig8, comm, rounds, pinpoint, campaign, wormhole,
-// choking, faults, scale, all. The scale sweep measures this machine's
-// wall clock and memory, so it is excluded from "all" (whose rows are
-// deterministic and cacheable) and must be requested explicitly.
+// Experiments, in the order "all" runs them: fig7, fig8, msweep, comm,
+// rounds, pinpoint, campaign, wormhole, choking, loss, avail, scenario,
+// faults. The scale sweep measures this machine's wall clock and memory,
+// so it is excluded from "all" (whose rows are deterministic and
+// cacheable) and must be requested explicitly.
 //
 // The -cpuprofile and -memprofile flags write pprof profiles covering
 // the selected experiments.
@@ -23,9 +24,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 
 	"repro/internal/experiments"
-	"repro/internal/keydist"
 	"repro/internal/prof"
 	"repro/internal/store"
 )
@@ -42,7 +44,11 @@ func main() {
 
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("vmat-bench", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment: fig7|fig8|msweep|comm|rounds|pinpoint|campaign|wormhole|choking|loss|avail|scenario|faults|scale|all (scale is not part of all)")
+	names := make([]string, len(table))
+	for i, e := range table {
+		names[i] = e.name
+	}
+	exp := fs.String("exp", "all", "experiment: "+strings.Join(names, "|")+"|scale|all (scale is not part of all)")
 	quick := fs.Bool("quick", false, "reduced scale (fewer trials, smaller networks)")
 	seed := fs.Uint64("seed", 2011, "simulation seed")
 	workers := fs.Int("workers", 0, "parallel trial workers (0 = all cores); results are identical for any value")
@@ -73,38 +79,26 @@ func run(args []string, w io.Writer) error {
 		cache = &benchCache{st: st}
 	}
 
-	runners := map[string]func() error{
-		"fig7":     func() error { return runFig7(w, cache, *quick, *seed, *workers) },
-		"fig8":     func() error { return runFig8(w, cache, *quick, *seed, *workers) },
-		"comm":     func() error { return runComm(w, cache, *quick, *seed, *workers) },
-		"rounds":   func() error { return runRounds(w, cache, *quick, *seed, *workers) },
-		"pinpoint": func() error { return runPinpoint(w, cache, *quick, *seed, *workers) },
-		"campaign": func() error { return runCampaign(w, cache, *quick, *seed, *workers) },
-		"wormhole": func() error { return runWormhole(w, cache, *quick, *seed, *workers) },
-		"choking":  func() error { return runChoking(w, cache, *quick, *seed, *workers) },
-		"loss":     func() error { return runLoss(w, cache, *quick, *seed, *workers) },
-		"avail":    func() error { return runAvailability(w, cache, *quick, *seed, *workers) },
-		"msweep":   func() error { return runMSweep(w, cache, *quick, *seed, *workers) },
-		"scenario": func() error { return runScenario(w, cache, *quick, *seed, *workers) },
-		"faults":   func() error { return runFaults(w, cache, *quick, *seed, *workers) },
-		"scale":    func() error { return runScale(w, *quick, *seed) },
-	}
-	if *exp == "all" {
-		for _, name := range []string{"fig7", "fig8", "msweep", "comm", "rounds", "pinpoint", "campaign", "wormhole", "choking", "loss", "avail", "scenario", "faults"} {
-			if err := runners[name](); err != nil {
-				return fmt.Errorf("%s: %w", name, err)
+	switch *exp {
+	case "all":
+		for _, e := range table {
+			if err := e.run(w, cache, *quick, *seed, *workers); err != nil {
+				return fmt.Errorf("%s: %w", e.name, err)
 			}
 			fmt.Fprintln(w)
 		}
-		cacheSummary(w, cache)
-		return nil
-	}
-	r, ok := runners[*exp]
-	if !ok {
-		return fmt.Errorf("unknown experiment %q", *exp)
-	}
-	if err := r(); err != nil {
-		return err
+	case "scale":
+		if err := runScale(w, *quick, *seed); err != nil {
+			return err
+		}
+	default:
+		i := slices.IndexFunc(table, func(e experiment) bool { return e.name == *exp })
+		if i < 0 {
+			return fmt.Errorf("unknown experiment %q", *exp)
+		}
+		if err := table[i].run(w, cache, *quick, *seed, *workers); err != nil {
+			return err
+		}
 	}
 	cacheSummary(w, cache)
 	return nil
@@ -120,98 +114,104 @@ func cacheSummary(w io.Writer, cache *benchCache) {
 		cache.hits, cache.misses, cache.st.Len())
 }
 
-func runFig7(w io.Writer, c *benchCache, quick bool, seed uint64, workers int) error {
-	cfg := experiments.DefaultFig7()
-	if quick {
-		cfg = experiments.QuickFig7()
-	}
-	cfg.Seed = seed
-	cfg.Workers = workers
-	keyCfg := cfg
-	keyCfg.Workers = 0
-	rows, err := cachedRows(c, "fig7", keyCfg, func() ([]experiments.Fig7Row, error) {
-		return experiments.RunFig7(cfg)
-	})
-	if err != nil {
-		return err
-	}
-	return experiments.Fig7Table(rows).Write(w)
+// experiment is one row of the table: a named experiment that prints
+// its table at the paper's scale or at -quick, through the cache.
+type experiment struct {
+	name string
+	run  func(w io.Writer, c *benchCache, quick bool, seed uint64, workers int) error
 }
 
-func runFig8(w io.Writer, c *benchCache, quick bool, seed uint64, workers int) error {
-	cfg := experiments.DefaultFig8()
-	if quick {
-		cfg = experiments.QuickFig8()
-	}
-	cfg.Seed = seed
-	cfg.Workers = workers
-	keyCfg := cfg
-	keyCfg.Workers = 0
-	rows, err := cachedRows(c, "fig8", keyCfg, func() ([]experiments.Fig8Row, error) {
-		return experiments.RunFig8(cfg), nil
-	})
-	if err != nil {
-		return err
-	}
-	return experiments.Fig8Table(rows, cfg.Synopses).Write(w)
+// newExperiment builds a row from an experiment's DefaultX and QuickX
+// constructors, a setter for its seed and worker count, its RunX and
+// its table writer. The cache key is the config as run with Workers
+// zeroed: the trial runner returns the same rows for any worker count.
+func newExperiment[C, R any](name string, def, quick func() C, set func(c *C, seed uint64, workers int),
+	run func(C) ([]R, error), write func(C, []R) *experiments.Table) experiment {
+	return experiment{name, func(w io.Writer, c *benchCache, q bool, seed uint64, workers int) error {
+		cfg := def()
+		if q {
+			cfg = quick()
+		}
+		key := cfg
+		set(&key, seed, 0)
+		set(&cfg, seed, workers)
+		rows, err := cachedRows(c, name, key, func() ([]R, error) { return run(cfg) })
+		if err != nil {
+			return err
+		}
+		return write(cfg, rows).Write(w)
+	}}
 }
 
-func runMSweep(w io.Writer, c *benchCache, quick bool, seed uint64, workers int) error {
-	cfg := experiments.DefaultMSweep()
-	if quick {
-		cfg = experiments.QuickMSweep()
-	}
-	cfg.Seed = seed
-	cfg.Workers = workers
-	keyCfg := cfg
-	keyCfg.Workers = 0
-	rows, err := cachedRows(c, "msweep", keyCfg, func() ([]experiments.MSweepRow, error) {
-		return experiments.RunMSweep(cfg), nil
-	})
-	if err != nil {
-		return err
-	}
-	return experiments.MSweepTable(rows, cfg.Count).Write(w)
+// rowsOnly adapts a table writer that reads only the rows.
+func rowsOnly[C, R any](write func([]R) *experiments.Table) func(C, []R) *experiments.Table {
+	return func(_ C, rows []R) *experiments.Table { return write(rows) }
 }
 
-// runScenario runs the default service workload (the same driver
-// cmd/vmat-server executes jobs with), printing one row per trial.
-func runScenario(w io.Writer, c *benchCache, quick bool, seed uint64, workers int) error {
-	cfg := experiments.DefaultScenario()
-	if quick {
-		cfg = experiments.QuickScenario()
-	}
-	cfg.Seed = seed
-	cfg.Workers = workers
-	keyCfg := cfg
-	keyCfg.Workers = 0
-	rows, err := cachedRows(c, "scenario", keyCfg, func() ([]experiments.ScenarioRow, error) {
-		return experiments.RunScenario(cfg)
-	})
-	if err != nil {
-		return err
-	}
-	return experiments.ScenarioTable(cfg, rows).Write(w)
-}
-
-// runFaults sweeps crash churn and burst loss with the ARQ on, printing
-// availability and exact-answer rates for both aggregation modes.
-func runFaults(w io.Writer, c *benchCache, quick bool, seed uint64, workers int) error {
-	cfg := experiments.DefaultFaults()
-	if quick {
-		cfg = experiments.QuickFaults()
-	}
-	cfg.Seed = seed
-	cfg.Workers = workers
-	keyCfg := cfg
-	keyCfg.Workers = 0
-	rows, err := cachedRows(c, "faults", keyCfg, func() ([]experiments.FaultsRow, error) {
-		return experiments.RunFaults(cfg)
-	})
-	if err != nil {
-		return err
-	}
-	return experiments.FaultsTable(rows).Write(w)
+// table lists every cacheable experiment in the order -exp all runs
+// them.
+var table = []experiment{
+	newExperiment("fig7", experiments.DefaultFig7, experiments.QuickFig7,
+		func(c *experiments.Fig7Config, seed uint64, workers int) { c.Seed, c.Workers = seed, workers },
+		experiments.RunFig7,
+		rowsOnly[experiments.Fig7Config](experiments.Fig7Table)),
+	newExperiment("fig8", experiments.DefaultFig8, experiments.QuickFig8,
+		func(c *experiments.Fig8Config, seed uint64, workers int) { c.Seed, c.Workers = seed, workers },
+		func(c experiments.Fig8Config) ([]experiments.Fig8Row, error) { return experiments.RunFig8(c), nil },
+		func(c experiments.Fig8Config, rows []experiments.Fig8Row) *experiments.Table {
+			return experiments.Fig8Table(rows, c.Synopses)
+		}),
+	newExperiment("msweep", experiments.DefaultMSweep, experiments.QuickMSweep,
+		func(c *experiments.MSweepConfig, seed uint64, workers int) { c.Seed, c.Workers = seed, workers },
+		func(c experiments.MSweepConfig) ([]experiments.MSweepRow, error) {
+			return experiments.RunMSweep(c), nil
+		},
+		func(c experiments.MSweepConfig, rows []experiments.MSweepRow) *experiments.Table {
+			return experiments.MSweepTable(rows, c.Count)
+		}),
+	newExperiment("comm", experiments.DefaultComm, experiments.QuickComm,
+		func(c *experiments.CommConfig, seed uint64, workers int) { c.Seed, c.Workers = seed, workers },
+		experiments.RunComm,
+		rowsOnly[experiments.CommConfig](experiments.CommTable)),
+	newExperiment("rounds", experiments.DefaultRounds, experiments.QuickRounds,
+		func(c *experiments.RoundsConfig, seed uint64, workers int) { c.Seed, c.Workers = seed, workers },
+		experiments.RunRounds,
+		rowsOnly[experiments.RoundsConfig](experiments.RoundsTable)),
+	newExperiment("pinpoint", experiments.DefaultPinpoint, experiments.QuickPinpoint,
+		func(c *experiments.PinpointConfig, seed uint64, workers int) { c.Seed, c.Workers = seed, workers },
+		experiments.RunPinpoint,
+		rowsOnly[experiments.PinpointConfig](experiments.PinpointTable)),
+	newExperiment("campaign", experiments.DefaultCampaign, experiments.QuickCampaign,
+		func(c *experiments.CampaignConfig, seed uint64, workers int) { c.Seed, c.Workers = seed, workers },
+		experiments.RunCampaign,
+		func(_ experiments.CampaignConfig, rows []experiments.CampaignRow) *experiments.Table {
+			return experiments.CampaignTable(rows, 300) // the campaign deploys 300-key rings
+		}),
+	newExperiment("wormhole", experiments.DefaultWormhole, experiments.QuickWormhole,
+		func(c *experiments.WormholeConfig, seed uint64, workers int) { c.Seed, c.Workers = seed, workers },
+		experiments.RunWormhole,
+		rowsOnly[experiments.WormholeConfig](experiments.WormholeTable)),
+	newExperiment("choking", experiments.DefaultChoking, experiments.QuickChoking,
+		func(c *experiments.ChokingConfig, seed uint64, workers int) { c.Seed, c.Workers = seed, workers },
+		experiments.RunChoking,
+		rowsOnly[experiments.ChokingConfig](experiments.ChokingTable)),
+	newExperiment("loss", experiments.DefaultLoss, experiments.QuickLoss,
+		func(c *experiments.LossConfig, seed uint64, workers int) { c.Seed, c.Workers = seed, workers },
+		experiments.RunLoss,
+		rowsOnly[experiments.LossConfig](experiments.LossTable)),
+	newExperiment("avail", experiments.DefaultAvailability, experiments.QuickAvailability,
+		func(c *experiments.AvailabilityConfig, seed uint64, workers int) { c.Seed, c.Workers = seed, workers },
+		experiments.RunAvailability,
+		rowsOnly[experiments.AvailabilityConfig](experiments.AvailabilityTable)),
+	// scenario runs the default service workload, the driver
+	// cmd/vmat-server executes jobs with, and prints one row per trial.
+	newExperiment("scenario", experiments.DefaultScenario, experiments.QuickScenario,
+		func(c *experiments.ScenarioConfig, seed uint64, workers int) { c.Seed, c.Workers = seed, workers },
+		experiments.RunScenario, experiments.ScenarioTable),
+	newExperiment("faults", experiments.DefaultFaults, experiments.QuickFaults,
+		func(c *experiments.FaultsConfig, seed uint64, workers int) { c.Seed, c.Workers = seed, workers },
+		experiments.RunFaults,
+		rowsOnly[experiments.FaultsConfig](experiments.FaultsTable)),
 }
 
 // runScale probes the simulator's capacity ceiling: full MIN queries on
@@ -229,149 +229,4 @@ func runScale(w io.Writer, quick bool, seed uint64) error {
 		return err
 	}
 	return experiments.ScaleTable(rows).Write(w)
-}
-
-func runComm(w io.Writer, c *benchCache, quick bool, seed uint64, workers int) error {
-	cfg := experiments.DefaultComm()
-	if quick {
-		cfg = experiments.QuickComm()
-	}
-	cfg.Seed = seed
-	cfg.Workers = workers
-	keyCfg := cfg
-	keyCfg.Workers = 0
-	rows, err := cachedRows(c, "comm", keyCfg, func() ([]experiments.CommRow, error) {
-		return experiments.RunComm(cfg)
-	})
-	if err != nil {
-		return err
-	}
-	return experiments.CommTable(rows).Write(w)
-}
-
-func runRounds(w io.Writer, c *benchCache, quick bool, seed uint64, workers int) error {
-	cfg := experiments.DefaultRounds()
-	if quick {
-		cfg = experiments.QuickRounds()
-	}
-	cfg.Seed = seed
-	cfg.Workers = workers
-	keyCfg := cfg
-	keyCfg.Workers = 0
-	rows, err := cachedRows(c, "rounds", keyCfg, func() ([]experiments.RoundsRow, error) {
-		return experiments.RunRounds(cfg)
-	})
-	if err != nil {
-		return err
-	}
-	return experiments.RoundsTable(rows).Write(w)
-}
-
-func runPinpoint(w io.Writer, c *benchCache, quick bool, seed uint64, workers int) error {
-	cfg := experiments.DefaultPinpoint()
-	if quick {
-		cfg = experiments.QuickPinpoint()
-	}
-	cfg.Seed = seed
-	cfg.Workers = workers
-	keyCfg := cfg
-	keyCfg.Workers = 0
-	rows, err := cachedRows(c, "pinpoint", keyCfg, func() ([]experiments.PinpointRow, error) {
-		return experiments.RunPinpoint(cfg)
-	})
-	if err != nil {
-		return err
-	}
-	return experiments.PinpointTable(rows).Write(w)
-}
-
-func runCampaign(w io.Writer, c *benchCache, quick bool, seed uint64, workers int) error {
-	cfg := experiments.DefaultCampaign()
-	if quick {
-		cfg = experiments.QuickCampaign()
-	}
-	cfg.Seed = seed
-	cfg.Workers = workers
-	keyCfg := cfg
-	keyCfg.Workers = 0
-	rows, err := cachedRows(c, "campaign", keyCfg, func() ([]experiments.CampaignRow, error) {
-		return experiments.RunCampaign(cfg)
-	})
-	if err != nil {
-		return err
-	}
-	ringSize := keydist.Params{PoolSize: 10000, RingSize: 300}.RingSize
-	return experiments.CampaignTable(rows, ringSize).Write(w)
-}
-
-func runWormhole(w io.Writer, c *benchCache, quick bool, seed uint64, workers int) error {
-	cfg := experiments.DefaultWormhole()
-	if quick {
-		cfg = experiments.QuickWormhole()
-	}
-	cfg.Seed = seed
-	cfg.Workers = workers
-	keyCfg := cfg
-	keyCfg.Workers = 0
-	rows, err := cachedRows(c, "wormhole", keyCfg, func() ([]experiments.WormholeRow, error) {
-		return experiments.RunWormhole(cfg)
-	})
-	if err != nil {
-		return err
-	}
-	return experiments.WormholeTable(rows).Write(w)
-}
-
-func runLoss(w io.Writer, c *benchCache, quick bool, seed uint64, workers int) error {
-	cfg := experiments.DefaultLoss()
-	if quick {
-		cfg = experiments.QuickLoss()
-	}
-	cfg.Seed = seed
-	cfg.Workers = workers
-	keyCfg := cfg
-	keyCfg.Workers = 0
-	rows, err := cachedRows(c, "loss", keyCfg, func() ([]experiments.LossRow, error) {
-		return experiments.RunLoss(cfg)
-	})
-	if err != nil {
-		return err
-	}
-	return experiments.LossTable(rows).Write(w)
-}
-
-func runAvailability(w io.Writer, c *benchCache, quick bool, seed uint64, workers int) error {
-	cfg := experiments.DefaultAvailability()
-	if quick {
-		cfg = experiments.QuickAvailability()
-	}
-	cfg.Seed = seed
-	cfg.Workers = workers
-	keyCfg := cfg
-	keyCfg.Workers = 0
-	rows, err := cachedRows(c, "avail", keyCfg, func() ([]experiments.AvailabilityRow, error) {
-		return experiments.RunAvailability(cfg)
-	})
-	if err != nil {
-		return err
-	}
-	return experiments.AvailabilityTable(rows).Write(w)
-}
-
-func runChoking(w io.Writer, c *benchCache, quick bool, seed uint64, workers int) error {
-	cfg := experiments.DefaultChoking()
-	if quick {
-		cfg = experiments.QuickChoking()
-	}
-	cfg.Seed = seed
-	cfg.Workers = workers
-	keyCfg := cfg
-	keyCfg.Workers = 0
-	rows, err := cachedRows(c, "choking", keyCfg, func() ([]experiments.ChokingRow, error) {
-		return experiments.RunChoking(cfg)
-	})
-	if err != nil {
-		return err
-	}
-	return experiments.ChokingTable(rows).Write(w)
 }

@@ -22,9 +22,9 @@ import (
 	"math"
 	"os"
 
-	"repro/internal/adversary"
 	"repro/internal/core"
 	"repro/internal/crypto"
+	"repro/internal/experiments"
 	"repro/internal/faults"
 	"repro/internal/keydist"
 	"repro/internal/prof"
@@ -85,58 +85,42 @@ func run(args []string, w io.Writer) error {
 	defer stopProfiles()
 
 	rng := crypto.NewStreamFromSeed(*seed)
-	graph, err := buildTopology(*topo, *n, rng)
+	graph, err := experiments.ScenarioTopology(*topo, *n, rng)
 	if err != nil {
 		return err
 	}
 	// A grid rounds the node count up to fill its rectangle; keep every
-	// downstream consumer (deployment, malicious sampling, truth loops)
-	// on the actual size.
+	// downstream consumer (deployment, truth loops) on the actual size.
 	*n = graph.NumNodes()
 	params := keydist.Params{PoolSize: 10000, RingSize: 300}
 	dep, err := keydist.NewDeployment(*n, params, crypto.KeyFromUint64(*seed), rng.Fork([]byte("keys")))
 	if err != nil {
 		return err
 	}
-
 	mal := map[topology.NodeID]bool{}
 	if *attack != "none" {
-		for attempts := 0; len(mal) < *malicious && attempts < 20**malicious+60; attempts++ {
-			cand := topology.NodeID(rng.Intn(*n-1) + 1)
-			if mal[cand] {
-				continue
-			}
-			mal[cand] = true
-			if !graph.ConnectedExcluding(topology.BaseStation, mal) {
-				delete(mal, cand)
-			}
-		}
+		mal = experiments.PlaceMalicious(graph, *malicious, rng)
 	}
-	adv, err := pickAttack(*attack)
+	adv, err := experiments.ScenarioAttack(*attack)
 	if err != nil {
 		return err
 	}
 
 	th := *theta
 	if th == 0 {
-		th = keydist.SuggestTheta(params, maxInt(len(mal), 1), *n, 0.05)
+		th = keydist.SuggestTheta(params, max(len(mal), 1), *n, 0.05)
 	}
 	registry := keydist.NewRegistry(dep, th)
 	cfg := core.Config{
-		Graph:      graph,
-		Deployment: dep,
-		Registry:   registry,
-		Malicious:  mal,
-		Adversary:  adv,
-		Multipath:  *multipath,
-		LossRate:   *loss,
-		Seed:       *seed,
-		Readings: func(id topology.NodeID, _ int) float64 {
-			if id == topology.BaseStation {
-				return core.Inf()
-			}
-			return 100 + float64(id)
-		},
+		Graph:            graph,
+		Deployment:       dep,
+		Registry:         registry,
+		Malicious:        mal,
+		Adversary:        adv,
+		Multipath:        *multipath,
+		LossRate:         *loss,
+		Seed:             *seed,
+		Readings:         experiments.ScenarioMinReading,
 		AdversaryFavored: *attack != "none",
 		MaxSlots:         *maxSlots,
 	}
@@ -195,27 +179,22 @@ func run(args []string, w io.Writer) error {
 			}
 		}
 	case "count":
-		res, err := core.RunCount(cfg, func(id topology.NodeID) bool { return id%2 == 0 }, *synopses)
+		res, err := core.RunCount(cfg, experiments.ScenarioCountPredicate, *synopses)
 		if err != nil {
 			return err
 		}
 		report(w, res.Outcome)
 		if res.Answered() {
 			truth := 0
-			for id := 2; id < *n; id += 2 {
-				truth++
+			for id := 1; id < *n; id++ {
+				if experiments.ScenarioCountPredicate(topology.NodeID(id)) {
+					truth++
+				}
 			}
 			fmt.Fprintf(w, "count estimate: %.1f (truth %d, predicate: even IDs)\n", res.Estimate, truth)
 		}
 	case "sum":
-		domain := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-		reading := func(id topology.NodeID) int64 {
-			if id == topology.BaseStation {
-				return 0
-			}
-			return int64(id%10) + 1
-		}
-		res, err := core.RunSum(cfg, reading, domain, *synopses)
+		res, err := core.RunSum(cfg, experiments.ScenarioSumReading, experiments.ScenarioSumDomain, *synopses)
 		if err != nil {
 			return err
 		}
@@ -223,19 +202,12 @@ func run(args []string, w io.Writer) error {
 		if res.Answered() {
 			var truth int64
 			for id := 1; id < *n; id++ {
-				truth += reading(topology.NodeID(id))
+				truth += experiments.ScenarioSumReading(topology.NodeID(id))
 			}
 			fmt.Fprintf(w, "sum estimate: %.1f (truth %d)\n", res.Estimate, truth)
 		}
 	case "average":
-		domain := []int64{1, 2, 3, 4, 5}
-		reading := func(id topology.NodeID) int64 {
-			if id == topology.BaseStation {
-				return 0
-			}
-			return int64(id%5) + 1
-		}
-		res, err := core.RunAverageCombined(cfg, reading, domain, *synopses)
+		res, err := core.RunAverageCombined(cfg, experiments.ScenarioAvgReading, experiments.ScenarioAvgDomain, *synopses)
 		if err != nil {
 			return err
 		}
@@ -243,7 +215,7 @@ func run(args []string, w io.Writer) error {
 		if !math.IsNaN(res.Estimate) {
 			var truth float64
 			for id := 1; id < *n; id++ {
-				truth += float64(reading(topology.NodeID(id)))
+				truth += float64(experiments.ScenarioAvgReading(topology.NodeID(id)))
 			}
 			truth /= float64(*n - 1)
 			fmt.Fprintf(w, "average estimate: %.2f (truth %.2f)\n", res.Estimate, truth)
@@ -252,53 +224,6 @@ func run(args []string, w io.Writer) error {
 		return fmt.Errorf("unknown query %q", *query)
 	}
 	return nil
-}
-
-// buildTopology constructs the requested deployment shape over n nodes.
-func buildTopology(kind string, n int, rng *crypto.Stream) (*topology.Graph, error) {
-	switch kind {
-	case "geometric":
-		g, _ := topology.RandomGeometric(n, radiusFor(n), rng.Fork([]byte("topo")))
-		return g, nil
-	case "grid":
-		side := 1
-		for side*side < n {
-			side++
-		}
-		return topology.Grid(side, (n+side-1)/side), nil
-	case "line":
-		return topology.Line(n), nil
-	default:
-		return nil, fmt.Errorf("unknown topology %q", kind)
-	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func pickAttack(name string) (core.Adversary, error) {
-	switch name {
-	case "none":
-		return core.HonestAdversary{}, nil
-	case "drop":
-		return adversary.NewDropper(1000), nil
-	case "hide":
-		return adversary.NewHider(), nil
-	case "junk":
-		return adversary.NewJunkInjector(-1e6), nil
-	case "choke":
-		return adversary.NewChoker(), nil
-	case "drop-choke":
-		return adversary.NewDropAndChoke(1000), nil
-	case "mute":
-		return adversary.NewMute(), nil
-	default:
-		return nil, fmt.Errorf("unknown attack %q", name)
-	}
 }
 
 func report(w io.Writer, out *core.Outcome) {
@@ -324,10 +249,4 @@ func report(w io.Writer, out *core.Outcome) {
 		fmt.Fprintf(w, "veto: sensor %d, instance %d, value %g, level %d\n",
 			out.Veto.Vetoer, out.Veto.Instance, out.Veto.Value, out.Veto.Level)
 	}
-}
-
-func radiusFor(n int) float64 {
-	// Expected degree around 12 keeps random geometric graphs connected
-	// without stitching doing much work.
-	return math.Sqrt(12 / (math.Pi * float64(n)))
 }

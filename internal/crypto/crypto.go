@@ -49,19 +49,29 @@ func (m MAC) String() string { return fmt.Sprintf("mac:%x", m[:]) }
 // blockSize is the SHA-256 block size, the padding width of HMAC.
 const blockSize = 64
 
-// stackLimit is the largest assembled message the MAC/hash fast paths
+// stackLimit is the largest assembled message the MAC and hash paths
 // keep on the stack. Protocol messages (records, vetoes, envelopes for
 // MIN queries) fit comfortably; only multi-kilobyte synopsis aggregates
-// take the streaming fallback.
+// take one heap buffer.
 const stackLimit = 512
 
-// appendLenPrefixed appends each part to b preceded by its 64-bit length,
-// the domain-separating encoding shared by ComputeMAC and HashOf.
-func appendLenPrefixed(b []byte, parts [][]byte) []byte {
-	var lenBuf [8]byte
+// assemble appends each part, preceded by its 64-bit big-endian length,
+// to buf[:off], whose first off bytes the caller reserves. This is the
+// domain-separating encoding of ComputeMAC and HashOf: distinct part
+// boundaries can never collide. It writes into buf when the message
+// fits and into one heap buffer otherwise. The parts never escape, so
+// the callers' encoded parts (Uint64 and friends) stay on the stack.
+func assemble(buf []byte, off int, parts [][]byte) []byte {
+	n := off
 	for _, p := range parts {
-		binary.BigEndian.PutUint64(lenBuf[:], uint64(len(p)))
-		b = append(b, lenBuf[:]...)
+		n += 8 + len(p)
+	}
+	b := buf[:off]
+	if n > len(buf) {
+		b = make([]byte, off, n)
+	}
+	for _, p := range parts {
+		b = binary.BigEndian.AppendUint64(b, uint64(len(p)))
 		b = append(b, p...)
 	}
 	return b
@@ -98,30 +108,10 @@ func hmacFinish(k Key, buf []byte) [sha256.Size]byte {
 // that distinct part boundaries can never collide (MAC(a||b) differs from
 // MAC(ab) when split differently).
 func ComputeMAC(k Key, parts ...[]byte) MAC {
-	total := 0
-	for _, p := range parts {
-		total += 8 + len(p)
-	}
+	var buf [blockSize + stackLimit]byte
+	sum := hmacFinish(k, assemble(buf[:], blockSize, parts))
 	var m MAC
-	if total <= stackLimit {
-		var buf [blockSize + stackLimit]byte
-		b := appendLenPrefixed(buf[:blockSize], parts)
-		sum := hmacFinish(k, b)
-		copy(m[:], sum[:])
-		return m
-	}
-	// The key is copied into a branch-local so the interface calls below
-	// cannot force k (and with it the fast path) onto the heap.
-	kc := k
-	h := hmac.New(sha256.New, kc[:])
-	var lenBuf [8]byte
-	for _, p := range parts {
-		binary.BigEndian.PutUint64(lenBuf[:], uint64(len(p)))
-		h.Write(lenBuf[:])
-		h.Write(p)
-	}
-	var sum [sha256.Size]byte
-	copy(m[:], h.Sum(sum[:0]))
+	copy(m[:], sum[:])
 	return m
 }
 
@@ -135,25 +125,8 @@ func VerifyMAC(k Key, mac MAC, parts ...[]byte) bool {
 // HashOf computes the publicly known one-way hash H() over the
 // concatenation of parts, with the same length-prefixing as ComputeMAC.
 func HashOf(parts ...[]byte) Hash {
-	total := 0
-	for _, p := range parts {
-		total += 8 + len(p)
-	}
-	if total <= stackLimit {
-		var buf [stackLimit]byte
-		b := appendLenPrefixed(buf[:0], parts)
-		return Hash(sha256.Sum256(b))
-	}
-	h := sha256.New()
-	var lenBuf [8]byte
-	for _, p := range parts {
-		binary.BigEndian.PutUint64(lenBuf[:], uint64(len(p)))
-		h.Write(lenBuf[:])
-		h.Write(p)
-	}
-	var out Hash
-	copy(out[:], h.Sum(out[:0]))
-	return out
+	var buf [stackLimit]byte
+	return Hash(sha256.Sum256(assemble(buf[:], 0, parts)))
 }
 
 // HashMAC returns H(mac), the pre-image commitment the base station
@@ -167,25 +140,11 @@ func HashMAC(mac MAC) Hash { return HashOf(mac[:]) }
 // that a sensor's ring can be revoked wholesale by announcing "the
 // associated random seed used for the selection" (Section VI-A).
 func DeriveKey(master Key, label string, index uint64) Key {
+	var buf [blockSize + stackLimit]byte
+	b := append(buf[:blockSize], label...)
+	sum := hmacFinish(master, binary.BigEndian.AppendUint64(b, index))
 	var k Key
-	if len(label)+8 <= stackLimit {
-		var buf [blockSize + stackLimit]byte
-		b := append(buf[:blockSize], label...)
-		var idx [8]byte
-		binary.BigEndian.PutUint64(idx[:], index)
-		b = append(b, idx[:]...)
-		sum := hmacFinish(master, b)
-		copy(k[:], sum[:])
-		return k
-	}
-	mc := master
-	h := hmac.New(sha256.New, mc[:])
-	h.Write([]byte(label))
-	var idx [8]byte
-	binary.BigEndian.PutUint64(idx[:], index)
-	h.Write(idx[:])
-	var sum [sha256.Size]byte
-	copy(k[:], h.Sum(sum[:0]))
+	copy(k[:], sum[:])
 	return k
 }
 

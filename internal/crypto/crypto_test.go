@@ -333,4 +333,8 @@ func TestHotPrimitivesAllocationFree(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() { DeriveKey(k, "pool-key", 5) }); n != 0 {
 		t.Fatalf("DeriveKey allocates %.1f times per op", n)
 	}
+	// The engine's record MACs: the encoded parts must not escape.
+	if n := testing.AllocsPerRun(200, func() { ComputeMAC(k, []byte("record"), Uint64(42), Float64(3.5), Int64(-3)) }); n != 0 {
+		t.Fatalf("ComputeMAC over encoded parts allocates %.1f times per op", n)
+	}
 }

@@ -248,7 +248,7 @@ func RunScenarioRange(cfg ScenarioConfig, start, end int) ([]ScenarioRow, error)
 // material, and malicious set, all drawn from the trial's private
 // stream.
 func scenarioTrial(cfg ScenarioConfig, trial int, rng *crypto.Stream) (ScenarioRow, error) {
-	graph, err := scenarioTopology(cfg.Topology, cfg.N, rng)
+	graph, err := ScenarioTopology(cfg.Topology, cfg.N, rng)
 	if err != nil {
 		return ScenarioRow{}, err
 	}
@@ -257,48 +257,28 @@ func scenarioTrial(cfg ScenarioConfig, trial int, rng *crypto.Stream) (ScenarioR
 	if err != nil {
 		return ScenarioRow{}, err
 	}
-
-	// Malicious placement follows vmat-sim: rejection-sample compromised
-	// sensors that keep the honest component connected, so the attack
-	// tests the protocol rather than a partitioned network.
-	mal := map[topology.NodeID]bool{}
-	if cfg.Attack != "none" {
-		for attempts := 0; len(mal) < cfg.Malicious && attempts < 20*cfg.Malicious+60; attempts++ {
-			cand := topology.NodeID(rng.Intn(cfg.N-1) + 1)
-			if mal[cand] {
-				continue
-			}
-			mal[cand] = true
-			if !graph.ConnectedExcluding(topology.BaseStation, mal) {
-				delete(mal, cand)
-			}
-		}
-	}
-	adv, err := scenarioAttack(cfg.Attack)
+	// Normalize zeroed Malicious for Attack "none".
+	mal := PlaceMalicious(graph, cfg.Malicious, rng)
+	adv, err := ScenarioAttack(cfg.Attack)
 	if err != nil {
 		return ScenarioRow{}, err
 	}
 	theta := cfg.Theta
 	if theta == 0 {
-		theta = keydist.SuggestTheta(denseProtoParams, maxOf(len(mal), 1), cfg.N, 0.05)
+		theta = keydist.SuggestTheta(denseProtoParams, max(len(mal), 1), cfg.N, 0.05)
 	}
 
 	ecfg := core.Config{
-		Graph:      graph,
-		Deployment: dep,
-		Registry:   keydist.NewRegistry(dep, theta),
-		Malicious:  mal,
-		Adversary:  adv,
-		Multipath:  cfg.Multipath,
-		LossRate:   cfg.LossRate,
-		Seed:       rng.Uint64(),
-		Metrics:    cfg.Metrics,
-		Readings: func(id topology.NodeID, _ int) float64 {
-			if id == topology.BaseStation {
-				return core.Inf()
-			}
-			return 100 + float64(id)
-		},
+		Graph:            graph,
+		Deployment:       dep,
+		Registry:         keydist.NewRegistry(dep, theta),
+		Malicious:        mal,
+		Adversary:        adv,
+		Multipath:        cfg.Multipath,
+		LossRate:         cfg.LossRate,
+		Seed:             rng.Uint64(),
+		Metrics:          cfg.Metrics,
+		Readings:         ScenarioMinReading,
 		AdversaryFavored: cfg.Attack != "none",
 		Faults:           cfg.Faults,
 		ARQ:              cfg.ARQ,
@@ -331,19 +311,19 @@ func scenarioTrial(cfg ScenarioConfig, trial int, rng *crypto.Stream) (ScenarioR
 		}
 		return row, nil
 	case "count":
-		res, err := core.RunCount(ecfg, func(id topology.NodeID) bool { return id%2 == 0 }, cfg.Synopses)
+		res, err := core.RunCount(ecfg, ScenarioCountPredicate, cfg.Synopses)
 		if err != nil {
 			return ScenarioRow{}, err
 		}
 		return aggregateRow(trial, res), nil
 	case "sum":
-		res, err := core.RunSum(ecfg, scenarioSumReading, scenarioSumDomain, cfg.Synopses)
+		res, err := core.RunSum(ecfg, ScenarioSumReading, ScenarioSumDomain, cfg.Synopses)
 		if err != nil {
 			return ScenarioRow{}, err
 		}
 		return aggregateRow(trial, res), nil
 	case "average":
-		res, err := core.RunAverageCombined(ecfg, scenarioAvgReading, scenarioAvgDomain, cfg.Synopses)
+		res, err := core.RunAverageCombined(ecfg, ScenarioAvgReading, ScenarioAvgDomain, cfg.Synopses)
 		if err != nil {
 			return ScenarioRow{}, err
 		}
@@ -358,21 +338,56 @@ func scenarioTrial(cfg ScenarioConfig, trial int, rng *crypto.Stream) (ScenarioR
 	}
 }
 
-// The deterministic readings of the sum/average queries, shared with
-// vmat-sim's demo workload.
+// PlaceMalicious rejection-samples count compromised sensors (never the
+// base station) from rng, keeping only those that leave the honest
+// component connected, so an attack tests the protocol rather than a
+// partitioned network. It gives up after 20*count+60 draws, so a placement
+// the graph cannot hold comes back smaller than count.
+func PlaceMalicious(g *topology.Graph, count int, rng *crypto.Stream) map[topology.NodeID]bool {
+	mal := map[topology.NodeID]bool{}
+	for attempts := 0; len(mal) < count && attempts < 20*count+60; attempts++ {
+		cand := topology.NodeID(rng.Intn(g.NumNodes()-1) + 1)
+		if mal[cand] {
+			continue
+		}
+		mal[cand] = true
+		if !g.ConnectedExcluding(topology.BaseStation, mal) {
+			delete(mal, cand)
+		}
+	}
+	return mal
+}
+
+// The deterministic workload of every scenario query: sensor id reads
+// 100+id for MIN, the even IDs satisfy the COUNT predicate, and SUM and
+// AVERAGE read (id mod 10)+1 and (id mod 5)+1 over the matching domains.
+// The base station reads nothing.
 var (
-	scenarioSumDomain = []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	scenarioAvgDomain = []int64{1, 2, 3, 4, 5}
+	ScenarioSumDomain = []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	ScenarioAvgDomain = []int64{1, 2, 3, 4, 5}
 )
 
-func scenarioSumReading(id topology.NodeID) int64 {
+// ScenarioMinReading is the MIN query's core.Config.Readings.
+func ScenarioMinReading(id topology.NodeID, _ int) float64 {
+	if id == topology.BaseStation {
+		return core.Inf()
+	}
+	return 100 + float64(id)
+}
+
+// ScenarioCountPredicate is the COUNT query's predicate.
+func ScenarioCountPredicate(id topology.NodeID) bool { return id%2 == 0 }
+
+// ScenarioSumReading is the SUM query's reading, in ScenarioSumDomain.
+func ScenarioSumReading(id topology.NodeID) int64 {
 	if id == topology.BaseStation {
 		return 0
 	}
 	return int64(id%10) + 1
 }
 
-func scenarioAvgReading(id topology.NodeID) int64 {
+// ScenarioAvgReading is the AVERAGE query's reading, in ScenarioAvgDomain.
+func ScenarioAvgReading(id topology.NodeID) int64 {
 	if id == topology.BaseStation {
 		return 0
 	}
@@ -417,7 +432,11 @@ func gridShape(n int) (rows, cols int) {
 	return side, (n + side - 1) / side
 }
 
-func scenarioTopology(kind string, n int, rng *crypto.Stream) (*topology.Graph, error) {
+// ScenarioTopology builds the deployment shape kind (geometric, grid or
+// line) over n nodes. A geometric graph forks its layout from rng and
+// has an expected degree of 12; a grid takes gridShape(n), which holds
+// more than n nodes when n does not fill it.
+func ScenarioTopology(kind string, n int, rng *crypto.Stream) (*topology.Graph, error) {
 	switch kind {
 	case "geometric":
 		g, _ := topology.RandomGeometric(n, connectivityRadius(n, 12), rng.Fork([]byte("topo")))
@@ -427,11 +446,12 @@ func scenarioTopology(kind string, n int, rng *crypto.Stream) (*topology.Graph, 
 	case "line":
 		return topology.Line(n), nil
 	default:
-		return nil, fmt.Errorf("scenario: unknown topology %q", kind)
+		return nil, fmt.Errorf("unknown topology %q", kind)
 	}
 }
 
-func scenarioAttack(name string) (core.Adversary, error) {
+// ScenarioAttack returns the adversary named by a scenario's Attack.
+func ScenarioAttack(name string) (core.Adversary, error) {
 	switch name {
 	case "none":
 		return core.HonestAdversary{}, nil
@@ -448,15 +468,8 @@ func scenarioAttack(name string) (core.Adversary, error) {
 	case "mute":
 		return adversary.NewMute(), nil
 	default:
-		return nil, fmt.Errorf("scenario: unknown attack %q", name)
+		return nil, fmt.Errorf("unknown attack %q", name)
 	}
-}
-
-func maxOf(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // ScenarioTable renders the rows as vmat-bench prints them.

@@ -119,7 +119,7 @@ func TestScenarioValidate(t *testing.T) {
 func TestScenarioValidateGridShape(t *testing.T) {
 	for n := 2; n <= 400; n++ {
 		cfg := ScenarioConfig{N: n, Topology: "grid", Query: "min", Attack: "none", Synopses: 1, Trials: 1}
-		g, err := scenarioTopology("grid", n, nil)
+		g, err := ScenarioTopology("grid", n, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -31,11 +31,13 @@ var walMagic = [4]byte{'V', 'M', 'C', '1'}
 
 // WAL record kinds. Each record is one control-plane state transition;
 // the set is deliberately small enough to replay by a single pass. The
-// sweep manager writes sweep-opened, sweep-closed, and unit-completed
-// for a failed cell. Earlier builds also wrote unit-enqueued and
-// executed or cluster unit-completed records; replay skips them.
+// sweep manager writes sweep-opened, sweep-attached, sweep-closed, and
+// unit-completed for a failed cell. Earlier builds also wrote
+// unit-enqueued and executed or cluster unit-completed records; replay
+// skips them.
 const (
-	RecSweepOpened   = "sweep-opened"   // a sweep was accepted (carries its grid)
+	RecSweepOpened   = "sweep-opened"   // a sweep was accepted (carries its grid and keyed owner)
+	RecSweepAttached = "sweep-attached" // a tenant attached to an open sweep (carries its ID)
 	RecUnitEnqueued  = "unit-enqueued"  // a cell/scenario entered the execution path
 	RecUnitCompleted = "unit-completed" // a cell/scenario reached a terminal outcome
 	RecSweepClosed   = "sweep-closed"   // the sweep reached done or cancelled
@@ -49,15 +51,18 @@ const (
 )
 
 // WALRecord is one control-plane state transition. Which fields are
-// meaningful depends on Kind: sweep-opened carries Sweep and Grid;
+// meaningful depends on Kind: sweep-opened carries Sweep, Grid and, for
+// a keyed owner, its Tenant ID (an anonymous owner leaves it empty);
+// sweep-attached carries Sweep and the attaching Tenant's ID;
 // unit-completed carries the owning Sweep, the cell's Key (a content
 // address), its Source and its Error; sweep-closed carries Sweep and
 // Status. Unit records from earlier builds' cluster coordinator leave
 // Sweep empty, and earlier builds' sweep-opened records carry a
-// grid_key that replay ignores.
+// grid_key that replay ignores and no tenant.
 type WALRecord struct {
 	Kind   string          `json:"kind"`
 	Sweep  string          `json:"sweep,omitempty"`
+	Tenant string          `json:"tenant,omitempty"`
 	Key    string          `json:"key,omitempty"`
 	Grid   json.RawMessage `json:"grid,omitempty"`
 	Source string          `json:"source,omitempty"`

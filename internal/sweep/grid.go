@@ -112,15 +112,8 @@ func (g *Grid) size() int {
 	}
 	return len(orInts(g.N, 60)) * len(orStrings(g.Topology, "geometric")) *
 		len(orStrings(g.Query, "min")) * perAttack *
-		maxOf(len(g.Multipath), 1) * maxOf(len(g.LossRate), 1) *
-		maxOf(len(g.Theta), 1) * maxOf(len(g.Synopses), 1)
-}
-
-func maxOf(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+		max(len(g.Multipath), 1) * max(len(g.LossRate), 1) *
+		max(len(g.Theta), 1) * max(len(g.Synopses), 1)
 }
 
 // Expand materializes the grid into validated cells, deduplicated by

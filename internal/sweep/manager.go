@@ -89,10 +89,10 @@ type Config struct {
 	// admission. Default 8.
 	MaxInFlight int
 	// WAL, when non-nil, makes sweeps crash-durable: the records
-	// recovery acts on (sweep-opened, unit-completed for a failed cell,
-	// sweep-closed) are appended to the control-plane write-ahead log,
-	// and a server restarted over the same data dir resumes every open
-	// sweep automatically via Recover.
+	// recovery acts on (sweep-opened with its owner, sweep-attached,
+	// unit-completed for a failed cell, sweep-closed) are appended to
+	// the control-plane write-ahead log, and a server restarted over the
+	// same data dir resumes every open sweep automatically via Recover.
 	WAL *store.WAL
 	// WALRecords is the replayed log handed to NewManager at startup.
 	// When non-empty, the owner MUST call Recover (normally in a
@@ -145,14 +145,22 @@ func (s *Sweep) Tenant() string { return s.owner.ID() }
 
 // grantAccess records that tenant id attached to this sweep by
 // resubmitting the identical grid, so it may poll the live sweep it
-// was handed back.
-func (s *Sweep) grantAccess(id string) {
+// was handed back. It reports whether the grant is new: false for the
+// owner and for a tenant already attached.
+func (s *Sweep) grantAccess(id string) bool {
+	if id == s.owner.ID() {
+		return false
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.attached[id] {
+		return false
+	}
 	if s.attached == nil {
 		s.attached = map[string]bool{}
 	}
 	s.attached[id] = true
+	return true
 }
 
 // Accessible reports whether tenant id may read the sweep: its owner,
@@ -410,8 +418,11 @@ func (m *Manager) SubmitAs(t *tenant.Tenant, g Grid) (*Sweep, error) {
 	if cur, ok := m.open[sw.gridKey]; ok && !cur.Status().terminal() {
 		m.mu.Unlock()
 		// The attaching tenant polls the shared sweep like its own, so
-		// it needs read access across the tenant line.
-		cur.grantAccess(t.ID())
+		// it needs read access across the tenant line, and keeps it
+		// across a restart.
+		if cur.grantAccess(t.ID()) {
+			m.walAppend(store.WALRecord{Kind: store.RecSweepAttached, Sweep: cur.id, Tenant: t.ID()})
+		}
 		m.reg.Counter(MetricSweepsAttached).Inc()
 		m.log("sweep %s: identical grid resubmitted, attached to the live sweep", cur.id)
 		return cur, nil
@@ -431,7 +442,11 @@ func (m *Manager) SubmitAs(t *tenant.Tenant, g Grid) (*Sweep, error) {
 		if merr != nil {
 			raw = nil
 		}
-		m.walAppend(store.WALRecord{Kind: store.RecSweepOpened, Sweep: sw.id, Grid: raw})
+		rec := store.WALRecord{Kind: store.RecSweepOpened, Sweep: sw.id, Grid: raw}
+		if t.ID() != tenant.AnonymousID {
+			rec.Tenant = t.ID() // an anonymous owner's record keeps its old bytes
+		}
+		m.walAppend(rec)
 	}
 
 	m.reg.Counter(MetricSweepsSubmitted).Inc()

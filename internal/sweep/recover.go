@@ -17,15 +17,19 @@ import (
 	"time"
 
 	"repro/internal/store"
+	"repro/internal/tenant"
 )
 
-// walTrail is one sweep's reduction of the replayed WAL: the grid it
-// was opened with and the cells that failed before the crash.
+// walTrail is one sweep's reduction of the replayed WAL: the grid and
+// owner it was opened with, the tenants that attached to it, and the
+// cells that failed before the crash.
 type walTrail struct {
-	id     string
-	grid   json.RawMessage
-	closed bool
-	failed map[string]string // key -> error for failed completions
+	id       string
+	grid     json.RawMessage
+	owner    string   // keyed owner's ID; "" for anonymous or an earlier build
+	attached []string // attaching tenants' IDs, in grant order
+	closed   bool
+	failed   map[string]string // key -> error for failed completions
 }
 
 // parseSweepID inverts the "s%06d" ID format so recovery can advance
@@ -73,11 +77,12 @@ func (m *Manager) Recover() {
 	m.rec.ReplayedRecords = int64(len(recs))
 	m.recMu.Unlock()
 
-	// First pass: reduce the flat log to per-sweep trails. Only three
+	// First pass: reduce the flat log to per-sweep trails. Only four
 	// kinds of record change what recovery does: sweep-opened,
-	// sweep-closed, and unit-completed with source failed. Logs written
-	// by earlier builds also hold unit-enqueued records, executed
-	// completions, and cluster records with no sweep; they are skipped.
+	// sweep-attached, sweep-closed, and unit-completed with source
+	// failed. Logs written by earlier builds also hold unit-enqueued
+	// records, executed completions, and cluster records with no sweep;
+	// they are skipped.
 	trails := map[string]*walTrail{}
 	var order []string
 	for _, r := range recs {
@@ -93,6 +98,9 @@ func (m *Manager) Recover() {
 		switch r.Kind {
 		case store.RecSweepOpened:
 			t.grid = r.Grid
+			t.owner = r.Tenant
+		case store.RecSweepAttached:
+			t.attached = append(t.attached, r.Tenant)
 		case store.RecUnitCompleted:
 			if r.Source == SourceFailed {
 				msg := r.Error
@@ -118,9 +126,9 @@ func (m *Manager) Recover() {
 	m.mu.Unlock()
 
 	// Second pass: adopt every open sweep. The keep list is the compacted
-	// WAL — opened records plus failed completions for sweeps still live;
-	// closed sweeps and satisfied unit records stop being replayed on
-	// every future startup.
+	// WAL — opened and attached records plus failed completions for
+	// sweeps still live; closed sweeps and satisfied unit records stop
+	// being replayed on every future startup.
 	type adoption struct {
 		sw      *Sweep
 		pending int
@@ -155,11 +163,20 @@ func (m *Manager) Recover() {
 			m.log("sweep %s: stored grid does not expand (%v); cannot resume", id, err)
 			continue
 		}
-		// The WAL does not record tenancy, so recovered sweeps run as
-		// anonymous: the results land in the shared store either way, and
-		// their cells still pay the anonymous rate/quota limits.
-		sw := newSweep(m.tenants().Anonymous(), g, cells)
+		// The sweep resumes as its recorded owner, paying that tenant's
+		// limits, and every tenant that attached keeps read access. An
+		// owner the keyfile no longer names (or none, as anonymous and
+		// earlier builds' records have) resumes as anonymous.
+		owner, ok := m.tenants().Lookup(t.owner)
+		if !ok {
+			owner = m.tenants().Anonymous()
+			m.log("sweep %s: owner %q is not a keyed tenant; resuming as %s", id, t.owner, tenant.AnonymousID)
+		}
+		sw := newSweep(owner, g, cells)
 		sw.id = t.id
+		for _, a := range t.attached {
+			sw.grantAccess(a)
+		}
 
 		// Pre-mark pre-crash failures so the run loop skips them, and
 		// classify the rest: cells the store holds resolve as cache hits
@@ -181,7 +198,10 @@ func (m *Manager) Recover() {
 			a.pending++
 		}
 
-		keep = append(keep, store.WALRecord{Kind: store.RecSweepOpened, Sweep: t.id, Grid: t.grid})
+		keep = append(keep, store.WALRecord{Kind: store.RecSweepOpened, Sweep: t.id, Tenant: t.owner, Grid: t.grid})
+		for _, a := range t.attached {
+			keep = append(keep, store.WALRecord{Kind: store.RecSweepAttached, Sweep: t.id, Tenant: a})
+		}
 		for _, c := range cells { // deterministic cell order, not map order
 			if msg, ok := t.failed[c.Key]; ok {
 				keep = append(keep, store.WALRecord{Kind: store.RecUnitCompleted, Sweep: t.id, Key: c.Key, Source: SourceFailed, Error: msg})

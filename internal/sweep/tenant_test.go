@@ -1,17 +1,21 @@
 package sweep
 
 import (
+	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/metrics"
 	"repro/internal/service"
+	"repro/internal/store"
 	"repro/internal/tenant"
 )
 
@@ -187,5 +191,154 @@ func TestSweepSubmitRateLimited(t *testing.T) {
 		}
 	}
 	waitSweep(t, sw)
+	drainAll(t, sm, svc)
+}
+
+// TestRecoverKeepsSweepOwnership: a keyed tenant's sweep, killed and
+// replayed from its WAL into a manager with the same keyfile, still
+// belongs to its owner, who reads and cancels it; a tenant that
+// attached keeps read access but no cancel, and any other tenant gets
+// 404. The owner's rate (one submission per 1000 s) holds every cell
+// in the retry loop, so the sweep stays open across two recoveries:
+// the second reads the WAL the first compacted.
+func TestRecoverKeepsSweepOwnership(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "tenants.json")
+	keyfile := `{"tenants": [{"id": "lab-a", "key": "ka", "rate": 0.001, "burst": 1}, {"id": "lab-b", "key": "kb"}, {"id": "lab-c", "key": "kc"}]}`
+	if err := os.WriteFile(path, []byte(keyfile), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	data := filepath.Join(dir, "data")
+
+	// incarnation opens the data dir with the keyfile and replays its
+	// WAL. The caller drains the returned managers and closes the store
+	// and WAL.
+	incarnation := func() (*Manager, *service.Manager, *store.Store, *store.WAL, *httptest.Server) {
+		t.Helper()
+		ctl, err := tenant.NewController(tenant.Config{Path: path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := store.Open(data, store.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wal, recs, err := store.OpenWAL(data, store.WALConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc := service.New(service.Config{Workers: 1, Store: st, Tenants: ctl})
+		sm := NewManager(Config{Service: svc, MaxInFlight: 1, WAL: wal, WALRecords: recs})
+		sm.Recover()
+		mux := http.NewServeMux()
+		Register(mux, sm)
+		return sm, svc, st, wal, httptest.NewServer(mux)
+	}
+	do := func(srv *httptest.Server, method, key string) int {
+		t.Helper()
+		req, err := http.NewRequest(method, srv.URL+"/v1/sweeps/s000001", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Authorization", "Bearer "+key)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	sm, svc, st, wal, srv := incarnation()
+	ctl := svc.Tenants()
+	labA, _ := ctl.Authenticate("ka")
+	labC, _ := ctl.Authenticate("kc")
+	sw, err := sm.SubmitAs(labA, smallGrid())
+	if err != nil {
+		t.Fatalf("SubmitAs lab-a: %v", err)
+	}
+	if got, err := sm.SubmitAs(labC, smallGrid()); err != nil || got != sw {
+		t.Fatalf("lab-c did not attach to %s: %v", sw.ID(), err)
+	}
+	for round := 1; round <= 3; round++ {
+		if round > 1 {
+			srv.Close()
+			drainAll(t, sm, svc)
+			st.Close()
+			wal.Close()
+			sm, svc, st, wal, srv = incarnation()
+			sw, _ = sm.Get("s000001")
+			if sw == nil {
+				t.Fatalf("recovery %d did not resume s000001", round-1)
+			}
+		}
+		if sw.Tenant() != "lab-a" {
+			t.Fatalf("round %d: sweep owner = %q, want lab-a", round, sw.Tenant())
+		}
+		for _, tc := range []struct {
+			method, key string
+			want        int
+		}{
+			{"GET", "ka", 200}, {"GET", "kb", 404}, {"DELETE", "kb", 404},
+			{"GET", "kc", 200}, {"DELETE", "kc", 404},
+		} {
+			if code := do(srv, tc.method, tc.key); code != tc.want {
+				t.Fatalf("round %d: %s as %s -> %d, want %d", round, tc.method, tc.key, code, tc.want)
+			}
+		}
+	}
+	if code := do(srv, "DELETE", "ka"); code != http.StatusOK {
+		t.Fatalf("owner DELETE after two recoveries -> %d, want 200", code)
+	}
+	waitSweep(t, sw)
+	if s := sw.Status(); s != StatusCancelled {
+		t.Fatalf("owner's cancel left status %s", s)
+	}
+	srv.Close()
+	drainAll(t, sm, svc)
+	st.Close()
+	wal.Close()
+}
+
+// TestRecoverUnknownOwnerResumesAnonymous: a sweep-opened record whose
+// owner the keyfile no longer names, or that names none, resumes as the
+// anonymous tenant, with one log line per sweep.
+func TestRecoverUnknownOwnerResumesAnonymous(t *testing.T) {
+	raw, _ := json.Marshal(Grid{N: []int{20}, Trials: 1, Seed: 5, Workers: 1})
+	recs := []store.WALRecord{
+		{Kind: store.RecSweepOpened, Sweep: "s000001", Tenant: "gone", Grid: raw},
+		{Kind: store.RecSweepOpened, Sweep: "s000002", Grid: raw},
+	}
+	var mu sync.Mutex
+	var lines []string
+	logf := func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+	}
+	svc := service.New(service.Config{Workers: 1})
+	sm := NewManager(Config{Service: svc, WALRecords: recs, Log: logf})
+	sm.Recover()
+	for _, id := range []string{"s000001", "s000002"} {
+		sw, ok := sm.Get(id)
+		if !ok {
+			t.Fatalf("%s not resumed", id)
+		}
+		if sw.Tenant() != tenant.AnonymousID {
+			t.Fatalf("%s resumed as %q, want anonymous", id, sw.Tenant())
+		}
+		waitSweep(t, sw)
+		mu.Lock()
+		n := 0
+		for _, l := range lines {
+			if strings.HasPrefix(l, "sweep "+id+": owner ") && strings.Contains(l, "resuming as anonymous") {
+				n++
+			}
+		}
+		mu.Unlock()
+		if n != 1 {
+			t.Fatalf("%s: %d owner log lines, want 1: %q", id, n, lines)
+		}
+	}
 	drainAll(t, sm, svc)
 }

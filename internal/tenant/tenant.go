@@ -48,7 +48,8 @@ import (
 
 // AnonymousID is the tenant ID assigned to unauthenticated requests
 // (when allowed) and to internal submissions with no tenant attached
-// (recovered sweeps, library callers using the pre-tenancy API).
+// (sweeps recovered without a keyed owner, library callers using the
+// pre-tenancy API).
 const AnonymousID = "anonymous"
 
 // Per-tenant metric names. All carry a tenant label; rejections add a
@@ -236,9 +237,10 @@ func NewController(cfg Config) (*Controller, error) {
 		tenants: map[string]*Tenant{},
 	}
 	// The anonymous tenant always exists as an object — internal
-	// callers (recovered sweeps, the pre-tenancy Submit API) need an
-	// identity to run under even when HTTP disallows it. Open mode and
-	// keyfiles without an anonymous section leave it unlimited.
+	// callers (sweeps recovered without a keyed owner, the pre-tenancy
+	// Submit API) need an identity to run under even when HTTP
+	// disallows it. Open mode and keyfiles without an anonymous section
+	// leave it unlimited.
 	c.anon = &Tenant{id: AnonymousID, limits: Limits{Weight: 1}}
 	c.anonOK = true
 	if cfg.Path != "" {
@@ -349,9 +351,9 @@ func (c *Controller) Reload() error {
 	} else {
 		// The anonymous section is gone: unauthenticated HTTP is denied,
 		// and the internal submitters still running as anonymous
-		// (recovered sweeps, library Submit) revert to the default
-		// unlimited limits rather than keeping the removed section's
-		// rate and quotas.
+		// (sweeps recovered without a keyed owner, library Submit)
+		// revert to the default unlimited limits rather than keeping the
+		// removed section's rate and quotas.
 		c.anon.mu.Lock()
 		c.anon.limits = Limits{Weight: 1}
 		c.anon.mu.Unlock()
@@ -373,6 +375,15 @@ func (c *Controller) Registry() *metrics.Registry { return c.reg }
 // requests may use it is FromRequest's business).
 func (c *Controller) Anonymous() *Tenant {
 	return c.anon
+}
+
+// Lookup returns the keyed tenant with the given ID in the current
+// keyfile.
+func (c *Controller) Lookup(id string) (*Tenant, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	t, ok := c.tenants[id]
+	return t, ok
 }
 
 // Len returns the number of keyed tenants.
