@@ -23,10 +23,12 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/adversary"
+	"repro/internal/authbcast"
 	"repro/internal/baseline"
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -35,6 +37,7 @@ import (
 	"repro/internal/keydist"
 	"repro/internal/metrics"
 	"repro/internal/service"
+	"repro/internal/simnet"
 	"repro/internal/store"
 	"repro/internal/synopsis"
 	"repro/internal/tenant"
@@ -646,6 +649,36 @@ func BenchmarkHonestMinExecution(b *testing.B) {
 		if out.Kind != core.OutcomeResult {
 			b.Fatalf("outcome %v", out.Kind)
 		}
+	}
+}
+
+// BenchmarkAuthFlood prices the simulator's per-message path: one
+// authenticated broadcast flood over benchEnv's 80-node graph, in which
+// every node relays the announcement once, on a network reused across
+// floods. The adversary-first case installs the inbox order an engine
+// with AdversaryFavored uses.
+func BenchmarkAuthFlood(b *testing.B) {
+	g := benchEnv(b, 80, 99).Graph
+	ch := authbcast.NewChannel(crypto.KeyFromUint64(99))
+	a := ch.Announce(core.StartAnnounce{Nonce: []byte("bench-nonce"), Instances: 1, L: 10})
+	orders := []struct {
+		name  string
+		order simnet.Orderer
+	}{
+		{"default", nil},
+		{"adversary-first", simnet.MaliciousFirstOrder(map[topology.NodeID]bool{7: true, 40: true})},
+	}
+	for _, o := range orders {
+		b.Run(o.name, func(b *testing.B) {
+			net := simnet.New(g, simnet.Config{Order: o.order})
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res := authbcast.Flood(net, ch.Verifier(), topology.BaseStation, a, nil, g.NumNodes())
+				if !slices.Contains(res.Received[1:], true) {
+					b.Fatal("the flood reached no node")
+				}
+			}
+		})
 	}
 }
 

@@ -37,6 +37,20 @@ func (e *Engine) runPredicateTest(key KeyRef, pred Predicate) bool {
 	start := e.net.Slot()
 	defer func() { e.phaseSlots.Pinpoint += e.net.Slot() - start }()
 
+	// Every honest relay forwards the same reply, boxed once here. A reply
+	// is checked against the commitment by hashing its MAC, and the last
+	// MAC seen keeps its verdict, so the wave costs one hash per distinct
+	// value: none for the genuine reply, whose hash is the commitment, and
+	// a fresh one for any other value, forged replies included.
+	var relay simnet.Payload = PredicateReply{MAC: reply}
+	lastMAC, lastOK := reply, true
+	matches := func(mac crypto.MAC) bool {
+		if mac != lastMAC {
+			lastMAC, lastOK = mac, crypto.HashMAC(mac) == test.Commitment
+		}
+		return lastOK
+	}
+
 	step := func(ctx *simnet.Context) {
 		id := ctx.Node()
 		if relayed[id] {
@@ -54,7 +68,7 @@ func (e *Engine) runPredicateTest(key KeyRef, pred Predicate) bool {
 		if !emit {
 			for _, m := range ctx.Inbox {
 				r, ok := m.Payload.(PredicateReply)
-				if !ok || crypto.HashMAC(r.MAC) != test.Commitment {
+				if !ok || !matches(r.MAC) {
 					continue
 				}
 				emit = true
@@ -69,7 +83,7 @@ func (e *Engine) runPredicateTest(key KeyRef, pred Predicate) bool {
 			success = true
 			return
 		}
-		ctx.Broadcast(PredicateReply{MAC: reply})
+		ctx.Broadcast(relay)
 	}
 	// Only the key holders act on a schedule (their slot-`start` answer
 	// window); the relay wave is driven entirely by the reply itself.

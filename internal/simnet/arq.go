@@ -67,9 +67,8 @@ func (c *ARQConfig) Validate() error {
 }
 
 // arqEntry tracks one frame awaiting acknowledgement. Entries live on
-// the network's driver goroutine only: they are created at the merge
-// barrier, consulted at delivery, and retired in arqTick — never from
-// step goroutines.
+// the network's driver goroutine: they are created when a step sends the
+// frame, consulted at delivery, and retired in arqTick.
 type arqEntry struct {
 	msg       Message // the frame as originally sent (retransmitted verbatim)
 	attempt   int     // retransmissions performed so far
@@ -147,7 +146,7 @@ func (n *Network) arqTick() {
 		m.seq = n.seq
 		n.seq++
 		n.stats.Retransmits++
-		n.stats.BytesSent[m.From] += int64(m.Payload.WireSize())
+		n.stats.BytesSent[m.From] += int64(m.size)
 		n.stats.MessagesSent[m.From]++
 		n.pending = append(n.pending, m)
 		live = append(live, e)

@@ -8,17 +8,17 @@ import (
 )
 
 // TestStatsSnapshotWhileStepsInFlight calls Stats() from inside step
-// functions — i.e. while the other nodes' steps of the same slot are
-// still running and sending. Under -race this proves the documented
-// contract: a snapshot is safe concurrently with in-flight steps because
-// the drop counters are atomics and the byte/message arrays are only
-// written by the driver goroutine between slots.
+// functions, in the middle of a slot's sweep. Steps run one at a time on
+// the goroutine that drives the network, and each send charges its
+// counters as it is made, so a snapshot taken mid-slot already counts the
+// sends of the steps before it. The snapshot must still be a copy:
+// mutating it must not reach the live accounting.
 func TestStatsSnapshotWhileStepsInFlight(t *testing.T) {
 	const n = 32
 	net := New(topology.Grid(8, 4), Config{MaxSendsPerSlot: 2})
 	net.RunSlots(20, func(ctx *Context) {
 		// Every node floods every neighbor every slot; with the send cap
-		// at 2 this also exercises the capacity-drop atomic.
+		// at 2 this also exercises the capacity-drop counter.
 		for _, nb := range ctx.Neighbors() {
 			ctx.Send(nb, payload{"m", 8})
 		}

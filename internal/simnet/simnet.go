@@ -18,14 +18,17 @@
 // node set in ascending node-ID order, and message delivery is a queue
 // append. Every run of the same configuration replays the identical
 // event sequence because each ordering decision is structural, not
-// scheduled: steps run in node order, outgoing messages merge in node
-// order and are stamped with a global send sequence, inboxes sort by
-// (From, seq) plus the configurable Orderer, and every random coin
+// scheduled: steps run in node order, each send is stamped with a global
+// send sequence and appended to the pending queue as it is made, so the
+// queue is in (From, seq) order and every inbox fills in that order
+// (with the ARQ enabled, retransmissions are queued ahead of a slot's
+// fresh sends, so inboxes are sorted by (From, seq) instead). The
+// configurable Orderer then rearranges each inbox, and every random coin
 // (loss, faults) is drawn from a seeded stream at a fixed point in the
-// delivery pipeline. There are no goroutines, channels, or atomics in
-// the loop — parallelism belongs one level up, across independent trials
-// (see internal/experiments.RunTrials), where it scales without touching
-// the per-execution event order.
+// delivery pipeline, in pending order. There are no goroutines,
+// channels, or atomics in the loop — parallelism belongs one level up,
+// across independent trials (see internal/experiments.RunTrials), where
+// it scales without touching the per-execution event order.
 //
 // Protocol drivers with slot-triggered behavior can register wake-ups
 // (WakeAt, WakeAllAt, SetAlwaysActive) and run sparse sweeps
@@ -71,8 +74,9 @@ type Message struct {
 	// Payload is the message body.
 	Payload Payload
 
-	seq uint64    // global send order, for deterministic default sorting
-	arq *arqEntry // link-layer tracking entry; nil when ARQ is disabled
+	size int       // Payload.WireSize(), taken once when the message is sent
+	seq  uint64    // global send order, for deterministic default sorting
+	arq  *arqEntry // link-layer tracking entry; nil when ARQ is disabled
 }
 
 // FaultModel is the per-slot fault-injection hook (implemented by
@@ -278,17 +282,15 @@ func (n *Network) Pending() int { return len(n.pending) }
 // it wants to keep.
 type StepFunc func(ctx *Context)
 
-// Context is handed to a StepFunc; it carries the node identity, the slot
-// inbox, and buffers outgoing sends until the end-of-slot merge. Contexts
-// are pooled per node and recycled every slot.
+// Context is handed to a StepFunc; it carries the node identity and the
+// slot inbox, and its sends go straight onto the network's pending queue.
+// Contexts are pooled per node and recycled every slot.
 type Context struct {
 	net   *Network
 	node  topology.NodeID
 	slot  int
 	Inbox []Message
-	out   []Message
 	sends int
-	down  bool // crashed this slot per the fault model; step is skipped
 }
 
 // Node returns the node this context belongs to.
@@ -305,37 +307,74 @@ func (c *Context) Neighbors() []topology.NodeID { return c.net.graph.Neighbors(c
 // returns false if the node's per-slot send capacity is exhausted or there
 // is no usable link; such messages are dropped and counted.
 func (c *Context) Send(to topology.NodeID, p Payload) bool {
-	if limit := c.net.cfg.MaxSendsPerSlot; limit > 0 && c.sends >= limit {
-		c.net.stats.DroppedCapacity++
+	if !c.admit(to, false) {
 		return false
 	}
-	if !c.net.linkAllowed(c.node, to) {
-		c.net.stats.DroppedNoLink++
-		return false
-	}
-	c.sends++
-	c.out = append(c.out, Message{From: c.node, To: to, Payload: p})
+	c.net.enqueue(c.node, to, p, p.WireSize())
 	return true
 }
 
 // Broadcast transmits payload to every neighbor, as individual sends (the
 // paper notes a sensor must send distinct edge MACs to distinct neighbors,
 // so a local broadcast is d unicasts). It returns how many sends went out.
+// The payload's wire size is taken once, at the first send that goes
+// out, and the link check skips the edge search, since every neighbor is
+// an edge.
 func (c *Context) Broadcast(p Payload) int {
-	sent := 0
+	sent, size := 0, 0
 	for _, nb := range c.Neighbors() {
-		if c.Send(nb, p) {
-			sent++
+		if !c.admit(nb, true) {
+			continue
 		}
+		if sent == 0 {
+			size = p.WireSize()
+		}
+		c.net.enqueue(c.node, nb, p, size)
+		sent++
 	}
 	return sent
 }
 
-func (n *Network) linkAllowed(from, to topology.NodeID) bool {
+// admit applies the per-slot send cap and the link check to one send,
+// counting a refusal. isEdge tells the link check that (node, to) is
+// already known to be a graph edge.
+func (c *Context) admit(to topology.NodeID, isEdge bool) bool {
+	n := c.net
+	if limit := n.cfg.MaxSendsPerSlot; limit > 0 && c.sends >= limit {
+		n.stats.DroppedCapacity++
+		return false
+	}
+	if !n.linkAllowed(c.node, to, isEdge) {
+		n.stats.DroppedNoLink++
+		return false
+	}
+	c.sends++
+	return true
+}
+
+// enqueue appends one admitted send to the pending queue: it stamps the
+// global send sequence, charges the sender, and with the ARQ enabled
+// creates the frame's tracking entry, which the queued copy (and any
+// retransmitted copy) points back to.
+func (n *Network) enqueue(from, to topology.NodeID, p Payload, size int) {
+	m := Message{From: from, To: to, Payload: p, size: size, seq: n.seq}
+	n.seq++
+	n.stats.BytesSent[from] += int64(size)
+	n.stats.MessagesSent[from]++
+	if n.cfg.ARQ != nil {
+		e := &arqEntry{lastSent: n.slot}
+		m.arq = e
+		e.msg = m
+		n.arq = append(n.arq, e)
+	}
+	n.pending = append(n.pending, m)
+}
+
+func (n *Network) linkAllowed(from, to topology.NodeID, isEdge bool) bool {
 	if from == to {
 		return false
 	}
-	if n.graph.HasEdge(from, to) {
+	if isEdge || n.graph.HasEdge(from, to) {
 		if n.cfg.LinkFilter == nil || n.cfg.LinkFilter(from, to) {
 			return true
 		}
@@ -432,11 +471,11 @@ func (n *Network) runUntilQuiescent(maxSlots int, step StepFunc, sparse bool) in
 }
 
 // runOneSlot advances the network one slot: fault-state tick, delivery of
-// last slot's sends into inboxes, ARQ tick, inbox ordering, the node
-// sweep, and the deterministic merge of outgoing messages. Everything
-// runs on the calling goroutine; the check order in the delivery loop is
+// last slot's sends into inboxes, ARQ tick, inbox ordering, and the node
+// sweep, whose sends go straight onto the pending queue. Everything runs
+// on the calling goroutine; the check order in the delivery loop is
 // load-bearing for reproducibility (fault coins only when Faults is set,
-// then DropRNG, then bursty loss, in message order).
+// then DropRNG, then bursty loss, in pending order).
 func (n *Network) runOneSlot(step StepFunc, sparse bool) {
 	faults := n.cfg.Faults
 	if faults != nil {
@@ -451,7 +490,8 @@ func (n *Network) runOneSlot(step StepFunc, sparse bool) {
 		inboxes[id] = inboxes[id][:0]
 	}
 	n.touched = n.touched[:0]
-	for _, m := range n.pending {
+	for i := range n.pending {
+		m := &n.pending[i]
 		if faults != nil && (faults.NodeDown(m.From) || faults.NodeDown(m.To) || faults.LinkDown(m.From, m.To)) {
 			n.stats.DroppedFault++
 			continue
@@ -471,32 +511,36 @@ func (n *Network) runOneSlot(step StepFunc, sparse bool) {
 		if len(inboxes[m.To]) == 0 {
 			n.touched = append(n.touched, m.To)
 		}
-		inboxes[m.To] = append(inboxes[m.To], m)
-		n.stats.BytesReceived[m.To] += int64(m.Payload.WireSize())
+		inboxes[m.To] = append(inboxes[m.To], *m)
+		n.stats.BytesReceived[m.To] += int64(m.size)
 		n.stats.MessagesReceived[m.To]++
 	}
 	n.pending = n.pending[:0]
+
+	// The last sweep queued its sends in node order, each node's in send
+	// order, so every inbox already reads in (From, seq) order. The ARQ
+	// queues its retransmissions ahead of this slot's fresh sends, so only
+	// then does an inbox need sorting.
 	if n.cfg.ARQ != nil {
 		n.arqTick()
+		for _, id := range n.touched {
+			slices.SortFunc(inboxes[id], func(a, b Message) int {
+				if a.From != b.From {
+					return cmp.Compare(a.From, b.From)
+				}
+				return cmp.Compare(a.seq, b.seq)
+			})
+		}
 	}
-	for _, id := range n.touched {
-		box := inboxes[id]
-		slices.SortFunc(box, func(a, b Message) int {
-			if a.From != b.From {
-				return cmp.Compare(a.From, b.From)
-			}
-			return cmp.Compare(a.seq, b.seq)
-		})
-		if n.cfg.Order != nil {
-			n.cfg.Order(box)
+	if n.cfg.Order != nil {
+		for _, id := range n.touched {
+			n.cfg.Order(inboxes[id])
 		}
 	}
 
-	// Sweep the slot's node set in ascending node order: reset each
-	// node's context, run its step unless it is crashed, and merge its
-	// outgoing messages immediately — sweep order is merge order, so
-	// sequence stamping matches the dense order restricted to the nodes
-	// that act.
+	// Sweep the slot's node set in ascending node order. Each send is
+	// queued the moment it is made, so the pending order and the sequence
+	// stamps match the dense order restricted to the nodes that act.
 	if sparse {
 		n.sweepNodes(step, faults, n.activeSet())
 	} else {
@@ -564,58 +608,60 @@ func (n *Network) sweepNodes(step StepFunc, faults FaultModel, ids []topology.No
 	}
 }
 
-// stepNode resets one node's context, runs its step unless crashed, and
-// merges its sends into the pending queue with sequence stamps and
-// sender-side accounting. With the ARQ enabled every frame gets a
-// tracking entry; the message copy placed in pending (and any
-// retransmitted copy) carries a pointer back to it.
+// stepNode resets one node's context and runs its step unless the fault
+// model has the node crashed this slot.
 func (n *Network) stepNode(step StepFunc, faults FaultModel, id topology.NodeID) {
+	if faults != nil && faults.NodeDown(id) {
+		return
+	}
 	c := &n.ctxs[id]
 	c.net = n
 	c.node = id
 	c.slot = n.slot
 	c.Inbox = n.inboxes[id]
-	c.out = c.out[:0]
 	c.sends = 0
-	c.down = faults != nil && faults.NodeDown(id)
-	if c.down {
-		return
-	}
 	step(c)
-	for _, m := range c.out {
-		m.seq = n.seq
-		n.seq++
-		n.stats.BytesSent[m.From] += int64(m.Payload.WireSize())
-		n.stats.MessagesSent[m.From]++
-		if n.cfg.ARQ != nil {
-			e := &arqEntry{lastSent: n.slot}
-			m.arq = e
-			e.msg = m
-			n.arq = append(n.arq, e)
-		}
-		n.pending = append(n.pending, m)
-	}
 }
 
 // MaliciousFirstOrder returns an Orderer that moves messages originated by
-// malicious nodes to the front of each inbox, modelling the worst case
-// where the adversary's transmissions always beat honest ones within a
-// slot (the "first veto wins" races of the SOF protocol).
+// malicious nodes to the front of each inbox, keeping the relative order
+// within each group, modelling the worst case where the adversary's
+// transmissions always beat honest ones within a slot (the "first veto
+// wins" races of the SOF protocol). The set is read once, here: later
+// changes to the map do not reach the Orderer.
 func MaliciousFirstOrder(malicious map[topology.NodeID]bool) Orderer {
-	// The comparator is built once here: made inside the Orderer, it would
-	// be allocated again on every inbox sort.
-	maliciousFirst := func(a, b Message) int {
-		am, bm := malicious[a.From], malicious[b.From]
-		switch {
-		case am && !bm:
-			return -1
-		case bm && !am:
-			return 1
-		default:
-			return 0
+	var bad nodeFlags
+	for id, m := range malicious {
+		if m && id >= 0 {
+			for int(id) >= len(bad) {
+				bad = append(bad, false)
+			}
+			bad[id] = true
 		}
 	}
+	maliciousFirst := func(a, b Message) int {
+		am, bm := bad.has(a.From), bad.has(b.From)
+		switch {
+		case am == bm:
+			return 0
+		case am:
+			return -1
+		default:
+			return 1
+		}
+	}
+	// An inbox with no malicious sender costs one pass of slice reads.
 	return func(inbox []Message) {
-		slices.SortStableFunc(inbox, maliciousFirst)
+		for i := range inbox {
+			if bad.has(inbox[i].From) {
+				slices.SortStableFunc(inbox, maliciousFirst)
+				return
+			}
+		}
 	}
 }
+
+// nodeFlags is a dense per-node flag; IDs past its end read false.
+type nodeFlags []bool
+
+func (f nodeFlags) has(id topology.NodeID) bool { return uint(id) < uint(len(f)) && f[id] }

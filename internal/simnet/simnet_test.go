@@ -1,6 +1,8 @@
 package simnet
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -200,62 +202,160 @@ func TestByteAccounting(t *testing.T) {
 }
 
 func TestInboxDefaultOrderDeterministic(t *testing.T) {
-	// Many senders to one hub; inbox must arrive sorted by sender.
-	g := topology.Star(10)
-	run := func() []topology.NodeID {
-		net := New(g, Config{})
-		var order []topology.NodeID
-		net.RunSlots(2, func(ctx *Context) {
-			if ctx.Slot() == 0 && ctx.Node() != 0 {
-				ctx.Send(0, payload{"x", 1})
+	// The hub (node 0) must read its inbox in (From, seq) order: by sender,
+	// and each sender's messages in the order they were sent.
+	cases := []struct {
+		name string
+		g    *topology.Graph
+		// cfg builds a fresh config per run: a scripted fault model
+		// counts its draws.
+		cfg func() Config
+		// send is every leaf's behaviour; the hub's inbox is read in slot
+		// read.
+		send func(ctx *Context)
+		read int
+		want []string
+	}{{
+		name: "one message per sender",
+		g:    topology.Star(10),
+		cfg:  func() Config { return Config{} },
+		send: func(ctx *Context) {
+			if ctx.Slot() == 0 {
+				ctx.Send(0, payload{tag: fmt.Sprint(ctx.Node())})
 			}
-			if ctx.Node() == 0 {
-				for _, m := range ctx.Inbox {
-					order = append(order, m.From)
+		},
+		read: 1,
+		want: []string{"1", "2", "3", "4", "5", "6", "7", "8", "9"},
+	}, {
+		name: "several messages per sender",
+		g:    topology.Star(4),
+		cfg:  func() Config { return Config{} },
+		send: func(ctx *Context) {
+			if ctx.Slot() == 0 {
+				for k := 0; k < 3; k++ {
+					ctx.Send(0, payload{tag: fmt.Sprintf("%d.%d", ctx.Node(), k)})
 				}
 			}
+		},
+		read: 1,
+		want: []string{"1.0", "1.1", "1.2", "2.0", "2.1", "2.2", "3.0", "3.1", "3.2"},
+	}, {
+		// Node 3's slot-0 frame is lost (fault draw 0) and the ARQ resends
+		// it in slot 2, queued ahead of that slot's fresh sends from nodes
+		// 1, 2 and 3, so all four reach the hub in slot 3.
+		name: "ARQ retransmission beside fresh sends",
+		g:    topology.Star(4),
+		cfg: func() Config {
+			return Config{Faults: &scriptedFaults{lossAt: map[int]bool{0: true}}, ARQ: &ARQConfig{}}
+		},
+		send: func(ctx *Context) {
+			switch {
+			case ctx.Slot() == 0 && ctx.Node() == 3:
+				ctx.Send(0, payload{tag: "3.first"})
+			case ctx.Slot() == 2:
+				ctx.Send(0, payload{tag: fmt.Sprintf("%d.fresh", ctx.Node())})
+			}
+		},
+		read: 3,
+		want: []string{"1.fresh", "2.fresh", "3.first", "3.fresh"},
+	}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func() []string {
+				net := New(tc.g, tc.cfg())
+				var got []string
+				net.RunSlots(tc.read+1, func(ctx *Context) {
+					if ctx.Node() != 0 {
+						tc.send(ctx)
+						return
+					}
+					if ctx.Slot() == tc.read {
+						for _, m := range ctx.Inbox {
+							got = append(got, m.Payload.(payload).tag)
+						}
+					}
+				})
+				return got
+			}
+			got := run()
+			if !slices.Equal(got, tc.want) {
+				t.Fatalf("hub inbox = %v, want %v", got, tc.want)
+			}
+			if again := run(); !slices.Equal(again, got) {
+				t.Fatalf("inbox order not deterministic across runs: %v then %v", got, again)
+			}
 		})
-		return order
-	}
-	o1, o2 := run(), run()
-	if len(o1) != 9 || len(o2) != 9 {
-		t.Fatalf("hub received %d/%d messages, want 9", len(o1), len(o2))
-	}
-	for i := range o1 {
-		if o1[i] != o2[i] {
-			t.Fatal("inbox order not deterministic across runs")
-		}
-		if i > 0 && o1[i] < o1[i-1] {
-			t.Fatal("default inbox order not sorted by sender")
-		}
 	}
 }
 
 func TestMaliciousFirstOrder(t *testing.T) {
-	g := topology.Star(10)
-	mal := map[topology.NodeID]bool{7: true, 9: true}
-	net := New(g, Config{Order: MaliciousFirstOrder(mal)})
-	var order []topology.NodeID
+	// Every leaf sends the hub two messages. Those of malicious 7 and 9
+	// come first; within each group, the (From, seq) order is kept. A
+	// false entry in the set is an honest node.
+	mal := map[topology.NodeID]bool{7: true, 9: true, 3: false}
+	net := New(topology.Star(10), Config{Order: MaliciousFirstOrder(mal)})
+	var got []string
 	net.RunSlots(2, func(ctx *Context) {
 		if ctx.Slot() == 0 && ctx.Node() != 0 {
-			ctx.Send(0, payload{"x", 1})
+			for k := 0; k < 2; k++ {
+				ctx.Send(0, payload{tag: fmt.Sprintf("%d.%d", ctx.Node(), k)})
+			}
 		}
 		if ctx.Node() == 0 {
 			for _, m := range ctx.Inbox {
-				order = append(order, m.From)
+				got = append(got, m.Payload.(payload).tag)
 			}
 		}
 	})
-	if len(order) != 9 {
-		t.Fatalf("hub received %d, want 9", len(order))
+	want := []string{"7.0", "7.1", "9.0", "9.1",
+		"1.0", "1.1", "2.0", "2.1", "3.0", "3.1", "4.0", "4.1", "5.0", "5.1", "6.0", "6.1", "8.0", "8.1"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("hub inbox = %v, want %v", got, want)
 	}
-	if !mal[order[0]] || !mal[order[1]] {
-		t.Fatalf("malicious messages not first: %v", order)
+}
+
+// TestSteadySlotAllocatesNothing runs a broadcast flood in which every
+// node that received something broadcasts again, so after a few slots
+// each slot carries the same traffic. Once the buffers have grown, a slot
+// must allocate nothing, in dense and sparse sweeps, with and without the
+// adversary-first inbox order.
+func TestSteadySlotAllocatesNothing(t *testing.T) {
+	g := topology.Grid(8, 8)
+	var flood Payload = payload{tag: "flood", size: 8}
+	step := func(ctx *Context) {
+		if len(ctx.Inbox) > 0 || (ctx.Slot() == 0 && ctx.Node() == 0) {
+			ctx.Broadcast(flood)
+		}
 	}
-	// Honest portion stays sorted (stable reorder).
-	for i := 3; i < len(order); i++ {
-		if order[i] < order[i-1] {
-			t.Fatalf("honest suffix not stable-sorted: %v", order)
+	orders := []struct {
+		name  string
+		order Orderer
+	}{
+		{"default order", nil},
+		{"malicious first", MaliciousFirstOrder(map[topology.NodeID]bool{9: true, 27: true, 44: true})},
+	}
+	for _, o := range orders {
+		for _, sparse := range []bool{false, true} {
+			net := New(g, Config{Order: o.order})
+			if sparse {
+				net.WakeAt(0, 0)
+			}
+			slot := func() {
+				if sparse {
+					net.RunSlotsActive(1, step)
+				} else {
+					net.RunSlots(1, step)
+				}
+			}
+			for i := 0; i < 40; i++ {
+				slot()
+			}
+			if net.Pending() == 0 {
+				t.Fatalf("%s, sparse=%v: the flood died out", o.name, sparse)
+			}
+			if allocs := testing.AllocsPerRun(100, slot); allocs != 0 {
+				t.Errorf("%s, sparse=%v: a steady-state slot made %.1f allocations, want 0", o.name, sparse, allocs)
+			}
 		}
 	}
 }
