@@ -104,7 +104,7 @@ func run(args []string, w io.Writer) error {
 	clusterOn := fs.Bool("cluster", false, "host the distributed execution plane (vmat-worker fleet) under /v1/cluster")
 	leaseTTL := fs.Duration("lease-ttl", 10*time.Second, "cluster lease lifetime without a heartbeat before a unit is reassigned")
 	leaseRetries := fs.Int("lease-retries", 3, "leases one unit may consume before falling back to local execution")
-	shardTrials := fs.Int("shard-trials", 0, "split cluster scenarios into work units of at most this many trials (0 = whole-scenario units)")
+	shardTrials := fs.Int("shard-trials", 0, "split cluster scenarios into work units of at most this many trials (0 = one unit per scenario)")
 	wireAddr := fs.String("wire-addr", ":8081", "streaming-transport listen address for cluster workers (required with -cluster)")
 	wireAdvertise := fs.String("wire-advertise", "", "streaming-transport address advertised to workers instead of the bound one (for proxies/NAT; empty = advertise the listener)")
 	tenantsPath := fs.String("tenants", "", "JSON keyfile enabling the multi-tenant front door: API keys, per-tenant rate limits/quotas, fair-queue weights (empty = open server, everything runs as the anonymous tenant; SIGHUP reloads the file)")

@@ -8,15 +8,16 @@
 // The worker registers over HTTP with the coordinator at -server (a
 // vmat-server started with -cluster), which hands it the address of its
 // streaming transport. The worker opens one persistent binary conn
-// there and executes batched unit grants from it — whole scenarios or
-// trial-range shards — streaming each completion back with the unit's
-// content key and a CRC32 of the encoded rows so the coordinator can
-// verify the bytes before accepting them. It runs units side by side on
-// GOMAXPROCS trial slots: each unit takes as many as it runs trials at
-// once (its spec's workers, 0 meaning every core), so one-trial shards
-// run one per core, a whole scenario at workers 0 runs alone, and no
-// more than GOMAXPROCS trials ever run at once. It holds -prefetch - 1
-// units queued beyond the executing ones. Set GOMAXPROCS to cap it:
+// there and executes batched unit grants from it — each unit a trial
+// range of a scenario, the whole scenario when it is not split —
+// streaming each completion back with the unit's content key and a
+// CRC32 of the encoded rows so the coordinator can verify the bytes
+// before accepting them. It runs units side by side on GOMAXPROCS trial
+// slots: each unit takes as many as it runs trials at once (its spec's
+// workers, 0 meaning every core), so one-trial shards run one per core,
+// an unsplit scenario at workers 0 runs alone, and no more than
+// GOMAXPROCS trials ever run at once. It holds one unit queued beyond
+// the executing ones. Set GOMAXPROCS to cap it:
 // Go 1.24 does not read a container's cgroup CPU quota. A lost conn or
 // restarted coordinator is survived in place: the worker reconnects,
 // or re-registers, on a jittered backoff, and a completion the lost
@@ -60,7 +61,6 @@ func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("vmat-worker", flag.ContinueOnError)
 	server := fs.String("server", "http://localhost:8080", "coordinator base URL (a vmat-server run with -cluster)")
 	name := fs.String("name", "", "stable worker name for logs and per-worker metrics (default: coordinator-assigned ID)")
-	prefetch := fs.Int("prefetch", 2, "streaming queue depth: units the worker holds queued beyond the ones executing, plus one")
 	showVersion := fs.Bool("version", false, "print version and exit")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -79,12 +79,11 @@ func run(args []string, w io.Writer) error {
 	}
 	reg := metrics.New()
 	worker := cluster.NewWorker(cluster.WorkerConfig{
-		Server:   *server,
-		Name:     *name,
-		Version:  version,
-		Prefetch: *prefetch,
-		Log:      logf,
-		Metrics:  reg,
+		Server:  *server,
+		Name:    *name,
+		Version: version,
+		Log:     logf,
+		Metrics: reg,
 	})
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)

@@ -46,7 +46,8 @@ type Config struct {
 	// 1: a deliberately weak local pool, so fleet work stays on the
 	// fleet and a post-restart race into local fallback stays cheap.
 	ServerWorkers int
-	// ShardTrials is the server's -shard-trials. Zero = whole scenarios.
+	// ShardTrials is the server's -shard-trials. Zero leases each
+	// scenario as one unit.
 	ShardTrials int
 	// Timeout bounds the sweep's wall time. Default 5m.
 	Timeout time.Duration

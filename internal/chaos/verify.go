@@ -41,8 +41,9 @@ func Baseline(cfg Config) (Report, error) {
 //     executions (server incarnations + drained fleet) stay under
 //     trials x (cells + kills x maxInFlight + 2 x conn-level faults) —
 //     cells each run once, each kill may redo one in-flight window, and
-//     each severed/stopped/killed worker may lose at most its prefetch
-//     in flight to reassignment.
+//     each severed/stopped/killed worker may lose at most the two units
+//     a wire worker holds (one executing, one queued: its fixed prefetch
+//     depth) to reassignment.
 func Verify(rep, baseline Report, trials int) error {
 	if rep.Unfired > 0 {
 		return fmt.Errorf("chaos: %d scheduled event(s) never fired: the sweep finished first", rep.Unfired)

@@ -12,19 +12,21 @@
 //     content-addressed work units via time-bounded leases over one
 //     persistent conn carrying batched grants, streamed completions,
 //     and piggybacked heartbeats.
-//   - With sharding on (CoordinatorConfig.ShardTrials > 0), a scenario
-//     is split into per-trial-range units (internal/shard); the
-//     coordinator merges completed shard rows back in trial order and
-//     returns only the whole assembled scenario. The coordinator holds
-//     no store and no log: the job manager that called Execute stores
-//     the rows, so a partial assembly can never reach the store.
+//   - Every unit is a trial range of a scenario (internal/shard): with
+//     sharding on (CoordinatorConfig.ShardTrials > 0) a scenario is
+//     split into ranges of at most ShardTrials trials, and otherwise it
+//     is the one range [0, Trials). The coordinator merges completed
+//     rows back in trial order and returns only the whole assembled
+//     scenario. It holds no store and no log: the job manager that
+//     called Execute stores the rows, so a partial assembly can never
+//     reach the store.
 //   - A heartbeat extends a worker's leases; a lease that outlives its
 //     TTL (worker crash, network partition, missed heartbeats) is
 //     reassigned to the queue with a bounded attempt budget.
 //   - Completed results echo the unit's content address and a CRC32 of
 //     the encoded rows, and must carry exactly the trial indices of
-//     their range (every trial, for a whole scenario). The coordinator
-//     verifies all of it before accepting a result.
+//     their range. The coordinator verifies all of it before accepting
+//     a result.
 //   - Because every unit is a pure function of its spec, and the store
 //     is first-write-wins, results are bit-identical no matter how many
 //     workers run, crash, or duplicate work — the end-to-end test in
@@ -65,14 +67,14 @@ const (
 	// heartbeats from the same worker — the operational signal for
 	// late heartbeats before they become expired leases.
 	MetricHeartbeatGap = "cluster_heartbeat_gap_us"
-	// MetricShardsPlanned counts shard units created by the planner
-	// (scenarios leased whole are not counted — watch leases_granted
-	// for those).
+	// MetricShardsPlanned counts the units of scenarios split into more
+	// than one (a scenario leased as one unit is not counted — watch
+	// leases_granted for those).
 	MetricShardsPlanned = "cluster_shards_planned_total"
-	// MetricShardsMerged counts verified shard results merged into
-	// their parent scenario's assembly.
+	// MetricShardsMerged counts verified results of those units merged
+	// into their parent scenario's assembly.
 	MetricShardsMerged = "cluster_shards_merged_total"
-	// MetricScenariosAssembled counts scenarios whose every shard
+	// MetricScenariosAssembled counts split scenarios whose every unit
 	// merged, i.e. completed sharded Execute calls.
 	MetricScenariosAssembled = "cluster_scenarios_assembled_total"
 )
@@ -88,18 +90,18 @@ var ErrUnknownWorker = errors.New("cluster: unknown worker")
 var ErrAborted = errors.New("cluster: worker aborted (simulated crash)")
 
 // Unit is one leased piece of work: a fully normalized scenario spec,
-// its content address, and — when the coordinator shards — the trial
-// range this unit covers plus the parent scenario's address. The key
-// doubles as the integrity anchor: a completing worker must echo it,
-// and the coordinator recomputes nothing it cannot check. Unit is the
-// shard descriptor itself, so the binary wire grants and the planner
-// speak the same type.
+// the trial range this unit covers, the parent scenario's address and
+// the unit's own content address, shard.Key(parent, start, end). The
+// key doubles as the integrity anchor: a completing worker must echo
+// it, and the coordinator recomputes nothing it cannot check. Unit is
+// the shard descriptor itself, so the wire grants and the planner speak
+// the same type.
 type Unit = shard.Descriptor
 
 // JSON types for the /v1/cluster API and the wire payloads. Durations
 // travel as nanoseconds (Go's time.Duration JSON form); the protocol is
 // internal to the two binaries in this repository, both stamped from
-// the same build.
+// the same build, and the wire magic changes whenever a payload does.
 
 // RegisterRequest announces a worker to the coordinator.
 type RegisterRequest struct {
@@ -150,10 +152,10 @@ type DeregisterRequest struct {
 }
 
 // Streaming-transport payloads. The frame layer (internal/wire) moves
-// opaque typed payloads; these are their encodings. Hello/HelloAck/Want
-// are small JSON control messages; Grant carries a shard.EncodeBatch of
-// units; Complete and Heartbeat carry a CompleteRequest and a
-// HeartbeatRequest as JSON.
+// opaque typed payloads; every one of them is JSON. Hello/HelloAck/Want
+// are small control messages; Grant carries a shard.EncodeBatch of
+// units (a JSON array of descriptors); Complete and Heartbeat carry a
+// CompleteRequest and a HeartbeatRequest.
 
 // helloPayload opens a worker's conn with its registered identity.
 type helloPayload struct {
@@ -162,12 +164,11 @@ type helloPayload struct {
 
 // helloAckPayload accepts or rejects the Hello. A rejected worker
 // (coordinator restarted, worker expired) re-registers over HTTP and
-// reconnects with its new identity.
+// reconnects with its new identity. The cadence is not repeated here:
+// the worker learned it once, from RegisterResponse.
 type helloAckPayload struct {
-	OK        bool          `json:"ok"`
-	Error     string        `json:"error,omitempty"`
-	LeaseTTL  time.Duration `json:"lease_ttl,omitempty"`
-	Heartbeat time.Duration `json:"heartbeat,omitempty"`
+	OK    bool   `json:"ok"`
+	Error string `json:"error,omitempty"`
 }
 
 // wantPayload advertises how many more units the worker can take; the

@@ -36,8 +36,8 @@ type CoordinatorConfig struct {
 	MaxAttempts int
 	// ShardTrials, when positive, splits each scenario into trial-range
 	// units of at most this many trials (internal/shard), leased
-	// independently and merged in trial order. Zero leases whole
-	// scenarios — the pre-sharding behavior.
+	// independently and merged in trial order. Zero leases each
+	// scenario as the one range [0, Trials).
 	ShardTrials int
 	// Metrics receives cluster counters. Nil creates a private registry.
 	Metrics *metrics.Registry
@@ -51,12 +51,11 @@ type CoordinatorConfig struct {
 	WireAdvertise string
 }
 
-// group is one Execute call: a scenario split into one or more units.
-// Every group owns a shard.Merger with one range per unit — a whole
-// scenario is the single range [0, Trials) — so every result passes the
-// same row-count and trial-index checks. The group — not the unit — is
-// the terminal-state holder: exactly one close(done) follows finished
-// or abandoned being set.
+// group is one Execute call: a scenario split into one or more
+// trial-range units. Every group owns a shard.Merger with one range per
+// unit, so every result passes the same row-count and trial-index
+// checks. The group — not the unit — is the terminal-state holder:
+// exactly one close(done) follows finished or abandoned being set.
 type group struct {
 	key string        // parent scenario content address
 	all []*unitState  // every unit of this scenario
@@ -77,7 +76,7 @@ func (g *group) terminal() bool { return g.finished || g.abandoned }
 type unitState struct {
 	unit     Unit
 	grp      *group
-	shardIdx int // index into the group's shard plan (0 when whole)
+	shardIdx int // index into the group's shard plan
 	attempts int // leases granted so far
 	worker   string
 	expiry   time.Time
@@ -334,16 +333,16 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) error {
 // Complete accepts a finished unit after verifying it: the echoed key
 // must match the unit's content address, the CRC32 must match the row
 // bytes, and the rows must carry exactly the trial indices of the
-// unit's range (every trial, for a whole scenario). The rows are merged,
-// and the waiting Execute call returns the assembled scenario when its
-// last unit merges; the job manager stores it. A failed check costs the
-// reporter its lease — the unit is requeued under its attempt budget —
-// but only when the reporter still holds the lease: a failed check or
-// error report from a stale worker (expired and reassigned) must not
-// release the current holder's lease, burn the unit's attempt budget,
-// or terminate a unit another worker is executing. Completions for
-// units the coordinator no longer tracks (finished by another worker,
-// abandoned, or cancelled) are counted stale and acknowledged.
+// unit's range. The rows are merged, and the waiting Execute call
+// returns the assembled scenario when its last unit merges; the job
+// manager stores it. A failed check costs the reporter its lease — the
+// unit is requeued under its attempt budget — but only when the
+// reporter still holds the lease: a failed check or error report from a
+// stale worker (expired and reassigned) must not release the current
+// holder's lease, burn the unit's attempt budget, or terminate a unit
+// another worker is executing. Completions for units the coordinator no
+// longer tracks (finished by another worker, abandoned, or cancelled)
+// are counted stale and acknowledged.
 func (c *Coordinator) Complete(req CompleteRequest) error {
 	c.mu.Lock()
 	if w, ok := c.workers[req.WorkerID]; ok {
@@ -620,13 +619,14 @@ func (c *Coordinator) notifyWorkLocked() {
 	}
 }
 
-// Execute implements service.Executor: it plans the spec into units
-// (one per ShardTrials-sized trial range, or the whole scenario) and
-// waits for the fleet to complete them all. ok=false means the fleet
-// could not take the work — no workers connected, coordinator draining,
-// or a unit's lease retry budget exhausted — and the caller should
-// execute locally. A remote execution failure (the scenario itself
-// erred) returns ok=true with that error, exactly as a local run would.
+// Execute implements service.Executor: it plans the spec into
+// trial-range units (one per ShardTrials-sized range, or the single
+// range [0, Trials)) and waits for the fleet to complete them all.
+// ok=false means the fleet could not take the work — no workers
+// connected, coordinator draining, or a unit's lease retry budget
+// exhausted — and the caller should execute locally. A remote execution
+// failure (the scenario itself erred) returns ok=true with that error,
+// exactly as a local run would.
 func (c *Coordinator) Execute(ctx context.Context, spec experiments.ScenarioConfig) ([]experiments.ScenarioRow, bool, error) {
 	key, err := store.ScenarioKey(spec)
 	if err != nil {
@@ -637,32 +637,25 @@ func (c *Coordinator) Execute(ctx context.Context, spec experiments.ScenarioConf
 		c.mu.Unlock()
 		return nil, false, nil
 	}
-	g := &group{key: key, done: make(chan struct{})}
-	if ranges := shard.Plan(spec.Trials, c.cfg.ShardTrials); ranges != nil {
-		g.mrg = shard.NewMerger(ranges)
+	ranges := shard.Plan(spec.Trials, c.cfg.ShardTrials)
+	g := &group{key: key, mrg: shard.NewMerger(ranges), done: make(chan struct{})}
+	if len(ranges) > 1 {
 		c.shardsPl.Add(int64(len(ranges)))
-		for i, r := range ranges {
-			c.nextUnit++
-			g.all = append(g.all, &unitState{
-				unit: Unit{
-					ID:     fmt.Sprintf("u%06d", c.nextUnit),
-					Key:    shard.Key(key, r.Start, r.End),
-					Parent: key,
-					Start:  r.Start,
-					End:    r.End,
-					Spec:   spec,
-				},
-				grp:      g,
-				shardIdx: i,
-			})
-		}
-	} else {
-		g.mrg = shard.NewMerger([]shard.Range{{Start: 0, End: spec.Trials}})
+	}
+	for i, r := range ranges {
 		c.nextUnit++
-		g.all = []*unitState{{
-			unit: Unit{ID: fmt.Sprintf("u%06d", c.nextUnit), Key: key, Spec: spec},
-			grp:  g,
-		}}
+		g.all = append(g.all, &unitState{
+			unit: Unit{
+				ID:     fmt.Sprintf("u%06d", c.nextUnit),
+				Key:    shard.Key(key, r.Start, r.End),
+				Parent: key,
+				Start:  r.Start,
+				End:    r.End,
+				Spec:   spec,
+			},
+			grp:      g,
+			shardIdx: i,
+		})
 	}
 	for _, u := range g.all {
 		c.units[u.unit.ID] = u

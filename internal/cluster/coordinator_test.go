@@ -184,8 +184,8 @@ func TestCompleteKeyMismatchRejected(t *testing.T) {
 	}
 }
 
-// A whole-scenario result must carry every trial, as a shard result
-// must carry its range: a completion one row short costs the lease and
+// An unsplit scenario's result, the range [0, Trials), must carry every
+// trial, as any shard result must carry its range: a completion one row short costs the lease and
 // the unit is requeued, instead of passing on a truncated scenario.
 func TestCompleteWholeUnitWithTooFewRowsRejected(t *testing.T) {
 	reg := metrics.New()

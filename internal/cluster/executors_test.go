@@ -149,13 +149,13 @@ func TestWorkerAtOneProcRunsOneUnitAtATime(t *testing.T) {
 }
 
 // Units whose specs ask for every core (workers 0) or more share the
-// worker's GOMAXPROCS trial slots instead of multiplying them: a whole
-// scenario with workers 0 runs alone on all four slots, holding just
-// one more unit queued as a sequential worker would, and across every
-// mix of widths no more than four trials ever run at once.
+// worker's GOMAXPROCS trial slots instead of multiplying them: an
+// unsplit scenario with workers 0 runs alone on all four slots, holding
+// just one more unit queued as a sequential worker would, and across
+// every mix of widths no more than four trials ever run at once.
 func TestWorkerSharesTrialSlotsAcrossUnits(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	c, srv := newTestPlane(t, fastCadence()) // whole-scenario units
+	c, srv := newTestPlane(t, fastCadence()) // one unit per scenario
 
 	var trials concurrency
 	var leased atomic.Int64
@@ -200,7 +200,7 @@ func TestWorkerSharesTrialSlotsAcrossUnits(t *testing.T) {
 	}
 	time.Sleep(100 * time.Millisecond) // room for a surplus grant to show
 	if got := leased.Load(); got != 2 {
-		t.Fatalf("worker leased %d whole scenarios at workers 0, want 2 (one executing, one queued)", got)
+		t.Fatalf("worker leased %d unsplit scenarios at workers 0, want 2 (one executing, one queued)", got)
 	}
 	submit(103, 8)
 	submit(104, 2)

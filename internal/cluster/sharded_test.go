@@ -11,6 +11,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/service"
+	"repro/internal/shard"
 	"repro/internal/store"
 )
 
@@ -25,8 +26,8 @@ func shardSpec(seed uint64, trials int) experiments.ScenarioConfig {
 	return spec
 }
 
-// completeShardUnit executes a unit via its own Run (the trial range
-// when sharded) and reports a verified result.
+// completeShardUnit executes a unit via its own Run (its trial range)
+// and reports a verified result.
 func completeShardUnit(t *testing.T, c *Coordinator, workerID string, unit Unit) {
 	t.Helper()
 	rows, err := unit.Run()
@@ -58,8 +59,8 @@ func TestShardedExecuteMergesOutOfOrder(t *testing.T) {
 	units := make([]Unit, 3)
 	for i := range units {
 		units[i] = leaseUnit(t, c, w.WorkerID)
-		if !units[i].Sharded() {
-			t.Fatalf("unit %d is not a shard: %+v", i, units[i])
+		if units[i].End-units[i].Start != 2 {
+			t.Fatalf("unit %d is not a two-trial shard: %+v", i, units[i])
 		}
 		if units[i].Parent == "" || units[i].Key == units[i].Parent {
 			t.Fatalf("shard %d key/parent malformed: %+v", i, units[i])
@@ -99,6 +100,48 @@ func TestShardedExecuteMergesOutOfOrder(t *testing.T) {
 	}
 	if u, err := c.Lease(w.WorkerID); err != nil || u != nil {
 		t.Fatalf("lease after assembly = (%v, %v), want no work", u, err)
+	}
+}
+
+// With sharding off, a scenario is leased as one unit, the range
+// [0, Trials), addressed like any shard of its parent; its rows go
+// through the same merge and equal a whole local run. The shard
+// counters count only scenarios split into more than one unit.
+func TestUnshardedScenarioIsOneRange(t *testing.T) {
+	reg := metrics.New()
+	c := newTestCoordinator(t, CoordinatorConfig{ShardTrials: 0, WorkerTTL: time.Hour, Metrics: reg})
+	w := c.Register(RegisterRequest{Name: "whole"})
+
+	spec := shardSpec(54, 3)
+	parent, err := store.ScenarioKey(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := executeAsync(c, context.Background(), spec)
+	u := leaseUnit(t, c, w.WorkerID)
+	if u.Start != 0 || u.End != spec.Trials || u.Parent != parent || u.Key != shard.Key(parent, 0, spec.Trials) {
+		t.Fatalf("unsharded unit = [%d,%d) parent %.12s key %.12s, want [0,%d) under its scenario's key",
+			u.Start, u.End, u.Parent, u.Key, spec.Trials)
+	}
+	if u2, err := c.Lease(w.WorkerID); err != nil || u2 != nil {
+		t.Fatalf("second unit leased for an unsharded scenario: (%v, %v)", u2, err)
+	}
+	completeShardUnit(t, c, w.WorkerID, u)
+	r := <-res
+	if !r.ok || r.err != nil {
+		t.Fatalf("Execute = (ok=%v, err=%v)", r.ok, r.err)
+	}
+	want, err := experiments.RunScenario(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(r.rows, want) {
+		t.Fatal("assembled rows differ from a whole local run")
+	}
+	for _, name := range []string{MetricShardsPlanned, MetricShardsMerged, MetricScenariosAssembled} {
+		if v := reg.Counter(name).Value(); v != 0 {
+			t.Fatalf("%s = %d for an unsharded scenario, want 0", name, v)
+		}
 	}
 }
 

@@ -157,11 +157,7 @@ func (s *wireServer) serveConn(wc *wire.Conn) {
 		wc.Send(wire.HelloAck, ack)
 		return
 	}
-	ack, _ := json.Marshal(helloAckPayload{
-		OK:        true,
-		LeaseTTL:  s.c.cfg.LeaseTTL,
-		Heartbeat: s.c.cfg.HeartbeatInterval,
-	})
+	ack, _ := json.Marshal(helloAckPayload{OK: true})
 	if err := wc.Send(wire.HelloAck, ack); err != nil {
 		return
 	}

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/backoff"
 	"repro/internal/experiments"
+	"repro/internal/frame"
 	"repro/internal/metrics"
 	"repro/internal/wire"
 )
@@ -36,8 +37,9 @@ func waitWired(t *testing.T, c *Coordinator, n int) {
 }
 
 // A worker executes units over the streaming transport — batched
-// grants in, streamed completions out — whole scenarios and trial-range
-// shards alike, and the results match a whole local run exactly.
+// grants in, streamed completions out — unsplit scenarios (the range
+// [0, Trials)) and trial-range shards alike, and the results match a
+// whole local run exactly.
 func TestWorkerExecutesUnitsOverWire(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
@@ -243,7 +245,8 @@ func TestWorkerReconnectsAfterConnLoss(t *testing.T) {
 
 // A hostile client cannot take the transport down: garbage after the
 // handshake closes that conn (counted as a frame error) and the
-// listener keeps serving.
+// listener keeps serving. A peer from a build that framed "VMW2" is
+// refused the same way, at its first frame.
 func TestWireServerSurvivesHostileConn(t *testing.T) {
 	reg := metrics.New()
 	cfg := fastCadence()
@@ -257,14 +260,20 @@ func TestWireServerSurvivesHostileConn(t *testing.T) {
 	}
 	nc.Write([]byte("GET / HTTP/1.1\r\nHost: not-a-wire-client\r\n\r\n"))
 	nc.Close()
+	waitFrameErrors(t, reg, 1)
 
-	deadline := time.Now().Add(5 * time.Second)
-	for reg.Counter(wire.MetricFrameErrors).Value() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("hostile conn never counted a frame error")
-		}
-		time.Sleep(2 * time.Millisecond)
+	// A VMW2 Hello, CRC and all, draws no HelloAck: the conn closes.
+	old, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer old.Close()
+	old.Write(frame.Append(nil, [4]byte{'V', 'M', 'W', '2'}, []byte{byte(wire.Hello)}, []byte(`{"worker_id":"w0001"}`)))
+	old.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := old.Read(make([]byte, 1)); n != 0 || err == nil {
+		t.Fatalf("VMW2 Hello answered: %d bytes, err %v", n, err)
+	}
+	waitFrameErrors(t, reg, 2)
 
 	// The transport still serves a real worker afterwards.
 	ctx, cancel := context.WithCancel(context.Background())
@@ -302,6 +311,19 @@ func TestWireServerSurvivesHostileConn(t *testing.T) {
 	}
 	if ack.OK || ack.Error == "" {
 		t.Fatalf("unknown worker accepted: %+v", ack)
+	}
+}
+
+// waitFrameErrors waits until the wire server has counted n frame
+// errors.
+func waitFrameErrors(t *testing.T, reg *metrics.Registry, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for reg.Counter(wire.MetricFrameErrors).Value() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("frame errors = %d, want %d", reg.Counter(wire.MetricFrameErrors).Value(), n)
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }
 

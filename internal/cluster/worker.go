@@ -40,10 +40,6 @@ type WorkerConfig struct {
 	// greeted by the whole fleet in lockstep. Zero picks
 	// {Base: 100ms, Max: 5s, Jitter: 0.3}.
 	Reconnect backoff.Policy
-	// Prefetch sizes the wire queue: the worker holds Prefetch-1 units
-	// queued beyond the ones executing, so a finishing unit's slots go
-	// to the next without a round-trip. Default 2.
-	Prefetch int
 	// Log receives progress lines. Nil discards them.
 	Log func(format string, args ...any)
 	// Metrics, when non-nil, receives the engine counters of every unit
@@ -54,8 +50,7 @@ type WorkerConfig struct {
 	Metrics *metrics.Registry
 
 	// RunUnit overrides unit execution (tests use it to gate timing).
-	// Nil runs the unit's own Run: the trial range when sharded, the
-	// whole scenario otherwise.
+	// Nil runs the unit's own Run, its trial range.
 	RunUnit func(Unit) ([]experiments.ScenarioRow, error)
 	// OnLease, when non-nil, is called with each unit as its grant
 	// arrives, before it is queued: the unit may start much later, or
@@ -93,6 +88,11 @@ type Worker struct {
 	held   map[string][]byte
 }
 
+// prefetch sizes the wire queue: a worker holds prefetch-1 units queued
+// beyond the ones executing, so a finishing unit's slots go to the next
+// without a round-trip.
+const prefetch = 2
+
 // CoordinatorHandshake is the cadence and transport address learned at
 // registration.
 type CoordinatorHandshake struct {
@@ -105,9 +105,6 @@ type CoordinatorHandshake struct {
 func NewWorker(cfg WorkerConfig) *Worker {
 	if cfg.Reconnect.Base <= 0 {
 		cfg.Reconnect = backoff.Policy{Base: 100 * time.Millisecond, Max: 5 * time.Second, Jitter: 0.3}
-	}
-	if cfg.Prefetch <= 0 {
-		cfg.Prefetch = 2
 	}
 	if cfg.Log == nil {
 		cfg.Log = func(string, ...any) {}
@@ -227,12 +224,6 @@ func (w *Worker) runWire(ctx context.Context) (established bool, err error) {
 	if w.sessions.Add(1) > 1 {
 		w.reconnects.Add(1) // a session after the first is a survived reconnect
 	}
-	if ack.LeaseTTL > 0 {
-		w.handshake.LeaseTTL = ack.LeaseTTL
-	}
-	if ack.Heartbeat > 0 {
-		w.handshake.Heartbeat = ack.Heartbeat
-	}
 	// Completions the last session finished on a dead conn go out before
 	// any new work is asked for.
 	for id, payload := range w.unsentCompletions() {
@@ -247,10 +238,10 @@ func (w *Worker) runWire(ctx context.Context) (established bool, err error) {
 	// spec asks for every core runs alone as on a sequential worker, and
 	// the trials running at once never exceed the cores. Demand follows
 	// the slots (see executeGrants): the worker holds at most one unit
-	// per slot plus Prefetch-1 queued, which the grant queue can take.
+	// per slot plus prefetch-1 queued, which the grant queue can take.
 	execs := runtime.GOMAXPROCS(0)
 	slots := newTrialSlots(execs)
-	depth := execs + w.wc.Prefetch - 1
+	depth := execs + prefetch - 1
 
 	// The reader turns Grant frames into a unit queue; everything else
 	// it ignores (forward compatibility). A framing violation or conn
@@ -331,7 +322,7 @@ func (w *Worker) runWire(ctx context.Context) (established bool, err error) {
 			}
 		}()
 	}
-	if err = w.sendWant(conn, w.wc.Prefetch); err == nil {
+	if err = w.sendWant(conn, prefetch); err == nil {
 		select {
 		case <-ctx.Done(): // graceful drain
 		case <-w.wc.Abort:
@@ -382,11 +373,11 @@ func (w *Worker) runWire(ctx context.Context) (established bool, err error) {
 // executeGrants is one wire executor: it runs granted units until the
 // session winds down. A unit starts once it holds its trial width in
 // slots; a grant still waiting for them when the session winds down
-// never starts. Demand tracks the slots: the opening Want is Prefetch,
+// never starts. Demand tracks the slots: the opening Want is prefetch,
 // a unit that starts with slots to spare asks for one more unit to fill
 // them, and a unit that finishes with every slot taken asks for its
 // replacement. At GOMAXPROCS=1, or with units that take every slot,
-// that is the sequential worker's one executing plus Prefetch-1 queued.
+// that is the sequential worker's one executing plus prefetch-1 queued.
 func (w *Worker) executeGrants(conn *wire.Conn, grants <-chan Unit, slots *trialSlots, stop <-chan struct{}) error {
 	for {
 		select {
@@ -430,15 +421,11 @@ func (w *Worker) executeGrants(conn *wire.Conn, grants <-chan Unit, slots *trial
 // cores trial slots: its spec's Workers (0 means every core), at most
 // cores and the unit's trial count.
 func trialWidth(u Unit, cores int) int {
-	trials := u.Spec.Trials
-	if u.Sharded() {
-		trials = u.End - u.Start
-	}
 	width := u.Spec.Workers
 	if width <= 0 || width > cores {
 		width = cores
 	}
-	return max(1, min(width, trials))
+	return max(1, min(width, u.End-u.Start))
 }
 
 // trialSlots is a wire session's budget of trials running at once,

@@ -191,37 +191,6 @@ func TestRepeatedRunsAccumulateAcrossRegistryCampaignKeyBudget(t *testing.T) {
 	}
 }
 
-func TestCapacityCappedNetworkStillCompletes(t *testing.T) {
-	// With per-slot send capacity limited to the maximum degree — just
-	// enough for one local broadcast, the assumption behind the paper's
-	// slotted protocols — both honest runs and attacked runs complete
-	// with the usual guarantees.
-	f := newFixture(t, bypassGraph(), 100)
-	f.readings[4] = 1
-	maxDeg := 0
-	for id := 0; id < f.graph.NumNodes(); id++ {
-		if d := f.graph.Degree(topology.NodeID(id)); d > maxDeg {
-			maxDeg = d
-		}
-	}
-	cfg := f.config(100)
-	cfg.MaxSendsPerSlot = maxDeg
-	out := run(t, cfg)
-	if out.Kind != core.OutcomeResult || out.Mins[0] != 1 {
-		t.Fatalf("capped honest run: %v %v", out.Kind, out.Mins)
-	}
-
-	cfg2 := f.config(100)
-	cfg2.MaxSendsPerSlot = maxDeg
-	cfg2.Malicious = maliciousSet(2)
-	cfg2.Adversary = adversary.NewDropper(50)
-	out2 := run(t, cfg2)
-	if out2.Kind != core.OutcomeVetoRevocation {
-		t.Fatalf("capped attacked run: %v", out2.Kind)
-	}
-	requireRevokedMaliciousOnly(t, out2, f.dep, cfg2.Malicious)
-}
-
 func TestLossyHonestRunStaysWithinModel(t *testing.T) {
 	// With mild loss and no adversary, the execution still terminates
 	// with a deterministic outcome kind (result or a spurious-veto walk

@@ -50,8 +50,6 @@ type Config struct {
 	VerifyRecord func(r Record) bool
 	// Multipath enables ring-based multi-path aggregation (Section IV-D).
 	Multipath bool
-	// MaxSendsPerSlot caps per-node transmissions per slot (0 unlimited).
-	MaxSendsPerSlot int
 	// LossRate drops each delivered message independently with this
 	// probability, modelling residual radio loss. The paper assumes
 	// reliable links after retransmission and expects multi-path
@@ -330,7 +328,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e.channel = authbcast.NewChannel(crypto.DeriveKey(crypto.KeyFromUint64(cfg.Seed), "authbcast", 0))
 	e.verifier = e.channel.Verifier()
 
-	netCfg := simnet.Config{MaxSendsPerSlot: cfg.MaxSendsPerSlot, ARQ: cfg.ARQ}
+	netCfg := simnet.Config{ARQ: cfg.ARQ}
 	if cfg.LossRate > 0 {
 		netCfg.DropRate = cfg.LossRate
 		netCfg.DropRNG = crypto.NewStreamFromSeed(cfg.Seed ^ 0x10552a7e)

@@ -204,22 +204,11 @@ type ScenarioRow struct {
 	Retransmits int64 `json:"retransmits,omitempty"`
 }
 
-// RunScenario executes the scenario's trials through RunTrials and
-// returns per-trial rows in trial order. Rows are a pure function of the
-// config's scenario fields for any Workers value.
+// RunScenario executes every trial of the scenario, the range
+// [0, Trials), and returns per-trial rows in trial order. Rows are a
+// pure function of the config's scenario fields for any Workers value.
 func RunScenario(cfg ScenarioConfig) ([]ScenarioRow, error) {
-	cfg.Normalize()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return RunTrials(subSeed(cfg.Seed, "scenario", uint64(cfg.N)),
-		cfg.Trials, cfg.Workers,
-		func(trial int, rng *crypto.Stream) (ScenarioRow, error) {
-			if cfg.Context != nil && cfg.Context.Err() != nil {
-				return ScenarioRow{}, cfg.Context.Err()
-			}
-			return scenarioTrial(cfg, trial, rng)
-		})
+	return RunScenarioRange(cfg, 0, cfg.Trials)
 }
 
 // RunScenarioRange executes trials [start, end) of the scenario and

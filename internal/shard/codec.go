@@ -1,26 +1,21 @@
 package shard
 
 import (
-	"encoding/binary"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 )
 
-// Binary batch codec for lease grants. A wire grant frame carries a
-// batch of descriptors; the framing layer (internal/wire) has already
-// checked magic, length, and CRC, so this codec's job is purely
-// structural: length-prefixed fields with hard caps, so hostile or
-// truncated payloads fail decoding instead of allocating unbounded
-// memory or panicking. DecodeBatch is a fuzz target (fuzz_test.go).
-//
-// Layout (all little-endian):
-//
-//	count  uint16
-//	count × descriptor:
-//	  id, key, parent  uvarint length + bytes (≤ maxFieldBytes each)
-//	  start, end       uvarint               (≤ maxTrialIndex)
-//	  spec             uvarint length + JSON (≤ maxSpecBytes)
+// A lease grant travels as a JSON array of descriptors, the same
+// encoding as every other frame payload. The framing layer
+// (internal/wire) has already checked magic, length (at most
+// wire.MaxPayload) and CRC, so this codec's job is structural: the
+// array is read one descriptor at a time, its length is capped before
+// the next descriptor is decoded, and every descriptor is checked, so
+// hostile or truncated payloads fail decoding instead of allocating
+// without bound or panicking. DecodeBatch is a fuzz target
+// (fuzz_test.go).
 
 const (
 	// maxBatch caps descriptors per grant; the coordinator grants at
@@ -29,127 +24,65 @@ const (
 	// maxFieldBytes caps the id/key/parent strings (hex SHA-256 keys
 	// are 64 bytes).
 	maxFieldBytes = 1024
-	// maxSpecBytes caps one encoded scenario spec.
-	maxSpecBytes = 1 << 20
+	// maxTrialIndex bounds trial indices on the wire; scenario specs cap
+	// trials far below this, so anything larger is hostile or corrupt.
+	maxTrialIndex = 1 << 30
 )
 
 // ErrBatchTooLarge reports an encode-side batch over the wire cap.
 var ErrBatchTooLarge = errors.New("shard: batch exceeds wire cap")
+
+// check applies the limits both ends of the wire hold a descriptor to.
+func (d *Descriptor) check() error {
+	switch {
+	case len(d.ID) > maxFieldBytes, len(d.Key) > maxFieldBytes, len(d.Parent) > maxFieldBytes:
+		return fmt.Errorf("an id, key or parent exceeds %d bytes", maxFieldBytes)
+	case d.Start < 0, d.End <= d.Start, d.End > maxTrialIndex:
+		return fmt.Errorf("trial range [%d,%d) is empty or out of bounds", d.Start, d.End)
+	}
+	return nil
+}
 
 // EncodeBatch serializes a grant batch.
 func EncodeBatch(ds []Descriptor) ([]byte, error) {
 	if len(ds) > maxBatch {
 		return nil, ErrBatchTooLarge
 	}
-	buf := make([]byte, 2, 2+len(ds)*512)
-	binary.LittleEndian.PutUint16(buf, uint16(len(ds)))
 	for i := range ds {
-		d := &ds[i]
-		spec, err := json.Marshal(d.Spec)
-		if err != nil {
-			return nil, fmt.Errorf("shard: encode spec for %s: %w", d.ID, err)
+		if err := ds[i].check(); err != nil {
+			return nil, fmt.Errorf("shard: descriptor %s: %w", ds[i].ID, err)
 		}
-		if len(d.ID) > maxFieldBytes || len(d.Key) > maxFieldBytes || len(d.Parent) > maxFieldBytes {
-			return nil, fmt.Errorf("shard: descriptor %s has an oversized field", d.ID)
-		}
-		if len(spec) > maxSpecBytes {
-			return nil, fmt.Errorf("shard: descriptor %s spec exceeds %d bytes", d.ID, maxSpecBytes)
-		}
-		buf = appendBytes(buf, []byte(d.ID))
-		buf = appendBytes(buf, []byte(d.Key))
-		buf = appendBytes(buf, []byte(d.Parent))
-		buf = binary.AppendUvarint(buf, uint64(d.Start))
-		buf = binary.AppendUvarint(buf, uint64(d.End))
-		buf = appendBytes(buf, spec)
 	}
-	return buf, nil
+	return json.Marshal(ds)
 }
 
-func appendBytes(dst, b []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(b)))
-	return append(dst, b...)
-}
-
-// DecodeBatch parses a grant batch. Every length and count is bounded
-// before any allocation depends on it; malformed input yields an error,
+// DecodeBatch parses a grant batch. Malformed input yields an error,
 // never a panic — the receiving side drops the conn and re-syncs via
 // re-registration.
 func DecodeBatch(b []byte) ([]Descriptor, error) {
-	if len(b) < 2 {
-		return nil, errors.New("shard: batch truncated before count")
+	dec := json.NewDecoder(bytes.NewReader(b))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('[') {
+		return nil, errors.New("shard: batch is not a JSON array")
 	}
-	count := int(binary.LittleEndian.Uint16(b))
-	b = b[2:]
-	if count > maxBatch {
-		return nil, fmt.Errorf("shard: batch count %d exceeds cap %d", count, maxBatch)
-	}
-	ds := make([]Descriptor, 0, count)
-	for i := 0; i < count; i++ {
+	ds := []Descriptor{} // not nil: an empty batch re-encodes as [], not null
+	for dec.More() {
+		if len(ds) == maxBatch {
+			return nil, fmt.Errorf("shard: batch exceeds %d descriptors", maxBatch)
+		}
 		var d Descriptor
-		var f []byte
-		var err error
-		if f, b, err = readBytes(b, maxFieldBytes); err != nil {
-			return nil, fmt.Errorf("shard: descriptor %d id: %w", i, err)
+		if err := dec.Decode(&d); err != nil {
+			return nil, fmt.Errorf("shard: descriptor %d: %w", len(ds), err)
 		}
-		d.ID = string(f)
-		if f, b, err = readBytes(b, maxFieldBytes); err != nil {
-			return nil, fmt.Errorf("shard: descriptor %d key: %w", i, err)
-		}
-		d.Key = string(f)
-		if f, b, err = readBytes(b, maxFieldBytes); err != nil {
-			return nil, fmt.Errorf("shard: descriptor %d parent: %w", i, err)
-		}
-		d.Parent = string(f)
-		if d.Start, b, err = readTrialIndex(b); err != nil {
-			return nil, fmt.Errorf("shard: descriptor %d start: %w", i, err)
-		}
-		if d.End, b, err = readTrialIndex(b); err != nil {
-			return nil, fmt.Errorf("shard: descriptor %d end: %w", i, err)
-		}
-		if d.End > 0 && d.End <= d.Start {
-			return nil, fmt.Errorf("shard: descriptor %d has empty range [%d,%d)", i, d.Start, d.End)
-		}
-		if f, b, err = readBytes(b, maxSpecBytes); err != nil {
-			return nil, fmt.Errorf("shard: descriptor %d spec: %w", i, err)
-		}
-		if err := json.Unmarshal(f, &d.Spec); err != nil {
-			return nil, fmt.Errorf("shard: descriptor %d spec: %w", i, err)
+		if err := d.check(); err != nil {
+			return nil, fmt.Errorf("shard: descriptor %d: %w", len(ds), err)
 		}
 		ds = append(ds, d)
 	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("shard: %d trailing bytes after batch", len(b))
+	if _, err := dec.Token(); err != nil {
+		return nil, fmt.Errorf("shard: batch truncated: %w", err)
+	}
+	if rest := int64(len(b)) - dec.InputOffset(); rest != 0 {
+		return nil, fmt.Errorf("shard: %d trailing bytes after batch", rest)
 	}
 	return ds, nil
-}
-
-// readBytes consumes one length-prefixed field of at most maxLen bytes.
-func readBytes(b []byte, maxLen int) (field, rest []byte, err error) {
-	n, w := binary.Uvarint(b)
-	if w <= 0 {
-		return nil, nil, errors.New("bad length prefix")
-	}
-	if n > uint64(maxLen) {
-		return nil, nil, fmt.Errorf("length %d exceeds cap %d", n, maxLen)
-	}
-	b = b[w:]
-	if uint64(len(b)) < n {
-		return nil, nil, errors.New("truncated field")
-	}
-	return b[:n], b[n:], nil
-}
-
-// maxTrialIndex bounds trial indices on the wire; scenario specs cap
-// trials far below this, so anything larger is hostile or corrupt.
-const maxTrialIndex = 1 << 30
-
-func readTrialIndex(b []byte) (int, []byte, error) {
-	n, w := binary.Uvarint(b)
-	if w <= 0 {
-		return 0, nil, errors.New("bad varint")
-	}
-	if n > maxTrialIndex {
-		return 0, nil, fmt.Errorf("trial index %d exceeds cap", n)
-	}
-	return int(n), b[w:], nil
 }

@@ -1,19 +1,20 @@
 // Package shard splits a scenario into per-trial-range work units and
 // reassembles their results. It is the planning half of the sharded
 // execution fabric: internal/cluster leases the descriptors this
-// package plans, internal/wire carries them, and the Merger puts the
-// completed rows back together in trial order at the coordinator.
+// package plans, internal/wire carries them (a grant is a JSON array of
+// descriptors, codec.go), and the Merger puts the completed rows back
+// together in trial order at the coordinator.
 //
 // The split is safe because the trial runner derives one random stream
 // per trial from the seed alone (see experiments.RunTrialRange): trials
 // [start, end) executed on another machine produce rows bit-identical
 // to the same slice of a single-box run, so concatenating shard rows in
 // range order preserves the repository's bit-identical-CSV guarantee.
-// Each shard carries its own content address derived from the parent
-// scenario's store key plus the trial range — the completing worker
-// echoes it, exactly like whole-scenario units echo theirs — but only
-// the fully assembled scenario is written to the store, under the
-// parent key.
+// A trial range is the only unit shape: a scenario that is not split is
+// the single range [0, Trials). Each unit carries its own content
+// address derived from the parent scenario's store key plus the trial
+// range, which the completing worker echoes, but only the fully
+// assembled scenario is written to the store, under the parent key.
 package shard
 
 import (
@@ -26,31 +27,20 @@ import (
 )
 
 // Descriptor identifies one leased unit of work: a fully normalized
-// scenario spec plus, when the scenario is sharded, the half-open trial
-// range this unit covers and the parent scenario's content address.
-// End == 0 means the unit is the whole scenario (the pre-sharding unit
-// shape, still used when -shard-trials is 0 or the scenario fits in one
-// shard).
+// scenario spec, the half-open trial range [Start, End) this unit
+// covers, and the parent scenario's content address.
 type Descriptor struct {
 	ID     string                     `json:"id"`
 	Key    string                     `json:"key"`
-	Parent string                     `json:"parent,omitempty"`
-	Start  int                        `json:"start,omitempty"`
-	End    int                        `json:"end,omitempty"`
+	Parent string                     `json:"parent"`
+	Start  int                        `json:"start"`
+	End    int                        `json:"end"`
 	Spec   experiments.ScenarioConfig `json:"spec"`
 }
 
-// Sharded reports whether the descriptor covers a trial sub-range
-// rather than the whole scenario.
-func (d *Descriptor) Sharded() bool { return d.End > 0 }
-
-// Run executes the descriptor: the trial range when sharded, the whole
-// scenario otherwise.
+// Run executes the descriptor's trial range.
 func (d *Descriptor) Run() ([]experiments.ScenarioRow, error) {
-	if d.Sharded() {
-		return experiments.RunScenarioRange(d.Spec, d.Start, d.End)
-	}
-	return experiments.RunScenario(d.Spec)
+	return experiments.RunScenarioRange(d.Spec, d.Start, d.End)
 }
 
 // Key derives a shard's content address from its parent scenario's
@@ -74,12 +64,11 @@ type Range struct {
 }
 
 // Plan splits trials into consecutive ranges of at most per trials
-// each. It returns nil when sharding is off (per <= 0) or the scenario
-// fits in a single shard — the caller should lease the whole scenario
-// as one unit, whose rows still merge as the single range [0, trials).
+// each. When sharding is off (per <= 0) or the scenario fits in one
+// shard, the plan is the single range [0, trials).
 func Plan(trials, per int) []Range {
 	if per <= 0 || trials <= per {
-		return nil
+		return []Range{{Start: 0, End: trials}}
 	}
 	ranges := make([]Range, 0, (trials+per-1)/per)
 	for s := 0; s < trials; s += per {

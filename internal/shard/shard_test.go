@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -13,9 +15,9 @@ func TestPlan(t *testing.T) {
 		trials, per int
 		want        []Range
 	}{
-		{trials: 10, per: 0, want: nil},  // sharding off
-		{trials: 10, per: 10, want: nil}, // fits in one shard
-		{trials: 10, per: 64, want: nil}, // fits in one shard
+		{trials: 10, per: 0, want: []Range{{0, 10}}},  // sharding off
+		{trials: 10, per: 10, want: []Range{{0, 10}}}, // fits in one shard
+		{trials: 10, per: 64, want: []Range{{0, 10}}}, // fits in one shard
 		{trials: 10, per: 4, want: []Range{{0, 4}, {4, 8}, {8, 10}}},
 		{trials: 8, per: 4, want: []Range{{0, 4}, {4, 8}}},
 		{trials: 3, per: 1, want: []Range{{0, 1}, {1, 2}, {2, 3}}},
@@ -110,12 +112,12 @@ func TestBatchRoundTrip(t *testing.T) {
 	spec := experiments.ScenarioConfig{N: 24, Topology: "line", Query: "min", Attack: "none", Trials: 8, Seed: 3}
 	parent := "f00d"
 	var ds []Descriptor
-	for i, r := range Plan(8, 3) {
+	// Three shards, then the scenario as one unit: the range [0, 8).
+	for i, r := range append(Plan(8, 3), Plan(8, 0)...) {
 		ds = append(ds, Descriptor{
-			ID: "u000001", Key: Key(parent, r.Start, r.End), Parent: parent,
+			ID: "u00000" + string(rune('a'+i)), Key: Key(parent, r.Start, r.End), Parent: parent,
 			Start: r.Start, End: r.End, Spec: spec,
 		})
-		ds[i].ID = ds[i].ID + string(rune('a'+i))
 	}
 	b, err := EncodeBatch(ds)
 	if err != nil {
@@ -128,34 +130,50 @@ func TestBatchRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, ds) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, ds)
 	}
-	// A whole-scenario descriptor (End 0) survives too.
-	whole := []Descriptor{{ID: "u9", Key: parent, Spec: spec}}
-	b, err = EncodeBatch(whole)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err = DecodeBatch(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0].Sharded() || !reflect.DeepEqual(got, whole) {
-		t.Fatalf("whole-scenario round trip mismatch: %+v", got)
-	}
 }
 
 func TestDecodeBatchRejectsHostileInput(t *testing.T) {
-	spec := experiments.ScenarioConfig{N: 24, Trials: 4, Seed: 1}
-	good, err := EncodeBatch([]Descriptor{{ID: "u1", Key: "k", Spec: spec}})
-	if err != nil {
-		t.Fatal(err)
+	good := Descriptor{ID: "u1", Key: Key("p", 0, 4), Parent: "p", End: 4,
+		Spec: experiments.ScenarioConfig{N: 24, Trials: 4, Seed: 1}}
+	// batch marshals descriptors as they are, without EncodeBatch's checks.
+	batch := func(ds ...Descriptor) []byte {
+		b, err := json.Marshal(ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	with := func(mutate func(d *Descriptor)) []byte {
+		d := good
+		mutate(&d)
+		return batch(d)
+	}
+	ok := batch(good)
+	if _, err := DecodeBatch(ok); err != nil {
+		t.Fatalf("good batch: %v", err)
+	}
+	long := strings.Repeat("x", maxFieldBytes+1)
+	many := make([]Descriptor, maxBatch+1)
+	for i := range many {
+		many[i] = good
 	}
 	cases := map[string][]byte{
-		"empty":          {},
-		"count only":     good[:2],
-		"truncated tail": good[:len(good)-3],
-		"trailing bytes": append(append([]byte{}, good...), 0xff),
-		"huge count":     {0xff, 0xff},
-		"huge field len": {1, 0, 0xff, 0xff, 0xff, 0xff, 0x7f},
+		"empty":            {},
+		"not an array":     []byte(`{"id":"u1"}`),
+		"null":             []byte(`null`),
+		"null descriptor":  []byte(`[null]`),
+		"truncated tail":   ok[:len(ok)-3],
+		"missing bracket":  ok[:len(ok)-1],
+		"trailing bytes":   append(append([]byte{}, ok...), ']'),
+		"huge count":       batch(many...),
+		"oversized id":     with(func(d *Descriptor) { d.ID = long }),
+		"oversized key":    with(func(d *Descriptor) { d.Key = long }),
+		"oversized parent": with(func(d *Descriptor) { d.Parent = long }),
+		"negative start":   with(func(d *Descriptor) { d.Start = -1 }),
+		"empty range":      with(func(d *Descriptor) { d.Start, d.End = 4, 4 }),
+		"inverted range":   with(func(d *Descriptor) { d.Start, d.End = 4, 2 }),
+		"end past cap":     with(func(d *Descriptor) { d.End = maxTrialIndex + 1 }),
+		"bad spec":         bytes.Replace(ok, []byte(`"n":24`), []byte(`"n":"24"`), 1),
 	}
 	for name, b := range cases {
 		if _, err := DecodeBatch(b); err == nil {
@@ -166,9 +184,16 @@ func TestDecodeBatchRejectsHostileInput(t *testing.T) {
 
 func TestDescriptorRunRange(t *testing.T) {
 	spec := experiments.ScenarioConfig{N: 24, Topology: "line", Query: "min", Attack: "none", Trials: 6, Seed: 11}
-	full, err := (&Descriptor{Key: "k", Spec: spec}).Run()
+	full, err := experiments.RunScenario(spec)
 	if err != nil {
 		t.Fatal(err)
+	}
+	whole, err := (&Descriptor{Key: "k", Parent: "p", Start: 0, End: 6, Spec: spec}).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(whole, full) {
+		t.Fatal("Run over [0, Trials) is not the full run")
 	}
 	part, err := (&Descriptor{Key: "k", Parent: "p", Start: 2, End: 5, Spec: spec}).Run()
 	if err != nil {

@@ -5,19 +5,18 @@ import "repro/internal/metrics"
 // Metric names reported by ReportTo. They aggregate across all nodes of
 // an execution; the serving layer sums them across executions.
 const (
-	MetricBytesSent       = "simnet_bytes_sent_total"
-	MetricBytesReceived   = "simnet_bytes_received_total"
-	MetricMessagesSent    = "simnet_messages_sent_total"
-	MetricSlots           = "simnet_slots_total"
-	MetricDroppedCapacity = "simnet_dropped_capacity_total"
-	MetricDroppedNoLink   = "simnet_dropped_nolink_total"
-	MetricDroppedLoss     = "simnet_dropped_loss_total"
-	MetricDroppedFault    = "simnet_dropped_fault_total"
-	MetricRetransmits     = "simnet_arq_retransmits_total"
-	MetricARQFailed       = "simnet_arq_failed_total"
-	MetricARQDuplicates   = "simnet_arq_duplicates_total"
-	MetricAcksSent        = "simnet_arq_acks_sent_total"
-	MetricAcksLost        = "simnet_arq_acks_lost_total"
+	MetricBytesSent     = "simnet_bytes_sent_total"
+	MetricBytesReceived = "simnet_bytes_received_total"
+	MetricMessagesSent  = "simnet_messages_sent_total"
+	MetricSlots         = "simnet_slots_total"
+	MetricDroppedNoLink = "simnet_dropped_nolink_total"
+	MetricDroppedLoss   = "simnet_dropped_loss_total"
+	MetricDroppedFault  = "simnet_dropped_fault_total"
+	MetricRetransmits   = "simnet_arq_retransmits_total"
+	MetricARQFailed     = "simnet_arq_failed_total"
+	MetricARQDuplicates = "simnet_arq_duplicates_total"
+	MetricAcksSent      = "simnet_arq_acks_sent_total"
+	MetricAcksLost      = "simnet_arq_acks_lost_total"
 )
 
 // ReportTo adds this snapshot's aggregate counters to the registry. The
@@ -39,7 +38,6 @@ func (s *Stats) ReportTo(reg *metrics.Registry) {
 	reg.Counter(MetricBytesReceived).Add(received)
 	reg.Counter(MetricMessagesSent).Add(msgs)
 	reg.Counter(MetricSlots).Add(int64(s.Slots))
-	reg.Counter(MetricDroppedCapacity).Add(s.DroppedCapacity)
 	reg.Counter(MetricDroppedNoLink).Add(s.DroppedNoLink)
 	reg.Counter(MetricDroppedLoss).Add(s.DroppedLoss)
 	reg.Counter(MetricDroppedFault).Add(s.DroppedFault)

@@ -3,6 +3,7 @@ package simnet
 import (
 	"testing"
 
+	"repro/internal/crypto"
 	"repro/internal/metrics"
 	"repro/internal/topology"
 )
@@ -15,10 +16,10 @@ import (
 // mutating it must not reach the live accounting.
 func TestStatsSnapshotWhileStepsInFlight(t *testing.T) {
 	const n = 32
-	net := New(topology.Grid(8, 4), Config{MaxSendsPerSlot: 2})
+	net := New(topology.Grid(8, 4), Config{DropRate: 0.3, DropRNG: crypto.NewStreamFromSeed(4)})
 	net.RunSlots(20, func(ctx *Context) {
-		// Every node floods every neighbor every slot; with the send cap
-		// at 2 this also exercises the capacity-drop counter.
+		// Every node floods every neighbor every slot; with 30% loss
+		// this also exercises the loss-drop counter.
 		for _, nb := range ctx.Neighbors() {
 			ctx.Send(nb, payload{"m", 8})
 		}
@@ -34,8 +35,8 @@ func TestStatsSnapshotWhileStepsInFlight(t *testing.T) {
 	if final.BytesSent[0] >= 1<<40 {
 		t.Fatal("snapshot mutation leaked into the live Stats")
 	}
-	if final.DroppedCapacity == 0 {
-		t.Fatal("expected capacity drops with MaxSendsPerSlot=2")
+	if final.DroppedLoss == 0 {
+		t.Fatal("expected loss drops with DropRate=0.3")
 	}
 	if final.Slots != 20 {
 		t.Fatalf("Slots = %d, want 20", final.Slots)
@@ -46,10 +47,9 @@ func TestStatsSnapshotWhileStepsInFlight(t *testing.T) {
 // snapshot they were derived from, including TotalBytes as the sum of
 // the sent and received counters.
 func TestReportToMatchesStats(t *testing.T) {
-	net := New(topology.Line(5), Config{MaxSendsPerSlot: 1})
+	net := New(topology.Line(5), Config{DropRate: 0.3, DropRNG: crypto.NewStreamFromSeed(5)})
 	net.RunSlots(6, func(ctx *Context) {
-		// Self-send first: the capacity budget is still free, so it is
-		// counted as a no-link drop rather than a capacity drop.
+		// A self-send has no link: it is a no-link drop.
 		ctx.Send(ctx.Node(), payload{"self", 1})
 		for _, nb := range ctx.Neighbors() {
 			ctx.Send(nb, payload{"m", 16})
@@ -67,14 +67,14 @@ func TestReportToMatchesStats(t *testing.T) {
 	if got := reg.Counter(MetricSlots).Value(); got != int64(s.Slots) {
 		t.Fatalf("slots counter = %d, want %d", got, s.Slots)
 	}
-	if got := reg.Counter(MetricDroppedCapacity).Value(); got != s.DroppedCapacity {
-		t.Fatalf("capacity drops = %d, want %d", got, s.DroppedCapacity)
+	if got := reg.Counter(MetricDroppedLoss).Value(); got != s.DroppedLoss {
+		t.Fatalf("loss drops = %d, want %d", got, s.DroppedLoss)
 	}
 	if got := reg.Counter(MetricDroppedNoLink).Value(); got != s.DroppedNoLink {
 		t.Fatalf("nolink drops = %d, want %d", got, s.DroppedNoLink)
 	}
-	if s.DroppedCapacity == 0 || s.DroppedNoLink == 0 {
-		t.Fatal("workload should produce both capacity and no-link drops")
+	if s.DroppedLoss == 0 || s.DroppedNoLink == 0 {
+		t.Fatal("workload should produce both loss and no-link drops")
 	}
 
 	// Flushing a second snapshot accumulates (per-execution flushes sum

@@ -41,9 +41,11 @@
 // proportional to traffic.
 //
 // Message delivery takes one slot. Messages are delivered only over edges
-// of the supplied graph (optionally restricted by a live link filter, used
-// for key revocation) or over explicitly configured out-of-band links
-// (used for wormhole collusion between malicious sensors).
+// of the supplied graph or over explicitly configured out-of-band links
+// (used for wormhole collusion between malicious sensors). A node's sends
+// per slot are not capped: choking is modelled by delivering the
+// adversary's messages first (MaliciousFirstOrder), not by a capacity
+// limit.
 package simnet
 
 import (
@@ -102,19 +104,8 @@ type Orderer func(inbox []Message)
 
 // Config configures a Network.
 type Config struct {
-	// MaxSendsPerSlot caps how many messages one node can transmit in a
-	// single slot; sends beyond the cap are dropped and counted. Zero
-	// means unlimited. A finite cap models the limited forwarding
-	// capacity that choking attacks exhaust (Section III).
-	MaxSendsPerSlot int
-
 	// Order, if non-nil, rearranges each node's inbox every slot.
 	Order Orderer
-
-	// LinkFilter, if non-nil, can veto delivery over a graph edge. It is
-	// consulted live each slot, so a closure over revocation state makes
-	// revoked edge keys take effect immediately.
-	LinkFilter func(from, to topology.NodeID) bool
 
 	// ExtraLink, if non-nil, allows delivery between nodes with no graph
 	// edge. VMAT's attack model lets colluding malicious sensors
@@ -151,7 +142,6 @@ type Stats struct {
 	BytesReceived    []int64
 	MessagesSent     []int64
 	MessagesReceived []int64
-	DroppedCapacity  int64
 	DroppedNoLink    int64
 	DroppedLoss      int64
 	// DroppedFault counts deliveries lost to injected faults (crashed
@@ -290,7 +280,6 @@ type Context struct {
 	node  topology.NodeID
 	slot  int
 	Inbox []Message
-	sends int
 }
 
 // Node returns the node this context belongs to.
@@ -304,8 +293,8 @@ func (c *Context) Slot() int { return c.slot }
 func (c *Context) Neighbors() []topology.NodeID { return c.net.graph.Neighbors(c.node) }
 
 // Send transmits payload to a single node, to be delivered next slot. It
-// returns false if the node's per-slot send capacity is exhausted or there
-// is no usable link; such messages are dropped and counted.
+// returns false if there is no usable link; such messages are dropped
+// and counted.
 func (c *Context) Send(to topology.NodeID, p Payload) bool {
 	if !c.admit(to, false) {
 		return false
@@ -335,20 +324,14 @@ func (c *Context) Broadcast(p Payload) int {
 	return sent
 }
 
-// admit applies the per-slot send cap and the link check to one send,
-// counting a refusal. isEdge tells the link check that (node, to) is
-// already known to be a graph edge.
+// admit applies the link check to one send, counting a refusal. isEdge
+// tells the link check that (node, to) is already known to be a graph
+// edge.
 func (c *Context) admit(to topology.NodeID, isEdge bool) bool {
-	n := c.net
-	if limit := n.cfg.MaxSendsPerSlot; limit > 0 && c.sends >= limit {
-		n.stats.DroppedCapacity++
+	if !c.net.linkAllowed(c.node, to, isEdge) {
+		c.net.stats.DroppedNoLink++
 		return false
 	}
-	if !n.linkAllowed(c.node, to, isEdge) {
-		n.stats.DroppedNoLink++
-		return false
-	}
-	c.sends++
 	return true
 }
 
@@ -375,9 +358,7 @@ func (n *Network) linkAllowed(from, to topology.NodeID, isEdge bool) bool {
 		return false
 	}
 	if isEdge || n.graph.HasEdge(from, to) {
-		if n.cfg.LinkFilter == nil || n.cfg.LinkFilter(from, to) {
-			return true
-		}
+		return true
 	}
 	return n.cfg.ExtraLink != nil && n.cfg.ExtraLink(from, to)
 }
@@ -619,7 +600,6 @@ func (n *Network) stepNode(step StepFunc, faults FaultModel, id topology.NodeID)
 	c.node = id
 	c.slot = n.slot
 	c.Inbox = n.inboxes[id]
-	c.sends = 0
 	step(c)
 }
 

@@ -98,56 +98,6 @@ func TestExtraLinkWormhole(t *testing.T) {
 	}
 }
 
-func TestLinkFilterVetoesEdges(t *testing.T) {
-	blocked := true
-	net := New(topology.Line(2), Config{
-		LinkFilter: func(from, to topology.NodeID) bool { return !blocked },
-	})
-	delivered := 0
-	var mu sync.Mutex
-	step := func(ctx *Context) {
-		if ctx.Node() == 0 {
-			ctx.Send(1, payload{"x", 1})
-		}
-		mu.Lock()
-		delivered += len(ctx.Inbox)
-		mu.Unlock()
-	}
-	net.RunSlots(2, step)
-	if delivered != 0 {
-		t.Fatal("filtered link delivered a message")
-	}
-	// The filter is consulted live: unblock and the same network delivers.
-	blocked = false
-	net.RunSlots(2, step)
-	if delivered == 0 {
-		t.Fatal("unblocked link failed to deliver")
-	}
-}
-
-func TestCapacityCap(t *testing.T) {
-	g := topology.Star(5) // node 0 has 4 neighbors
-	net := New(g, Config{MaxSendsPerSlot: 2})
-	received := 0
-	var mu sync.Mutex
-	net.RunSlots(2, func(ctx *Context) {
-		if ctx.Slot() == 0 && ctx.Node() == 0 {
-			if sent := ctx.Broadcast(payload{"b", 1}); sent != 2 {
-				t.Errorf("Broadcast sent %d, want cap 2", sent)
-			}
-		}
-		mu.Lock()
-		received += len(ctx.Inbox)
-		mu.Unlock()
-	})
-	if received != 2 {
-		t.Fatalf("received %d, want 2 (cap)", received)
-	}
-	if s := net.Stats(); s.DroppedCapacity != 2 {
-		t.Fatalf("DroppedCapacity = %d, want 2", s.DroppedCapacity)
-	}
-}
-
 func TestBroadcastReachesAllNeighbors(t *testing.T) {
 	g := topology.Star(6)
 	net := New(g, Config{})

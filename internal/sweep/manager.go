@@ -628,11 +628,20 @@ var queueFullPolicy = backoff.Policy{Base: 2 * time.Millisecond, Max: 50 * time.
 
 // acquireCellSlot claims one of the tenant's concurrent-sweep-cell
 // slots, waiting on the backoff schedule while the quota is exhausted
-// (another of the tenant's cells finishing frees one). Returns false if
-// the sweep stopped while waiting.
+// (another of the tenant's cells finishing frees one). A cell that has
+// to wait is one sweep_cells refusal, however often it polls. Returns
+// false if the sweep stopped while waiting.
 func (m *Manager) acquireCellSlot(sw *Sweep) bool {
+	refused := false
 	err := backoff.Retry(context.Background(), sw.stopped, queueFullPolicy, func() (bool, error) {
-		return m.tenants().AcquireSweepCell(sw.owner), nil
+		if m.tenants().AcquireSweepCell(sw.owner) {
+			return true, nil
+		}
+		if !refused {
+			refused = true
+			m.tenants().Reject(sw.owner, tenant.ReasonSweepCells)
+		}
+		return false, nil
 	})
 	return err == nil
 }

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/service"
@@ -66,6 +67,45 @@ func TestSweepCompletesUnderSweepCellQuota(t *testing.T) {
 				t.Fatalf("sweep-cell gauge did not return to zero: %s", line)
 			}
 		}
+	}
+	drainAll(t, sm, svc)
+}
+
+// TestSweepCellQuotaWaitCountedOnce: a cell that waits for the
+// tenant's sweep-cell quota is one refusal, however many times the
+// sweep loop polls the quota while it waits.
+func TestSweepCellQuotaWaitCountedOnce(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tenants.json")
+	if err := os.WriteFile(path, []byte(`{"tenants": [{"id": "capped", "key": "k", "max_sweep_cells": 1}]}`), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.New()
+	ctl, err := tenant.NewController(tenant.Config{Path: path, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := service.New(service.Config{Workers: 1, Metrics: reg, Tenants: ctl})
+	sm := NewManager(Config{Service: svc, Metrics: reg})
+	capped, err := ctl.Authenticate("k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ctl.AcquireSweepCell(capped) {
+		t.Fatal("could not take the tenant's only sweep-cell slot")
+	}
+	sw, err := sm.SubmitAs(capped, Grid{N: []int{20}, Trials: 1, Seed: 7})
+	if err != nil {
+		t.Fatalf("SubmitAs: %v", err)
+	}
+	time.Sleep(200 * time.Millisecond) // the sweep loop polls the full quota
+	ctl.ReleaseSweepCell(capped)
+	waitSweep(t, sw)
+	if v := sw.View(false); v.Status != StatusDone || v.Executed != 1 {
+		t.Fatalf("sweep ended %+v, want its one cell executed", v)
+	}
+	got := reg.Counter(tenant.MetricRejected + `{tenant="capped",reason="` + tenant.ReasonSweepCells + `"}`).Value()
+	if got != 1 {
+		t.Fatalf("sweep-cell refusals = %d, want 1 (one cell waited)", got)
 	}
 	drainAll(t, sm, svc)
 }

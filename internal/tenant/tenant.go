@@ -503,13 +503,13 @@ func (c *Controller) JobFinished(t *Tenant) {
 
 // AcquireSweepCell claims one of the tenant's concurrent-sweep-cell
 // slots. ok=false means the quota is exhausted — the sweep loop backs
-// off and retries (quota pressure is back-pressure, not failure).
+// off and retries (quota pressure is back-pressure, not failure), and
+// counts the refusal once per waiting cell, not once per poll.
 func (c *Controller) AcquireSweepCell(t *Tenant) bool {
 	t.mu.Lock()
 	max := t.limits.MaxSweepCells
 	if max > 0 && t.sweepCells >= max {
 		t.mu.Unlock()
-		c.Reject(t, ReasonSweepCells)
 		return false
 	}
 	t.sweepCells++

@@ -11,18 +11,21 @@
 //
 // Frame layout (13 bytes before the message, little-endian):
 //
-//	magic  [4]byte "VMW2"
+//	magic  [4]byte "VMW3"
 //	length uint32  type byte + message bytes, ≤ MaxPayload
 //	crc32  uint32  IEEE CRC of the type byte and the message
 //	type   uint8
 //	message
 //
-// The CRC covers the type byte, so a flipped type fails the check. A
-// peer from a build that framed "VMW1" (type outside the CRC) is
-// refused at its first frame for its magic.
+// The CRC covers the type byte, so a flipped type fails the check. The
+// magic names the protocol, payload encodings included: a peer from a
+// build that framed "VMW1" (type outside the CRC) or "VMW2" (varint
+// grant batches) is refused at its first frame for its magic, instead
+// of failing later on a payload it cannot decode.
 //
-// The frame types and their payload encodings belong to the protocol
-// layer (internal/cluster): this package moves opaque typed payloads.
+// The frame types and their payload encodings (JSON, every one of
+// them) belong to the protocol layer (internal/cluster): this package
+// moves opaque typed payloads.
 package wire
 
 import (
@@ -58,7 +61,7 @@ type FrameType uint8
 const (
 	// Hello opens a conn: the worker presents its registered ID.
 	Hello FrameType = 1
-	// HelloAck accepts or rejects the Hello and carries the cadence.
+	// HelloAck accepts or rejects the Hello.
 	HelloAck FrameType = 2
 	// Want advertises how many more units the worker can take.
 	Want FrameType = 3
@@ -72,7 +75,7 @@ const (
 	Bye FrameType = 7
 )
 
-var magic = [4]byte{'V', 'M', 'W', '2'}
+var magic = [4]byte{'V', 'M', 'W', '3'}
 
 // MaxPayload bounds one frame's payload, the type byte included: the
 // same cap as the HTTP complete endpoint, since completion uploads are

@@ -19,7 +19,7 @@ import (
 func FuzzReadFrame(f *testing.F) {
 	f.Add(AppendFrame(nil, Hello, []byte(`{"worker_id":"w0001"}`)))
 	f.Add(AppendFrame(AppendFrame(nil, Want, []byte(`{"n":2}`)), Heartbeat, []byte(`{}`)))
-	f.Add([]byte("VMW2"))
+	f.Add([]byte("VMW3"))
 	f.Add(bytes.Repeat([]byte{0}, frame.HeaderLen+1))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -50,7 +50,7 @@ func FuzzReadFrame(f *testing.F) {
 // matter what arrives.
 func FuzzConnStream(f *testing.F) {
 	f.Add(AppendFrame(nil, Grant, bytes.Repeat([]byte{1}, 100)))
-	f.Add([]byte("VMW2\x05garbage that is not a frame at all"))
+	f.Add([]byte("VMW3\x05garbage that is not a frame at all"))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {

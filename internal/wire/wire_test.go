@@ -38,7 +38,7 @@ func TestFrameRoundTrip(t *testing.T) {
 
 	// The bytes on the wire: magic, length 3 (type byte and "hi"), the
 	// CRC of all three, the type byte, the message.
-	if got := hex.EncodeToString(AppendFrame(nil, Hello, []byte("hi"))); got != "564d573203000000768bc967016869" {
+	if got := hex.EncodeToString(AppendFrame(nil, Hello, []byte("hi"))); got != "564d573303000000768bc967016869" {
 		t.Fatalf("Hello frame encodes as %s", got)
 	}
 }
@@ -78,6 +78,12 @@ func TestReadFrameRejectsCorruption(t *testing.T) {
 	old = binary.LittleEndian.AppendUint32(old, crc32.ChecksumIEEE(hello))
 	if _, _, err := ReadFrame(bytes.NewReader(append(old, hello...))); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("VMW1 frame: %v", err)
+	}
+	// So is one from a build that framed "VMW2": the same layout, but
+	// grants encoded as varint batches.
+	vmw2 := frame.Append(nil, [4]byte{'V', 'M', 'W', '2'}, []byte{byte(Hello)}, hello)
+	if _, _, err := ReadFrame(bytes.NewReader(vmw2)); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("VMW2 frame: %v", err)
 	}
 	// Torn mid-payload and mid-header: io errors, not panics.
 	for _, cut := range []int{3, frame.HeaderLen + 1, len(good) - 2} {

@@ -7,7 +7,11 @@
 # "cluster"}), and every process drains cleanly on SIGTERM with exit
 # code 0. SHARD_TRIALS > 0 makes the server split the job into
 # trial-range shards and asserts the shard pipeline (planned/merged/
-# assembled counters, wire frames) actually carried them.
+# assembled counters, wire frames) actually carried them. Either way no
+# unit may be lost or refused on the way: a frame or payload one side
+# cannot decode, an abandoned unit, or a stale or rejected completion
+# fails the smoke instead of being absorbed by a requeue or the local
+# fallback.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -96,6 +100,12 @@ TOTAL_UNITS=$(echo "$METRICS" | awk '/^cluster_units_completed_total{/ {sum += $
 [ "$TOTAL_UNITS" -ge 1 ] || fail "no unit completions counted across the fleet"
 WIRE_FRAMES=$(echo "$METRICS" | awk '/^wire_frames_sent_total / {print $2+0}')
 [ "${WIRE_FRAMES:-0}" -ge 1 ] || fail "no frames crossed the streaming transport"
+
+for want in 'wire_frame_errors_total 0' 'cluster_units_abandoned_total 0' 'cluster_results_stale_total 0'; do
+  echo "$METRICS" | grep -qx "$want" || fail "want '$want' after the job"
+done
+REJECTED=$(echo "$METRICS" | grep '^cluster_results_rejected_total' || true)
+[ -z "$REJECTED" ] || fail "completions were rejected: $REJECTED"
 
 if [ "$SHARD_TRIALS" -gt 0 ]; then
   PLANNED=$(echo "$METRICS" | awk '/^cluster_shards_planned_total / {print $2+0}')
