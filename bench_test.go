@@ -698,12 +698,12 @@ func BenchmarkCountQuery100Synopses(b *testing.B) {
 }
 
 func BenchmarkEnvelopeSealOpen(b *testing.B) {
-	key := crypto.KeyFromUint64(7)
+	key := crypto.NewMACKey(crypto.KeyFromUint64(7))
 	msg := core.AggMsg{Records: make([]core.Record, 100)} // a 2.4KB aggregate
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		env := core.Seal(5, key, 1, 2, msg)
-		if _, ok := env.Open(key, 1, 2); !ok {
+		env := core.Seal(5, &key, 1, 2, msg)
+		if _, ok := env.Open(&key, 1, 2); !ok {
 			b.Fatal("open failed")
 		}
 	}

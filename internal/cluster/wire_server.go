@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -141,6 +142,13 @@ func (s *wireServer) serveConn(wc *wire.Conn) {
 
 	wc.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	t, payload, err := wc.Recv()
+	if err == io.EOF {
+		// Closed before its first byte: a port probe or a load
+		// balancer's TCP check, not a malformed frame. Recv returns a
+		// bare io.EOF only at a frame boundary, so a torn or garbled
+		// first frame still counts below.
+		return
+	}
 	if err != nil || t != wire.Hello {
 		s.frameErrs.Inc()
 		return

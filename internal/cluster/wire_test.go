@@ -314,6 +314,40 @@ func TestWireServerSurvivesHostileConn(t *testing.T) {
 	}
 }
 
+// A conn that closes before sending a byte is a probe (a port scan, a
+// load balancer's TCP check), not a framing fault, so the handshake
+// drops it without counting; a conn that dies inside its first frame
+// header still counts. Each conn is served to completion on the test's
+// goroutine, over a pipe, so the counter is read after the handshake
+// has run.
+func TestWireServerBareConnectNotAFrameError(t *testing.T) {
+	reg := metrics.New()
+	cfg := fastCadence()
+	cfg.Metrics = reg
+	c, _ := newTestPlane(t, cfg)
+	serve := func(sent []byte) {
+		client, server := net.Pipe()
+		go func() {
+			if len(sent) > 0 {
+				client.Write(sent)
+			}
+			client.Close()
+		}()
+		c.wire.wg.Add(1)
+		c.wire.serveConn(wire.NewConn(server))
+	}
+
+	serve(nil)
+	if n := reg.Counter(wire.MetricFrameErrors).Value(); n != 0 {
+		t.Fatalf("bare connect counted: frame errors = %d, want 0", n)
+	}
+	hello := wire.AppendFrame(nil, wire.Hello, []byte(`{"worker_id":"w0001"}`))
+	serve(hello[:frame.HeaderLen-3])
+	if n := reg.Counter(wire.MetricFrameErrors).Value(); n != 1 {
+		t.Fatalf("torn header: frame errors = %d, want 1", n)
+	}
+}
+
 // waitFrameErrors waits until the wire server has counted n frame
 // errors.
 func waitFrameErrors(t *testing.T, reg *metrics.Registry, n int64) {

@@ -138,7 +138,8 @@ func (a *AdvContext) Inbox() []ReceivedEnvelope {
 			out = append(out, ReceivedEnvelope{From: m.From, KeyIndex: NoKey, Payload: m.Payload, Valid: false})
 			continue
 		}
-		inner, valid := env.Open(a.engine.poolKey(env.KeyIndex), m.From, a.state.id)
+		key := a.engine.poolKey(env.KeyIndex)
+		inner, valid := env.Open(&key, m.From, a.state.id)
 		payload := interface{}(inner)
 		if !valid {
 			payload = env.Inner
@@ -171,7 +172,8 @@ func (a *AdvContext) SendSealed(to topology.NodeID, keyIndex int, payload interf
 	if !ok || !a.engine.coalitionHolds(keyIndex) {
 		return false
 	}
-	env := Seal(keyIndex, a.engine.poolKey(keyIndex), a.state.id, to, in)
+	key := a.engine.poolKey(keyIndex)
+	env := Seal(keyIndex, &key, a.state.id, to, in)
 	return a.ctx.Send(to, env)
 }
 
@@ -197,8 +199,8 @@ func (a *AdvContext) OwnRecord(instance int) Record {
 // but a valid MAC — the "report a fake reading for itself" behavior the
 // secure-aggregation problem explicitly permits (Section III).
 func (a *AdvContext) RecordWithValue(instance int, value float64) Record {
-	return NewRecord(a.state.id, instance, value,
-		a.engine.sensorKey(a.state.id), a.engine.queryNonce)
+	key := a.engine.sensorKey(a.state.id)
+	return NewRecord(a.state.id, instance, value, &key, a.engine.queryNonce)
 }
 
 // ForgeRecord returns a record claiming to originate from any node, with a
@@ -211,8 +213,8 @@ func (a *AdvContext) ForgeRecord(origin topology.NodeID, instance int, value flo
 // VetoWithValue returns a veto for this node with a valid MAC over an
 // arbitrary value and level.
 func (a *AdvContext) VetoWithValue(instance int, value float64, level int) VetoMsg {
-	return NewVeto(a.state.id, instance, value, level,
-		a.engine.sensorKey(a.state.id), a.engine.confirmNonce)
+	key := a.engine.sensorKey(a.state.id)
+	return NewVeto(a.state.id, instance, value, level, &key, a.engine.confirmNonce)
 }
 
 // ForgeVeto returns a spurious veto claiming any vetoer, with a garbage

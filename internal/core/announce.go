@@ -201,8 +201,11 @@ func (t TestAnnounce) Encode() []byte {
 }
 
 // ReplyMAC computes the "yes" reply MAC_K(N) for a test nonce.
-func ReplyMAC(key crypto.Key, nonce []byte) crypto.MAC {
-	return crypto.ComputeMAC(key, []byte("pred-reply"), nonce)
+func ReplyMAC(key *crypto.MACKey, nonce []byte) crypto.MAC {
+	var buf [shortBufSize]byte
+	b := macInput(buf[:], 2*8+len("pred-reply")+len(nonce))
+	b = crypto.AppendPart(b, []byte("pred-reply"))
+	return key.Sum(crypto.AppendPart(b, nonce))
 }
 
 // Inf is the identity value of MIN aggregation.

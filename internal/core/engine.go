@@ -252,11 +252,12 @@ type Engine struct {
 	deadlineHit bool
 
 	// poolKeys and sensorKeys memoise the keys this execution has
-	// derived, so each is computed at most once however many seals, opens
-	// and MAC checks use it. They hold only the keys the execution
-	// touches, and need no lock: the engine runs on one goroutine.
-	poolKeys   map[int]crypto.Key
-	sensorKeys map[topology.NodeID]crypto.Key
+	// derived, prepared for HMAC, so each is derived and has its pads
+	// compressed at most once however many seals, opens and MAC checks
+	// use it. They hold only the keys the execution touches, and need no
+	// lock: the engine runs on one goroutine.
+	poolKeys   map[int]crypto.MACKey
+	sensorKeys map[topology.NodeID]crypto.MACKey
 }
 
 // PhaseSlotBreakdown partitions an execution's slots by protocol phase.
@@ -322,8 +323,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 		instances: cfg.Instances,
 		rng:       crypto.NewStreamFromSeed(cfg.Seed ^ 0x56a1a7),
 
-		poolKeys:   make(map[int]crypto.Key),
-		sensorKeys: make(map[topology.NodeID]crypto.Key),
+		poolKeys:   make(map[int]crypto.MACKey),
+		sensorKeys: make(map[topology.NodeID]crypto.MACKey),
 	}
 	e.channel = authbcast.NewChannel(crypto.DeriveKey(crypto.KeyFromUint64(cfg.Seed), "authbcast", 0))
 	e.verifier = e.channel.Verifier()
@@ -500,7 +501,7 @@ func (e *Engine) recordValid(r Record) bool {
 	if e.cfg.Registry.NodeRevoked(r.Origin) {
 		return false
 	}
-	if !r.VerifyWith(e.sensorKey(r.Origin), e.queryNonce) {
+	if key := e.sensorKey(r.Origin); !r.VerifyWith(&key, e.queryNonce) {
 		return false
 	}
 	if e.cfg.VerifyRecord != nil && !e.cfg.VerifyRecord(r) {
@@ -528,7 +529,8 @@ func (e *Engine) vetoValid(v VetoMsg) bool {
 	if !(v.Value < e.announcedMins[v.Instance]) {
 		return false
 	}
-	return v.VerifyWith(e.sensorKey(v.Vetoer), e.confirmNonce)
+	key := e.sensorKey(v.Vetoer)
+	return v.VerifyWith(&key, e.confirmNonce)
 }
 
 // finish stamps the cost counters into an outcome.
@@ -652,21 +654,23 @@ func (e *Engine) edgeKey(a, b topology.NodeID) (int, bool) {
 	return e.cfg.Deployment.EdgeKeyIndex(a, b, reg.KeyRevoked)
 }
 
-// poolKey returns the pool key with this index, deriving it on first use.
-func (e *Engine) poolKey(index int) crypto.Key {
+// poolKey returns the pool key with this index, deriving and preparing
+// it on first use.
+func (e *Engine) poolKey(index int) crypto.MACKey {
 	k, ok := e.poolKeys[index]
 	if !ok {
-		k = e.cfg.Deployment.PoolKey(index)
+		k = crypto.NewMACKey(e.cfg.Deployment.PoolKey(index))
 		e.poolKeys[index] = k
 	}
 	return k
 }
 
-// sensorKey returns id's sensor key, deriving it on first use.
-func (e *Engine) sensorKey(id topology.NodeID) crypto.Key {
+// sensorKey returns id's sensor key, deriving and preparing it on first
+// use.
+func (e *Engine) sensorKey(id topology.NodeID) crypto.MACKey {
 	k, ok := e.sensorKeys[id]
 	if !ok {
-		k = e.cfg.Deployment.SensorKey(id)
+		k = crypto.NewMACKey(e.cfg.Deployment.SensorKey(id))
 		e.sensorKeys[id] = k
 	}
 	return k
@@ -681,7 +685,8 @@ func (e *Engine) ownRecord(id topology.NodeID, instance int) Record {
 	if math.IsInf(value, 1) {
 		return Record{Origin: id, Instance: instance, Value: Inf()}
 	}
-	return NewRecord(id, instance, value, e.sensorKey(id), e.queryNonce)
+	key := e.sensorKey(id)
+	return NewRecord(id, instance, value, &key, e.queryNonce)
 }
 
 // sendSealed is the honest send path: seal with the canonical edge key
@@ -692,7 +697,8 @@ func (e *Engine) sendSealed(ctx *simnet.Context, to topology.NodeID, payload inn
 	if !ok {
 		return NoKey, false
 	}
-	env := Seal(idx, e.poolKey(idx), ctx.Node(), to, payload)
+	key := e.poolKey(idx)
+	env := Seal(idx, &key, ctx.Node(), to, payload)
 	if !ctx.Send(to, env) {
 		return NoKey, false
 	}
@@ -714,7 +720,8 @@ func (e *Engine) acceptEnvelope(m simnet.Message, self topology.NodeID) (inner, 
 	if !e.cfg.Deployment.Holds(self, env.KeyIndex) {
 		return nil, NoKey, false
 	}
-	payload, ok := env.Open(e.poolKey(env.KeyIndex), m.From, self)
+	key := e.poolKey(env.KeyIndex)
+	payload, ok := env.Open(&key, m.From, self)
 	if !ok {
 		return nil, NoKey, false
 	}

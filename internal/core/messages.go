@@ -17,7 +17,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/crypto"
 	"repro/internal/topology"
@@ -34,6 +36,36 @@ const (
 	replyWireSize    = crypto.MACSize
 )
 
+// Encoded sizes, in bytes, of the MAC and message-identity inputs: a
+// record is origin, instance, value and MAC, and a veto adds its level.
+// envelopeMACLen is an envelope's MAC input less its payload encoding:
+// four fixed parts ("envelope", key index, from, to) and the length
+// prefix of the payload part.
+const (
+	recordEncSize  = 4 * 8
+	vetoEncSize    = 5 * 8
+	envelopeMACLen = 8 + len("envelope") + 3*16 + 8
+)
+
+// MAC inputs are built on the stack, with one heap buffer beyond these
+// sizes. An envelope's buffer holds the input of an envelope carrying
+// the paper's 100-synopsis aggregate (Section IX), 3,275 bytes; a
+// record's or veto's holds its input under nonces of up to 44 bytes
+// (the engine's are at most 22).
+const (
+	envelopeBufSize = envelopeMACLen + len("agg") + 100*recordEncSize
+	shortBufSize    = 128
+)
+
+// macInput returns an empty buffer for an n-byte MAC input: buf when
+// the input fits, one heap buffer otherwise.
+func macInput(buf []byte, n int) []byte {
+	if n > len(buf) {
+		return make([]byte, 0, n)
+	}
+	return buf[:0]
+}
+
 // Record is one sensor's contribution to one MIN instance: the paper's
 // <id, v, MAC_id(v||nonce)> message of Section IV-B. Origin's MAC is
 // generated with its sensor key and is verifiable only by the base
@@ -46,7 +78,7 @@ type Record struct {
 }
 
 // NewRecord builds and authenticates origin's record for one instance.
-func NewRecord(origin topology.NodeID, instance int, value float64, sensorKey crypto.Key, nonce []byte) Record {
+func NewRecord(origin topology.NodeID, instance int, value float64, sensorKey *crypto.MACKey, nonce []byte) Record {
 	return Record{
 		Origin:   origin,
 		Instance: instance,
@@ -55,35 +87,39 @@ func NewRecord(origin topology.NodeID, instance int, value float64, sensorKey cr
 	}
 }
 
-func recordMAC(key crypto.Key, origin topology.NodeID, instance int, value float64, nonce []byte) crypto.MAC {
-	return crypto.ComputeMAC(key,
-		[]byte("agg-record"),
-		crypto.Uint64(uint64(origin)),
-		crypto.Uint64(uint64(instance)),
-		crypto.Float64(value),
-		nonce,
-	)
+func recordMAC(key *crypto.MACKey, origin topology.NodeID, instance int, value float64, nonce []byte) crypto.MAC {
+	var buf [shortBufSize]byte
+	b := macInput(buf[:], 5*8+len("agg-record")+3*8+len(nonce))
+	b = crypto.AppendPart(b, []byte("agg-record"))
+	b = crypto.AppendUint64Part(b, uint64(origin))
+	b = crypto.AppendUint64Part(b, uint64(instance))
+	b = crypto.AppendUint64Part(b, math.Float64bits(value))
+	return key.Sum(crypto.AppendPart(b, nonce))
 }
 
 // VerifyWith reports whether the record's MAC is valid under the given
 // sensor key and query nonce. Only the base station can perform this
 // check.
-func (r Record) VerifyWith(sensorKey crypto.Key, nonce []byte) bool {
+func (r Record) VerifyWith(sensorKey *crypto.MACKey, nonce []byte) bool {
 	return r.MAC == recordMAC(sensorKey, r.Origin, r.Instance, r.Value, nonce)
 }
 
-// Encode returns a stable byte encoding of the record.
-func (r Record) Encode() []byte {
-	out := make([]byte, 0, 28+crypto.MACSize)
-	out = append(out, crypto.Uint64(uint64(r.Origin))...)
-	out = append(out, crypto.Uint64(uint64(r.Instance))...)
-	out = append(out, crypto.Float64(r.Value)...)
-	out = append(out, r.MAC[:]...)
-	return out
+// appendTo appends the record's stable encoding, recordEncSize bytes.
+func (r Record) appendTo(b []byte) []byte {
+	b = binary.BigEndian.AppendUint64(b, uint64(r.Origin))
+	b = binary.BigEndian.AppendUint64(b, uint64(r.Instance))
+	b = binary.BigEndian.AppendUint64(b, math.Float64bits(r.Value))
+	return append(b, r.MAC[:]...)
 }
 
-// ID returns the record's message identity, used by junk audit trails.
-func (r Record) ID() crypto.Hash { return crypto.HashOf([]byte("record-id"), r.Encode()) }
+// ID returns the record's message identity, used by junk audit trails:
+// the hash of the parts "record-id" and the record's encoding.
+func (r Record) ID() crypto.Hash {
+	var buf [8 + len("record-id") + 8 + recordEncSize]byte
+	b := crypto.AppendPart(buf[:0], []byte("record-id"))
+	b = crypto.AppendPartLen(b, recordEncSize)
+	return crypto.HashMsg(r.appendTo(b))
+}
 
 // String renders the record for traces.
 func (r Record) String() string {
@@ -126,7 +162,7 @@ type VetoMsg struct {
 }
 
 // NewVeto builds and authenticates a veto.
-func NewVeto(vetoer topology.NodeID, instance int, value float64, level int, sensorKey crypto.Key, nonce []byte) VetoMsg {
+func NewVeto(vetoer topology.NodeID, instance int, value float64, level int, sensorKey *crypto.MACKey, nonce []byte) VetoMsg {
 	return VetoMsg{
 		Vetoer:   vetoer,
 		Instance: instance,
@@ -136,36 +172,40 @@ func NewVeto(vetoer topology.NodeID, instance int, value float64, level int, sen
 	}
 }
 
-func vetoMAC(key crypto.Key, vetoer topology.NodeID, instance int, value float64, level int, nonce []byte) crypto.MAC {
-	return crypto.ComputeMAC(key,
-		[]byte("veto"),
-		crypto.Uint64(uint64(vetoer)),
-		crypto.Uint64(uint64(instance)),
-		crypto.Float64(value),
-		crypto.Int64(int64(level)),
-		nonce,
-	)
+func vetoMAC(key *crypto.MACKey, vetoer topology.NodeID, instance int, value float64, level int, nonce []byte) crypto.MAC {
+	var buf [shortBufSize]byte
+	b := macInput(buf[:], 6*8+len("veto")+4*8+len(nonce))
+	b = crypto.AppendPart(b, []byte("veto"))
+	b = crypto.AppendUint64Part(b, uint64(vetoer))
+	b = crypto.AppendUint64Part(b, uint64(instance))
+	b = crypto.AppendUint64Part(b, math.Float64bits(value))
+	b = crypto.AppendUint64Part(b, uint64(level))
+	return key.Sum(crypto.AppendPart(b, nonce))
 }
 
 // VerifyWith reports whether the veto's MAC is valid under the given
 // sensor key and confirmation nonce.
-func (v VetoMsg) VerifyWith(sensorKey crypto.Key, nonce []byte) bool {
+func (v VetoMsg) VerifyWith(sensorKey *crypto.MACKey, nonce []byte) bool {
 	return v.MAC == vetoMAC(sensorKey, v.Vetoer, v.Instance, v.Value, v.Level, nonce)
 }
 
-// Encode returns a stable byte encoding of the veto.
-func (v VetoMsg) Encode() []byte {
-	out := make([]byte, 0, 32+crypto.MACSize)
-	out = append(out, crypto.Uint64(uint64(v.Vetoer))...)
-	out = append(out, crypto.Uint64(uint64(v.Instance))...)
-	out = append(out, crypto.Float64(v.Value)...)
-	out = append(out, crypto.Int64(int64(v.Level))...)
-	out = append(out, v.MAC[:]...)
-	return out
+// appendTo appends the veto's stable encoding, vetoEncSize bytes.
+func (v VetoMsg) appendTo(b []byte) []byte {
+	b = binary.BigEndian.AppendUint64(b, uint64(v.Vetoer))
+	b = binary.BigEndian.AppendUint64(b, uint64(v.Instance))
+	b = binary.BigEndian.AppendUint64(b, math.Float64bits(v.Value))
+	b = binary.BigEndian.AppendUint64(b, uint64(v.Level))
+	return append(b, v.MAC[:]...)
 }
 
-// ID returns the veto's message identity, used by junk audit trails.
-func (v VetoMsg) ID() crypto.Hash { return crypto.HashOf([]byte("veto-id"), v.Encode()) }
+// ID returns the veto's message identity, used by junk audit trails:
+// the hash of the parts "veto-id" and the veto's encoding.
+func (v VetoMsg) ID() crypto.Hash {
+	var buf [8 + len("veto-id") + 8 + vetoEncSize]byte
+	b := crypto.AppendPart(buf[:0], []byte("veto-id"))
+	b = crypto.AppendPartLen(b, vetoEncSize)
+	return crypto.HashMsg(v.appendTo(b))
+}
 
 // WireSize charges the paper's 24-byte figure for a compact record.
 func (VetoMsg) WireSize() int { return vetoWireSize }
@@ -181,25 +221,39 @@ type PredicateReply struct {
 func (PredicateReply) WireSize() int { return replyWireSize }
 
 // inner is the union of payloads that travel inside edge-authenticated
-// envelopes.
+// envelopes. innerLen is the length of the payload's encoding, the last
+// part of its envelope's MAC input, which appendInner appends.
 type inner interface {
 	WireSize() int
-	encodeInner() []byte
+	innerLen() int
 }
 
-func (m AggMsg) encodeInner() []byte {
-	out := []byte("agg")
-	for _, r := range m.Records {
-		out = append(out, r.Encode()...)
+func (m AggMsg) innerLen() int       { return len("agg") + recordEncSize*len(m.Records) }
+func (TreeFormMsg) innerLen() int    { return len("tree-form") }
+func (VetoMsg) innerLen() int        { return len("veto") + vetoEncSize }
+func (PredicateReply) innerLen() int { return len("reply") + crypto.MACSize }
+
+// appendInner appends payload's encoding. It switches on the concrete
+// type rather than calling a method of the interface: a buffer passed
+// through an interface method escapes, which would move every
+// envelope's MAC input to the heap.
+func appendInner(b []byte, payload inner) []byte {
+	switch p := payload.(type) {
+	case AggMsg:
+		b = append(b, "agg"...)
+		for _, r := range p.Records {
+			b = r.appendTo(b)
+		}
+		return b
+	case TreeFormMsg:
+		return append(b, "tree-form"...)
+	case VetoMsg:
+		return p.appendTo(append(b, "veto"...))
+	case PredicateReply:
+		return append(append(b, "reply"...), p.MAC[:]...)
 	}
-	return out
+	panic(fmt.Sprintf("core: no envelope encoding for %T", payload))
 }
-
-func (TreeFormMsg) encodeInner() []byte { return []byte("tree-form") }
-
-func (v VetoMsg) encodeInner() []byte { return append([]byte("veto"), v.Encode()...) }
-
-func (p PredicateReply) encodeInner() []byte { return append([]byte("reply"), p.MAC[:]...) }
 
 // Envelope is an edge-authenticated wrapper: every VMAT message between
 // neighbors carries an edge MAC under a pool key both endpoints hold
@@ -216,7 +270,7 @@ type Envelope struct {
 func (e Envelope) WireSize() int { return e.Inner.WireSize() + envelopeOverhead }
 
 // Seal wraps payload for the link from -> to under the given pool key.
-func Seal(keyIndex int, key crypto.Key, from, to topology.NodeID, payload inner) Envelope {
+func Seal(keyIndex int, key *crypto.MACKey, from, to topology.NodeID, payload inner) Envelope {
 	return Envelope{
 		KeyIndex: keyIndex,
 		MAC:      envelopeMAC(key, keyIndex, from, to, payload),
@@ -224,19 +278,20 @@ func Seal(keyIndex int, key crypto.Key, from, to topology.NodeID, payload inner)
 	}
 }
 
-func envelopeMAC(key crypto.Key, keyIndex int, from, to topology.NodeID, payload inner) crypto.MAC {
-	return crypto.ComputeMAC(key,
-		[]byte("envelope"),
-		crypto.Uint64(uint64(keyIndex)),
-		crypto.Uint64(uint64(from)),
-		crypto.Uint64(uint64(to)),
-		payload.encodeInner(),
-	)
+func envelopeMAC(key *crypto.MACKey, keyIndex int, from, to topology.NodeID, payload inner) crypto.MAC {
+	var buf [envelopeBufSize]byte
+	n := payload.innerLen()
+	b := crypto.AppendPart(macInput(buf[:], envelopeMACLen+n), []byte("envelope"))
+	b = crypto.AppendUint64Part(b, uint64(keyIndex))
+	b = crypto.AppendUint64Part(b, uint64(from))
+	b = crypto.AppendUint64Part(b, uint64(to))
+	b = crypto.AppendPartLen(b, n)
+	return key.Sum(appendInner(b, payload))
 }
 
 // Open verifies the envelope as received on the link from -> to and
 // returns the payload. It returns false when the MAC does not verify.
-func (e Envelope) Open(key crypto.Key, from, to topology.NodeID) (inner, bool) {
+func (e Envelope) Open(key *crypto.MACKey, from, to topology.NodeID) (inner, bool) {
 	if e.Inner == nil {
 		return nil, false
 	}

@@ -7,14 +7,20 @@ import (
 	"repro/internal/crypto"
 )
 
+// macKey returns KeyFromUint64(v) prepared for HMAC.
+func macKey(v uint64) *crypto.MACKey {
+	k := crypto.NewMACKey(crypto.KeyFromUint64(v))
+	return &k
+}
+
 func TestRecordMACRoundTrip(t *testing.T) {
-	key := crypto.KeyFromUint64(1)
+	key := macKey(1)
 	nonce := []byte("nonce-1")
 	r := NewRecord(7, 2, 3.25, key, nonce)
 	if !r.VerifyWith(key, nonce) {
 		t.Fatal("valid record rejected")
 	}
-	if r.VerifyWith(crypto.KeyFromUint64(2), nonce) {
+	if r.VerifyWith(macKey(2), nonce) {
 		t.Fatal("record accepted under wrong key")
 	}
 	if r.VerifyWith(key, []byte("other-nonce")) {
@@ -23,7 +29,7 @@ func TestRecordMACRoundTrip(t *testing.T) {
 }
 
 func TestRecordTamperDetected(t *testing.T) {
-	key := crypto.KeyFromUint64(3)
+	key := macKey(3)
 	nonce := []byte("n")
 	r := NewRecord(7, 0, 10, key, nonce)
 	r.Value = 5 // adversary lowers the value
@@ -43,7 +49,7 @@ func TestRecordTamperDetected(t *testing.T) {
 }
 
 func TestRecordIDDistinguishes(t *testing.T) {
-	key := crypto.KeyFromUint64(4)
+	key := macKey(4)
 	nonce := []byte("n")
 	a := NewRecord(1, 0, 1, key, nonce)
 	b := NewRecord(1, 0, 2, key, nonce)
@@ -56,7 +62,7 @@ func TestRecordIDDistinguishes(t *testing.T) {
 }
 
 func TestVetoMACRoundTrip(t *testing.T) {
-	key := crypto.KeyFromUint64(5)
+	key := macKey(5)
 	nonce := []byte("confirm-nonce")
 	v := NewVeto(9, 1, 0.5, 3, key, nonce)
 	if !v.VerifyWith(key, nonce) {
@@ -69,7 +75,7 @@ func TestVetoMACRoundTrip(t *testing.T) {
 }
 
 func TestEnvelopeSealOpen(t *testing.T) {
-	key := crypto.KeyFromUint64(6)
+	key := macKey(6)
 	msg := AggMsg{Records: []Record{{Origin: 1, Value: 2}}}
 	env := Seal(42, key, 3, 4, msg)
 	got, ok := env.Open(key, 3, 4)
@@ -82,7 +88,7 @@ func TestEnvelopeSealOpen(t *testing.T) {
 }
 
 func TestEnvelopeDirectionBound(t *testing.T) {
-	key := crypto.KeyFromUint64(7)
+	key := macKey(7)
 	env := Seal(42, key, 3, 4, TreeFormMsg{})
 	if _, ok := env.Open(key, 4, 3); ok {
 		t.Fatal("envelope replayed in reverse direction")
@@ -93,9 +99,9 @@ func TestEnvelopeDirectionBound(t *testing.T) {
 }
 
 func TestEnvelopeWrongKeyOrTamper(t *testing.T) {
-	key := crypto.KeyFromUint64(8)
+	key := macKey(8)
 	env := Seal(1, key, 0, 1, TreeFormMsg{})
-	if _, ok := env.Open(crypto.KeyFromUint64(9), 0, 1); ok {
+	if _, ok := env.Open(macKey(9), 0, 1); ok {
 		t.Fatal("envelope opened with wrong key")
 	}
 	env2 := Seal(1, key, 0, 1, VetoMsg{Vetoer: 5, Value: 1})
@@ -116,7 +122,7 @@ func TestWireSizes(t *testing.T) {
 	if (VetoMsg{}).WireSize() != 24 {
 		t.Fatal("veto must be 24 bytes")
 	}
-	env := Seal(1, crypto.KeyFromUint64(1), 0, 1, AggMsg{Records: make([]Record, 1)})
+	env := Seal(1, macKey(1), 0, 1, AggMsg{Records: make([]Record, 1)})
 	if env.WireSize() != 24+12 {
 		t.Fatalf("envelope wire size = %d, want 36", env.WireSize())
 	}
@@ -265,6 +271,95 @@ func TestOutcomeKindStrings(t *testing.T) {
 	for _, p := range []Phase{PhaseTree, PhaseAggregation, PhaseConfirmation} {
 		if p.String() == "unknown" {
 			t.Fatalf("phase %d unnamed", int(p))
+		}
+	}
+}
+
+// TestHotPrimitivesAllocationFree pins the engine's per-message MAC and
+// identity paths to the stack: each builds its input in place, and an
+// envelope's payload is encoded by its concrete type, so no input
+// escapes. A 40-record aggregate is the cold-mix AVERAGE query's (20
+// synopses per leg); the paper's 100-synopsis one fits the same buffer.
+func TestHotPrimitivesAllocationFree(t *testing.T) {
+	key := macKey(12)
+	nonce := []byte("query-nonce")
+	records := make([]Record, 40)
+	for i := range records {
+		records[i] = NewRecord(7, i, float64(i), key, nonce)
+	}
+	var agg inner = AggMsg{Records: records}
+	if n := testing.AllocsPerRun(100, func() {
+		env := Seal(3, key, 1, 2, agg)
+		if _, ok := env.Open(key, 1, 2); !ok {
+			t.Fatal("valid envelope rejected")
+		}
+	}); n != 0 {
+		t.Fatalf("Seal+Open of a 40-record aggregate allocates %.1f times per op", n)
+	}
+	veto := NewVeto(9, 1, 0.5, 3, key, nonce)
+	for _, p := range []inner{TreeFormMsg{}, veto, PredicateReply{MAC: veto.MAC}} {
+		if n := testing.AllocsPerRun(100, func() { Seal(3, key, 1, 2, p).Open(key, 1, 2) }); n != 0 {
+			t.Fatalf("Seal+Open of %T allocates %.1f times per op", p, n)
+		}
+	}
+	r := records[5]
+	if n := testing.AllocsPerRun(100, func() { r.ID() }); n != 0 {
+		t.Fatalf("Record.ID allocates %.1f times per op", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { veto.ID() }); n != 0 {
+		t.Fatalf("VetoMsg.ID allocates %.1f times per op", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { NewRecord(7, 0, 1, key, nonce).VerifyWith(key, nonce) }); n != 0 {
+		t.Fatalf("record MAC and check allocate %.1f times per op", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { NewVeto(9, 1, 0.5, 3, key, nonce).VerifyWith(key, nonce) }); n != 0 {
+		t.Fatalf("veto MAC and check allocate %.1f times per op", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { ReplyMAC(key, nonce) }); n != 0 {
+		t.Fatalf("ReplyMAC allocates %.1f times per op", n)
+	}
+}
+
+// TestMessageEncodingsMatchParts pins the in-place MAC and identity
+// inputs to the part lists they replaced, so every MAC and message
+// identity keeps its value.
+func TestMessageEncodingsMatchParts(t *testing.T) {
+	raw := crypto.KeyFromUint64(13)
+	key := crypto.NewMACKey(raw)
+	nonce := []byte("confirm-nonce")
+	r := NewRecord(7, 2, -3.25, &key, nonce)
+	if want := crypto.ComputeMAC(raw, []byte("agg-record"), crypto.Uint64(7), crypto.Uint64(2), crypto.Float64(-3.25), nonce); r.MAC != want {
+		t.Fatalf("record MAC %v, parts MAC %v", r.MAC, want)
+	}
+	rEnc := append(append(append(crypto.Uint64(7), crypto.Uint64(2)...), crypto.Float64(-3.25)...), r.MAC[:]...)
+	if want := crypto.HashOf([]byte("record-id"), rEnc); r.ID() != want {
+		t.Fatalf("record ID %v, parts hash %v", r.ID(), want)
+	}
+	v := NewVeto(9, 1, 0.5, -4, &key, nonce)
+	if want := crypto.ComputeMAC(raw, []byte("veto"), crypto.Uint64(9), crypto.Uint64(1), crypto.Float64(0.5), crypto.Int64(-4), nonce); v.MAC != want {
+		t.Fatalf("veto MAC %v, parts MAC %v", v.MAC, want)
+	}
+	vEnc := append(append(append(append(crypto.Uint64(9), crypto.Uint64(1)...), crypto.Float64(0.5)...), crypto.Int64(-4)...), v.MAC[:]...)
+	if want := crypto.HashOf([]byte("veto-id"), vEnc); v.ID() != want {
+		t.Fatalf("veto ID %v, parts hash %v", v.ID(), want)
+	}
+	if want := crypto.ComputeMAC(raw, []byte("pred-reply"), nonce); ReplyMAC(&key, nonce) != want {
+		t.Fatalf("reply MAC %v, parts MAC %v", ReplyMAC(&key, nonce), want)
+	}
+	payloads := []struct {
+		p   inner
+		enc []byte
+	}{
+		{AggMsg{Records: []Record{r, r}}, append(append([]byte("agg"), rEnc...), rEnc...)},
+		{TreeFormMsg{}, []byte("tree-form")},
+		{v, append([]byte("veto"), vEnc...)},
+		{PredicateReply{MAC: r.MAC}, append([]byte("reply"), r.MAC[:]...)},
+	}
+	for _, c := range payloads {
+		env := Seal(42, &key, 3, 4, c.p)
+		want := crypto.ComputeMAC(raw, []byte("envelope"), crypto.Uint64(42), crypto.Uint64(3), crypto.Uint64(4), c.enc)
+		if env.MAC != want {
+			t.Fatalf("%T envelope MAC %v, parts MAC %v", c.p, env.MAC, want)
 		}
 	}
 }

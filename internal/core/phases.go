@@ -268,8 +268,8 @@ func (e *Engine) ownVeto(s *sensorState) (VetoMsg, bool) {
 			continue
 		}
 		if v < e.announcedMins[inst] {
-			return NewVeto(s.id, inst, v, s.level,
-				e.sensorKey(s.id), e.confirmNonce), true
+			key := e.sensorKey(s.id)
+			return NewVeto(s.id, inst, v, s.level, &key, e.confirmNonce), true
 		}
 	}
 	return VetoMsg{}, false

@@ -21,7 +21,7 @@ func (e *Engine) runPredicateTest(key KeyRef, pred Predicate) bool {
 	e.predicateTests++
 	k, testedPool := e.resolveKey(key)
 	nonce := e.freshNonce("pred")
-	reply := ReplyMAC(k, nonce)
+	reply := ReplyMAC(&k, nonce)
 	test := TestAnnounce{
 		Key:        key,
 		Pred:       pred,
@@ -103,11 +103,11 @@ func (e *Engine) runPredicateTest(key KeyRef, pred Predicate) bool {
 	return success
 }
 
-// resolveKey returns the actual key bytes and, for pool keys, the pool
-// index honest predicate evaluation checks reception keys against
-// (NoKey for sensor-key tests, which do not constrain the in-edge key —
-// the Figure 6 step-6 re-confirmation).
-func (e *Engine) resolveKey(key KeyRef) (crypto.Key, int) {
+// resolveKey returns the actual key, prepared for HMAC, and, for pool
+// keys, the pool index honest predicate evaluation checks reception keys
+// against (NoKey for sensor-key tests, which do not constrain the
+// in-edge key — the Figure 6 step-6 re-confirmation).
+func (e *Engine) resolveKey(key KeyRef) (crypto.MACKey, int) {
 	if key.IsSensorKey() {
 		return e.sensorKey(key.Sensor), NoKey
 	}

@@ -107,6 +107,7 @@ func RunAverageCombined(base Config, reading func(topology.NodeID) int64, domain
 		return nil, fmt.Errorf("core: need at least one synopsis instance, got %d", m)
 	}
 	nonce := append([]byte("synopsis-query"), crypto.Uint64(base.Seed)...)
+	gens := synopsis.NewGenerators(nonce)
 	base.QueryNonce = nonce
 	base.Instances = 2 * m
 	base.Readings = func(id topology.NodeID, inst int) float64 {
@@ -118,16 +119,16 @@ func RunAverageCombined(base Config, reading func(topology.NodeID) int64, domain
 			return Inf()
 		}
 		if inst < m {
-			return synopsis.Generate(nonce, id, v, inst) // sum leg
+			return gens.Generate(id, v, inst) // sum leg
 		}
-		return synopsis.Generate(nonce, id, 1, inst) // count leg
+		return gens.Generate(id, 1, inst) // count leg
 	}
 	base.VerifyRecord = func(r Record) bool {
 		d := domain
 		if r.Instance >= m {
 			d = []int64{1}
 		}
-		_, ok := synopsis.VerifyReading(nonce, r.Origin, r.Value, r.Instance, d)
+		_, ok := gens.VerifyReading(r.Origin, r.Value, r.Instance, d)
 		return ok
 	}
 	eng, err := NewEngine(base)
@@ -158,6 +159,7 @@ func runSynopsisQuery(base Config, reading func(topology.NodeID) int64, domain [
 		return nil, fmt.Errorf("core: need at least one synopsis instance, got %d", m)
 	}
 	nonce := append([]byte("synopsis-query"), crypto.Uint64(base.Seed)...)
+	gens := synopsis.NewGenerators(nonce)
 	base.QueryNonce = nonce
 	base.Instances = m
 	base.Readings = func(id topology.NodeID, inst int) float64 {
@@ -165,10 +167,10 @@ func runSynopsisQuery(base Config, reading func(topology.NodeID) int64, domain [
 		if v <= 0 || id == topology.BaseStation {
 			return Inf()
 		}
-		return synopsis.Generate(nonce, id, v, inst)
+		return gens.Generate(id, v, inst)
 	}
 	base.VerifyRecord = func(r Record) bool {
-		_, ok := synopsis.VerifyReading(nonce, r.Origin, r.Value, r.Instance, domain)
+		_, ok := gens.VerifyReading(r.Origin, r.Value, r.Instance, domain)
 		return ok
 	}
 	eng, err := NewEngine(base)

@@ -9,6 +9,14 @@
 // MACs are modelled as 8-byte truncated HMAC-SHA256, matching the 8-byte
 // MAC size the paper assumes in its communication-cost analysis
 // (Section IX).
+//
+// Two hot paths run SHA-256 compressions themselves, on one kernel,
+// sha256blocks: the synopsis seed hash (SeedHash2Block, two blocks per
+// synopsis) and HMAC under a MACKey, whose two key-dependent pad blocks
+// are compressed once when the key is prepared, not on every MAC. The
+// kernel uses the SHA extensions of amd64 CPUs. Without them, or built
+// with the purego tag, both paths hash their full padded messages with
+// crypto/sha256 instead and produce the same bytes.
 package crypto
 
 import (
@@ -49,70 +57,42 @@ func (m MAC) String() string { return fmt.Sprintf("mac:%x", m[:]) }
 // blockSize is the SHA-256 block size, the padding width of HMAC.
 const blockSize = 64
 
-// stackLimit is the largest assembled message the MAC and hash paths
-// keep on the stack. Protocol messages (records, vetoes, envelopes for
-// MIN queries) fit comfortably; only multi-kilobyte synopsis aggregates
-// take one heap buffer.
+// stackLimit is the largest message ComputeMAC and HashOf assemble on
+// the stack. Their callers' messages (broadcast announcements, stream
+// seeds, reply commitments) fit comfortably; a longer one takes one
+// heap buffer.
 const stackLimit = 512
 
-// assemble appends each part, preceded by its 64-bit big-endian length,
-// to buf[:off], whose first off bytes the caller reserves. This is the
-// domain-separating encoding of ComputeMAC and HashOf: distinct part
-// boundaries can never collide. It writes into buf when the message
-// fits and into one heap buffer otherwise. The parts never escape, so
-// the callers' encoded parts (Uint64 and friends) stay on the stack.
-func assemble(buf []byte, off int, parts [][]byte) []byte {
-	n := off
+// assemble appends each part to buf[:0] with AppendPart: the
+// domain-separating encoding of ComputeMAC and HashOf, in which
+// distinct part boundaries can never collide. It writes into buf when
+// the message fits and into one heap buffer otherwise. The parts never
+// escape, so the callers' encoded parts (Uint64 and friends) stay on
+// the stack.
+func assemble(buf []byte, parts [][]byte) []byte {
+	n := 0
 	for _, p := range parts {
 		n += 8 + len(p)
 	}
-	b := buf[:off]
+	b := buf[:0]
 	if n > len(buf) {
-		b = make([]byte, off, n)
+		b = make([]byte, 0, n)
 	}
 	for _, p := range parts {
-		b = binary.BigEndian.AppendUint64(b, uint64(len(p)))
-		b = append(b, p...)
+		b = AppendPart(b, p)
 	}
 	return b
-}
-
-// hmacFinish computes HMAC-SHA256 over a message assembled in buf, whose
-// first blockSize bytes are reserved for the inner padding (they are
-// overwritten here). Building the padded block in the caller's buffer
-// keeps the whole computation allocation-free: sha256.Sum256 is a plain
-// function, so nothing escapes to the heap.
-func hmacFinish(k Key, buf []byte) [sha256.Size]byte {
-	for i := 0; i < blockSize; i++ {
-		var kb byte
-		if i < KeySize {
-			kb = k[i]
-		}
-		buf[i] = kb ^ 0x36
-	}
-	inner := sha256.Sum256(buf)
-	var outer [blockSize + sha256.Size]byte
-	for i := 0; i < blockSize; i++ {
-		var kb byte
-		if i < KeySize {
-			kb = k[i]
-		}
-		outer[i] = kb ^ 0x5c
-	}
-	copy(outer[blockSize:], inner[:])
-	return sha256.Sum256(outer[:])
 }
 
 // ComputeMAC computes the truncated HMAC-SHA256 of the concatenation of
 // parts under key k. Parts are length-prefixed before concatenation so
 // that distinct part boundaries can never collide (MAC(a||b) differs from
-// MAC(ab) when split differently).
+// MAC(ab) when split differently). It prepares k afresh on every call;
+// a caller that MACs many messages under one key keeps a MACKey.
 func ComputeMAC(k Key, parts ...[]byte) MAC {
-	var buf [blockSize + stackLimit]byte
-	sum := hmacFinish(k, assemble(buf[:], blockSize, parts))
-	var m MAC
-	copy(m[:], sum[:])
-	return m
+	var buf [stackLimit]byte
+	mk := NewMACKey(k)
+	return mk.Sum(assemble(buf[:], parts))
 }
 
 // VerifyMAC reports whether mac is the MAC of parts under key k, in
@@ -126,8 +106,13 @@ func VerifyMAC(k Key, mac MAC, parts ...[]byte) bool {
 // concatenation of parts, with the same length-prefixing as ComputeMAC.
 func HashOf(parts ...[]byte) Hash {
 	var buf [stackLimit]byte
-	return Hash(sha256.Sum256(assemble(buf[:], 0, parts)))
+	return HashMsg(assemble(buf[:], parts))
 }
+
+// HashMsg computes H() over a message already assembled with
+// AppendPart: HashMsg over the appended parts of a HashOf call equals
+// that call's hash.
+func HashMsg(msg []byte) Hash { return Hash(sha256.Sum256(msg)) }
 
 // HashMAC returns H(mac), the pre-image commitment the base station
 // broadcasts in a keyed predicate test so that every sensor can recognize
@@ -138,13 +123,16 @@ func HashMAC(mac MAC) Hash { return HashOf(mac[:]) }
 // and a numeric index. It is used to expand a key-pool seed into the pool's
 // keys and a ring seed into ring membership, mirroring the paper's remark
 // that a sensor's ring can be revoked wholesale by announcing "the
-// associated random seed used for the selection" (Section VI-A).
+// associated random seed used for the selection" (Section VI-A). The
+// subkey is the first KeySize bytes of HMAC-SHA256(master, label ||
+// BE64(index)).
 func DeriveKey(master Key, label string, index uint64) Key {
-	var buf [blockSize + stackLimit]byte
-	b := append(buf[:blockSize], label...)
-	sum := hmacFinish(master, binary.BigEndian.AppendUint64(b, index))
+	var buf [blockSize]byte
+	msg := binary.BigEndian.AppendUint64(append(buf[:0], label...), index)
+	mk := NewMACKey(master)
+	d := mk.digest(msg)
 	var k Key
-	copy(k[:], sum[:])
+	copy(k[:], d[:])
 	return k
 }
 

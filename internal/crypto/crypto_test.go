@@ -337,4 +337,24 @@ func TestHotPrimitivesAllocationFree(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() { ComputeMAC(k, []byte("record"), Uint64(42), Float64(3.5), Int64(-3)) }); n != 0 {
 		t.Fatalf("ComputeMAC over encoded parts allocates %.1f times per op", n)
 	}
+	// A prepared key's sums, across the padding edges and up to an
+	// envelope carrying a 100-synopsis aggregate, built on the stack.
+	mk := NewMACKey(k)
+	if n := testing.AllocsPerRun(200, func() { mk = NewMACKey(k) }); n != 0 {
+		t.Fatalf("NewMACKey allocates %.1f times per op", n)
+	}
+	for _, size := range []int{0, 55, 56, 64, 119, 120, 1200, 3275} {
+		msg := make([]byte, size)
+		if n := testing.AllocsPerRun(200, func() { mk.Sum(msg) }); n != 0 {
+			t.Fatalf("MACKey.Sum of %d bytes allocates %.1f times per op", size, n)
+		}
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		var buf [64]byte
+		b := AppendPart(buf[:0], []byte("record"))
+		b = AppendUint64Part(b, 42)
+		mk.Sum(AppendUint64Part(b, 7))
+	}); n != 0 {
+		t.Fatalf("MACKey.Sum over a stack-built input allocates %.1f times per op", n)
+	}
 }

@@ -9,8 +9,8 @@ import (
 // SeedMinMsg and SeedMaxMsg bound the messages SeedHash2Block accepts:
 // FIPS 180-4 padding (0x80 terminator, zero fill, 8-byte bit length)
 // lands a message in exactly two SHA-256 blocks iff its length is in
-// [56, 119] — shorter messages pad into a single block, which the
-// two-block kernel cannot produce.
+// [56, 119] — shorter messages pad into a single block, and
+// SeedHash2Block always compresses two.
 const (
 	SeedMinMsg = 56
 	SeedMaxMsg = 119
@@ -38,14 +38,17 @@ func Pad2Block(buf *[128]byte, msg []byte) {
 
 // SeedHash2Block returns the big-endian first eight digest bytes of
 // SHA-256 over the msgLen-byte message padded into buf (see Pad2Block) —
-// the value NewStream uses as a stream seed. On CPUs with the SHA
-// extensions this runs a two-block kernel that skips the generic digest
-// plumbing; elsewhere it computes the same value via crypto/sha256.
-// Synopsis generation (internal/synopsis) is the hot caller: one seed
-// hash per (sensor, instance) pair, millions per experiment.
+// the value NewStream uses as a stream seed. With the kernel it
+// compresses the two blocks from the initial state and reads the seed
+// from the first two state words, skipping the generic digest plumbing;
+// elsewhere it computes the same value via crypto/sha256. Synopsis
+// generation (internal/synopsis) is the hot caller: one seed hash per
+// (sensor, instance) pair, millions per experiment.
 func SeedHash2Block(buf *[128]byte, msgLen int) uint64 {
-	if haveSeedKernel {
-		return sha256seed2(buf)
+	if haveKernel {
+		h := iv
+		sha256blocks(&h, buf[:])
+		return uint64(h[0])<<32 | uint64(h[1])
 	}
 	d := sha256.Sum256(buf[:msgLen])
 	return binary.BigEndian.Uint64(d[:8])

@@ -98,31 +98,23 @@ func (g *Generator) init(nonce []byte, reading int64) {
 	g.mean = 1 / float64(reading)
 	g.reading = reading
 	g.nonce = nonce
-	// Length-prefixed layout: 8-byte big-endian length before each part,
-	// mirroring crypto.HashOf. The id and instance fields sit at fixed
-	// offsets once the nonce length is known.
+	// Length-prefixed layout, as crypto.HashOf encodes parts, written
+	// straight into the seed-hash buffer. The id and instance fields sit
+	// at fixed offsets once the nonce length is known.
 	msgLen := 5*8 + len("synopsis") + len(nonce) + 3*8
 	if msgLen > crypto.SeedMaxMsg {
 		g.fallback = true
 		return
 	}
-	msg := make([]byte, 0, msgLen)
-	msg = appendLenPrefixed(msg, []byte("synopsis"))
-	msg = appendLenPrefixed(msg, nonce)
+	msg := crypto.AppendPart(g.buf[:0], []byte("synopsis"))
+	msg = crypto.AppendPart(msg, nonce)
 	g.idOff = len(msg) + 8
-	msg = appendLenPrefixed(msg, make([]byte, 8))
+	msg = crypto.AppendUint64Part(msg, 0)
 	g.instOff = len(msg) + 8
-	msg = appendLenPrefixed(msg, make([]byte, 8))
-	msg = appendLenPrefixed(msg, crypto.Int64(reading))
+	msg = crypto.AppendUint64Part(msg, 0)
+	msg = crypto.AppendUint64Part(msg, uint64(reading))
 	g.msgLen = len(msg)
 	crypto.Pad2Block(&g.buf, msg)
-}
-
-func appendLenPrefixed(b, part []byte) []byte {
-	var l [8]byte
-	binary.BigEndian.PutUint64(l[:], uint64(len(part)))
-	b = append(b, l[:]...)
-	return append(b, part...)
 }
 
 // U53 returns the raw 53-bit uniform draw behind the (id, instance)
@@ -165,11 +157,39 @@ func (g *Generator) ValueFromU53(u uint64) float64 { return g.valueFromU53(u) }
 // synopses that correspond to no possible reading. For a COUNT query the
 // domain is just {1}.
 func VerifyReading(nonce []byte, id topology.NodeID, value float64, instance int, domain []int64) (int64, bool) {
+	return NewGenerators(nonce).VerifyReading(id, value, instance, domain)
+}
+
+// Generators derives synopses for one query nonce and any reading,
+// keeping one Generator per reading, built on first use. A query's
+// execution draws and verifies every (sensor, instance) synopsis
+// through one, so each (nonce, reading) seed-hash input is laid out
+// and padded once. It is not safe for concurrent use.
+type Generators struct {
+	nonce     []byte
+	byReading map[int64]*Generator
+}
+
+// NewGenerators returns an empty Generators for the query nonce.
+func NewGenerators(nonce []byte) *Generators {
+	return &Generators{nonce: nonce, byReading: make(map[int64]*Generator)}
+}
+
+// Generate returns Generate(nonce, id, reading, instance). It panics
+// if reading <= 0.
+func (s *Generators) Generate(id topology.NodeID, reading int64, instance int) float64 {
+	g, ok := s.byReading[reading]
+	if !ok {
+		g = NewGenerator(s.nonce, reading)
+		s.byReading[reading] = g
+	}
+	return g.Generate(id, instance)
+}
+
+// VerifyReading is the package-level VerifyReading for the nonce.
+func (s *Generators) VerifyReading(id topology.NodeID, value float64, instance int, domain []int64) (int64, bool) {
 	for _, v := range domain {
-		if v <= 0 {
-			continue
-		}
-		if Generate(nonce, id, v, instance) == value {
+		if v > 0 && s.Generate(id, v, instance) == value {
 			return v, true
 		}
 	}

@@ -243,3 +243,16 @@ func TestEstimatorScaleInvariance(t *testing.T) {
 		t.Fatalf("scale ratio %.2f, want ~2", ratio)
 	}
 }
+
+// TestHotPrimitivesAllocationFree pins synopsis generation to the
+// stack: Generate lays its seed-hash input out in a local Generator.
+func TestHotPrimitivesAllocationFree(t *testing.T) {
+	nonce := []byte("synopsis-query-nonce")
+	if n := testing.AllocsPerRun(200, func() { Generate(nonce, 17, 3, 5) }); n != 0 {
+		t.Fatalf("Generate allocates %.1f times per op", n)
+	}
+	g := NewGenerator(nonce, 3)
+	if n := testing.AllocsPerRun(200, func() { g.Generate(17, 5) }); n != 0 {
+		t.Fatalf("Generator.Generate allocates %.1f times per op", n)
+	}
+}
