@@ -70,7 +70,8 @@ func run(args []string, w io.Writer) error {
 		return nil
 	}
 
-	// Units log from their executors at once; one write at a time.
+	// Each unit logs from its own goroutine, beside the session loop;
+	// one write at a time.
 	var logMu sync.Mutex
 	logf := func(format string, args ...any) {
 		logMu.Lock()

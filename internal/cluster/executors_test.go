@@ -223,35 +223,99 @@ func TestWorkerSharesTrialSlotsAcrossUnits(t *testing.T) {
 	}
 }
 
-// Once a session winds down no unit starts: not one waiting for slots,
-// nor one arriving with slots free. Releases report a pool that was
-// full, which is when a finished unit asks for its replacement.
-func TestTrialSlotsStartNothingAfterStop(t *testing.T) {
-	s := newTrialSlots(2)
-	stop := make(chan struct{})
-	if started, room := s.acquire(1, stop); !started || !room {
-		t.Fatalf("first slot of two: started=%v room=%v, want true true", started, room)
+// Units start in grant order: a wide unit at the head of the queue that
+// does not fit yet holds back a narrow one granted after it, even though
+// the narrow one would fit. Each grant is waited for before the next
+// scenario is submitted, so the grant order is the submission order.
+func TestWorkerStartsUnitsInGrantOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	c, srv := newTestPlane(t, fastCadence()) // one unit per scenario
+
+	leased := make(chan uint64, 3)
+	starts := make(chan uint64, 3)
+	var mu sync.Mutex
+	var started []uint64
+	startOrder := func() []uint64 {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]uint64(nil), started...)
 	}
-	if started, room := s.acquire(1, stop); !started || room {
-		t.Fatalf("last slot: started=%v room=%v, want true false", started, room)
+	gate := make(chan struct{})
+	w := NewWorker(WorkerConfig{
+		Server: srv.URL, Name: "ordered", Reconnect: fastReconnect(),
+		OnLease: func(u Unit) { leased <- u.Spec.Seed },
+		RunUnit: func(u Unit) ([]experiments.ScenarioRow, error) {
+			mu.Lock()
+			started = append(started, u.Spec.Seed)
+			mu.Unlock()
+			starts <- u.Spec.Seed
+			<-gate
+			return u.Run()
+		},
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	runDone := startWiredWorker(t, ctx, c, w)
+
+	var results []chan execResult
+	submit := func(seed uint64, workers int) {
+		t.Helper()
+		spec := shardSpec(seed, 4)
+		spec.Workers = workers
+		results = append(results, executeAsync(c, context.Background(), spec))
+		select {
+		case got := <-leased:
+			if got != seed {
+				t.Fatalf("granted seed %d, want %d", got, seed)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("seed %d never granted", seed)
+		}
 	}
-	waiting := make(chan bool)
-	go func() {
-		started, _ := s.acquire(1, stop)
-		waiting <- started
-	}()
-	close(stop)
-	if <-waiting {
-		t.Fatalf("a unit waiting for slots started after stop")
+	submit(200, 1) // narrow: runs on one of the four slots
+	select {
+	case <-starts:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the narrow unit never started")
 	}
-	if !s.release(1) {
-		t.Fatalf("release from a full pool reported it was not full")
+	submit(201, 4) // wide: waits at the head of the queue for all four
+	submit(202, 1) // late: would fit, but is behind the wide unit
+	if got := startOrder(); len(got) != 1 {
+		t.Fatalf("started %v while the wide unit waited for slots", got)
 	}
-	if s.release(1) {
-		t.Fatalf("release from a pool with a free slot reported it was full")
+	close(gate)
+	for _, res := range results {
+		if r := <-res; !r.ok || r.err != nil {
+			t.Fatalf("Execute = (ok=%v, err=%v)", r.ok, r.err)
+		}
 	}
-	if started, _ := s.acquire(1, stop); started {
-		t.Fatalf("a unit started after stop with every slot free")
+	if got, want := startOrder(), []uint64{200, 201, 202}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("units started in order %v, want %v (grant order)", got, want)
+	}
+
+	// Demand followed the slots: the opening 2, one more when the narrow
+	// unit and the late one each started with slots to spare, and a
+	// replacement when the wide unit finished from full, less the three
+	// grants. A unit that finishes with slots to spare asks for nothing.
+	demand := func() (n int) {
+		c.wire.mu.Lock()
+		defer c.wire.mu.Unlock()
+		for cn := range c.wire.open {
+			n += cn.demand
+		}
+		return n
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for demand() != 2 && time.Now().Before(deadline) {
+		time.Sleep(2 * time.Millisecond)
+	}
+	time.Sleep(50 * time.Millisecond) // room for a surplus Want to show
+	if d := demand(); d != 2 {
+		t.Fatalf("worker's outstanding demand = %d after its units finished, want 2", d)
+	}
+	cancel()
+	if err := <-runDone; err != nil {
+		t.Fatalf("worker run: %v", err)
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 
 // TestWorkerReconnectLeaksNoGoroutines is the regression test for the
 // reconnect path's goroutine hygiene: every wire session spawns a
-// reader and a heartbeat loop, and a worker that survives repeated
-// coordinator restarts must shed both with each dead session. After
+// reader and a goroutine per unit, and a worker that survives repeated
+// coordinator restarts must shed them all with each dead session. After
 // several kill/restart cycles and a graceful drain, the process must
 // settle back to its pre-test goroutine count — a leak of even one
 // goroutine per session compounds forever in a long-lived fleet

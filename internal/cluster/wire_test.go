@@ -370,7 +370,7 @@ func waitFrameErrors(t *testing.T, reg *metrics.Registry, n int64) {
 // socket (and re-run once its lease expired), stays held, and goes out
 // first on the next session.
 func TestWireSessionLossReleasesQueuedGrants(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one executor, so the second grant waits queued
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one trial slot, so the second grant waits queued
 	// No heartbeat falls between the sever and the completion: its write
 	// would draw a reset and fail the completion's Send by itself.
 	cfg := CoordinatorConfig{

@@ -12,7 +12,6 @@ import (
 	"net/http"
 	"net/url"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -40,7 +39,8 @@ type WorkerConfig struct {
 	// greeted by the whole fleet in lockstep. Zero picks
 	// {Base: 100ms, Max: 5s, Jitter: 0.3}.
 	Reconnect backoff.Policy
-	// Log receives progress lines. Nil discards them.
+	// Log receives progress lines. Nil discards them. Units log from
+	// their own goroutines, so it must be safe for concurrent use.
 	Log func(format string, args ...any)
 	// Metrics, when non-nil, receives the engine counters of every unit
 	// the default RunUnit executes (core_executions_total and friends),
@@ -69,37 +69,28 @@ type WorkerConfig struct {
 // restarts: a lost conn or forgotten identity re-registers and
 // reconnects on a jittered backoff without restarting the process.
 type Worker struct {
-	wc        WorkerConfig
-	handshake CoordinatorHandshake
-	client    *http.Client // registration and deregistration
-	log       func(format string, args ...any)
+	wc         WorkerConfig
+	registered RegisterResponse // identity, cadence and wire address of the last registration
+	client     *http.Client     // registration and deregistration
+	log        func(format string, args ...any)
 
-	id         string
 	completed  atomic.Int64
-	sessions   atomic.Int64 // wire sessions established (first + reconnects)
+	sessions   int // wire sessions established (first + reconnects)
 	reconnects atomic.Int64
 
 	// held maps each unit granted but not yet reported to its encoded
 	// completion: nil while the unit is queued or executing, set once
 	// it finished on a conn that died before the completion went out.
 	// Heartbeats renew every held unit's lease, so an unsent completion
-	// stays valid until the next session sends it.
-	heldMu sync.Mutex
-	held   map[string][]byte
+	// stays valid until the next session sends it. Only the goroutine
+	// running Run touches it.
+	held map[string][]byte
 }
 
 // prefetch sizes the wire queue: a worker holds prefetch-1 units queued
 // beyond the ones executing, so a finishing unit's slots go to the next
 // without a round-trip.
 const prefetch = 2
-
-// CoordinatorHandshake is the cadence and transport address learned at
-// registration.
-type CoordinatorHandshake struct {
-	LeaseTTL  time.Duration
-	Heartbeat time.Duration
-	Wire      string
-}
 
 // NewWorker returns an unstarted worker client.
 func NewWorker(cfg WorkerConfig) *Worker {
@@ -144,7 +135,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		return err
 	}
 	w.log("registered as %s (lease TTL %s, heartbeat %s, wire %q)",
-		w.id, w.handshake.LeaseTTL, w.handshake.Heartbeat, w.handshake.Wire)
+		w.registered.WorkerID, w.registered.LeaseTTL, w.registered.Heartbeat, w.registered.Wire)
 
 	attempt := 0
 	for {
@@ -187,12 +178,11 @@ func (w *Worker) Run(ctx context.Context) error {
 }
 
 // runWire is one streaming session: dial, Hello, send the completions
-// an earlier session could not, then execute granted units on
-// runtime.GOMAXPROCS(0) executors and trial slots until the conn dies
-// (returns the error), the worker is rejected (ErrUnknownWorker),
-// drain completes (nil), or the abort channel closes (ErrAborted).
-// established reports whether the handshake succeeded, so the caller
-// can reset its backoff schedule.
+// an earlier session could not, then serve granted units until the
+// conn dies (returns the error), the worker is rejected
+// (ErrUnknownWorker), drain completes (nil), or the abort channel
+// closes (ErrAborted). established reports whether the handshake
+// succeeded, so the caller can reset its backoff schedule.
 func (w *Worker) runWire(ctx context.Context) (established bool, err error) {
 	nc, err := net.DialTimeout("tcp", w.wireAddr(), 10*time.Second)
 	if err != nil {
@@ -201,7 +191,7 @@ func (w *Worker) runWire(ctx context.Context) (established bool, err error) {
 	conn := wire.NewConn(nc)
 	defer conn.Close()
 
-	hello, _ := json.Marshal(helloPayload{WorkerID: w.id})
+	hello, _ := json.Marshal(helloPayload{WorkerID: w.registered.WorkerID})
 	if err := conn.Send(wire.Hello, hello); err != nil {
 		return false, err
 	}
@@ -221,124 +211,172 @@ func (w *Worker) runWire(ctx context.Context) (established bool, err error) {
 		return false, ErrUnknownWorker
 	}
 	conn.SetReadDeadline(time.Time{})
-	if w.sessions.Add(1) > 1 {
+	if w.sessions++; w.sessions > 1 {
 		w.reconnects.Add(1) // a session after the first is a survived reconnect
 	}
 	// Completions the last session finished on a dead conn go out before
 	// any new work is asked for.
-	for id, payload := range w.unsentCompletions() {
-		if err := w.sendComplete(conn, id, payload); err != nil {
+	for id, completion := range w.held {
+		if completion == nil {
+			continue
+		}
+		if err := conn.Send(wire.Complete, completion); err != nil {
 			return true, err
 		}
+		w.reported(id)
 	}
+	return true, w.serve(ctx, conn)
+}
 
-	// One executor per GOMAXPROCS, as vmat-server's -workers 0 sizes its
-	// job executors, sharing GOMAXPROCS trial slots: each unit takes its
-	// trial width, so one-trial units run one per core, a unit whose
-	// spec asks for every core runs alone as on a sequential worker, and
-	// the trials running at once never exceed the cores. Demand follows
-	// the slots (see executeGrants): the worker holds at most one unit
-	// per slot plus prefetch-1 queued, which the grant queue can take.
-	execs := runtime.GOMAXPROCS(0)
-	slots := newTrialSlots(execs)
-	depth := execs + prefetch - 1
+// unitDone is what a unit's goroutine reports to the session loop once
+// the unit ran and its completion was sent, or failed to be.
+type unitDone struct {
+	id         string
+	width      int    // the trial slots the unit held
+	completion []byte // the encoded completion, kept when it failed to send
+	sendErr    error
+	crashed    bool // the simulated crash fired: nothing was sent
+}
 
-	// The reader turns Grant frames into a unit queue; everything else
-	// it ignores (forward compatibility). A framing violation or conn
-	// loss closes the conn — so completions of units still executing
-	// fail to send and wait for the next session instead of vanishing
-	// into a dead socket — and surfaces on readErr, ending the session.
-	// The queue holds every grant the worker's demand allows, so the
-	// reader never waits on it.
-	grants := make(chan Unit, depth)
-	readErr := make(chan error, 1)
-	stop := make(chan struct{}) // closed when the session winds down: no unit starts after it
-	readerDone := make(chan struct{})
+// serve is a session's event loop. It alone owns the free trial slots,
+// the FIFO of grants waiting for them, the held map, demand and
+// heartbeats. A reader goroutine only decodes frames and hands grant
+// batches to it; each unit runs on a goroutine of its own, sends its
+// own completion and reports back (unitDone).
+//
+// A unit takes its trial width in slots (one-trial units run one per
+// core, a unit whose spec asks for every core runs alone, and the
+// trials running at once never exceed GOMAXPROCS). Units start in
+// grant order: a unit at the head of the queue that does not fit holds
+// back the ones behind it, so a wide unit is not starved by narrow
+// ones. Demand follows the slots: the opening Want is prefetch, a unit
+// that starts with slots to spare asks for one more, and a unit that
+// finishes with every slot taken asks for its replacement. At
+// GOMAXPROCS=1, or with units as wide as the cores, that is one unit
+// executing and prefetch-1 queued.
+//
+// Once the session winds down (drain, abort, or a read or send error)
+// no unit starts; the loop waits for every executing unit to report —
+// on Abort, cancelling them and reporting nothing.
+func (w *Worker) serve(ctx context.Context, conn *wire.Conn) error {
+	batches := make(chan []Unit)
+	var readErr error
 	go func() {
-		defer close(readerDone)
+		defer close(batches)
 		for {
 			t, payload, err := conn.Recv()
 			if err == nil && t != wire.Grant {
-				continue
+				continue // forward compatibility
 			}
 			var units []Unit
 			if err == nil {
 				units, err = shard.DecodeBatch(payload) // hostile or torn grant: drop the conn
 			}
 			if err != nil {
+				// Closing the conn makes the completions of units still
+				// executing fail to send, so they stay held for the next
+				// session instead of vanishing into a dead socket.
 				conn.Close()
-				readErr <- err
+				readErr = err
 				return
 			}
+			batches <- units
+		}
+	}()
+
+	// The session context cancels every execution at once when the
+	// simulated crash fires.
+	runCtx, crash := context.WithCancel(context.Background())
+	defer crash()
+	every := w.registered.Heartbeat
+	if every <= 0 {
+		every = time.Second
+	}
+	ticker := time.NewTicker(every)
+	defer ticker.Stop()
+
+	slots := runtime.GOMAXPROCS(0)
+	free, running := slots, 0
+	var queue []Unit
+	done := make(chan unitDone)
+	// A nil channel never fires: each of these is cleared once its event
+	// has happened for good.
+	in, drain, abort, beat := batches, ctx.Done(), w.wc.Abort, ticker.C
+	err := w.sendWant(conn, prefetch)
+	winding := err != nil
+	fail := func(e error) { // the conn is dead: stop starting and beating
+		if err == nil {
+			err = e
+		}
+		winding, beat = true, nil
+		conn.Close()
+	}
+	for !winding || running > 0 {
+		for !winding && len(queue) > 0 && !w.aborted() {
+			u := queue[0]
+			width := trialWidth(u, slots)
+			if width > free {
+				break // the head waits for slots, and the grants behind it for the head
+			}
+			queue, free, running = queue[1:], free-width, running+1
+			u.Spec.Workers = width
+			go func() { done <- w.execute(runCtx, conn, u) }()
+			if free > 0 {
+				if e := w.sendWant(conn, 1); e != nil {
+					fail(e)
+				}
+			}
+		}
+		select {
+		case <-drain:
+			winding, drain = true, nil
+		case <-abort:
+			// A crashed worker stops beating at once; that's the point.
+			winding, abort, beat = true, nil, nil
+			crash()
+		case units, ok := <-in:
+			if !ok {
+				in = nil
+				fail(readErr)
+				continue
+			}
 			for _, u := range units {
-				w.hold(u.ID, nil)
+				w.held[u.ID] = nil
 				if w.wc.OnLease != nil {
 					w.wc.OnLease(u)
 				}
-				select {
-				case grants <- u:
-				case <-stop:
-					w.release(u.ID) // winding down: this grant never starts
+			}
+			queue = append(queue, units...)
+		case d := <-done:
+			wasFull := free == 0
+			free, running = free+d.width, running-1
+			switch {
+			case d.crashed:
+			case d.sendErr != nil:
+				// Too valuable to drop: the unit stays held with its
+				// completion (heartbeats keep its lease alive) for the
+				// next session to send.
+				w.held[d.id] = d.completion
+				fail(d.sendErr)
+			default:
+				w.reported(d.id)
+				if wasFull && !winding {
+					if e := w.sendWant(conn, 1); e != nil {
+						fail(e)
+					}
 				}
 			}
-		}
-	}()
-
-	// One heartbeat loop per conn, held units piggybacked. It beats
-	// even when idle: the frame doubles as the keepalive that stops
-	// the coordinator's read deadline from reaping a quiet conn.
-	beatDone := make(chan struct{})
-	go func() {
-		defer close(beatDone)
-		hb := w.handshake.Heartbeat
-		if hb <= 0 {
-			hb = time.Second
-		}
-		tick := time.NewTicker(hb)
-		defer tick.Stop()
-		for {
-			select {
-			case <-readerDone:
-				return // the conn is gone
-			case <-w.wc.Abort:
-				return // a crashed worker stops beating; that's the point
-			case <-tick.C:
-				beat, _ := json.Marshal(HeartbeatRequest{WorkerID: w.id, Units: w.heldIDs()})
-				if err := conn.Send(wire.Heartbeat, beat); err != nil {
-					return // reader will surface the conn loss
-				}
+		case <-beat:
+			if e := w.heartbeat(conn); e != nil {
+				fail(e)
 			}
 		}
-	}()
+	}
 
-	execErr := make(chan error, execs)
-	var running sync.WaitGroup
-	for i := 0; i < execs; i++ {
-		running.Add(1)
-		go func() {
-			defer running.Done()
-			if err := w.executeGrants(conn, grants, slots, stop); err != nil {
-				execErr <- err
-			}
-		}()
+	if w.aborted() {
+		err = ErrAborted // a crash reports nothing, not even a Bye
 	}
-	if err = w.sendWant(conn, prefetch); err == nil {
-		select {
-		case <-ctx.Done(): // graceful drain
-		case <-w.wc.Abort:
-		case err = <-readErr:
-		case err = <-execErr:
-		}
-	}
-	// Wind down: no unit starts, every executing one finishes and
-	// reports (or, on a dead conn, keeps its completion for the next
-	// session) — except after a crash, which reports nothing.
-	close(stop)
-	running.Wait()
-	switch {
-	case w.aborted():
-		err = ErrAborted
-	case err == nil:
+	if err == nil && conn.Send(wire.Bye, nil) == nil {
 		// Graceful drain: queued grants are released by the Bye
 		// (deregistering requeues our leases at once). The coordinator
 		// closes the conn once it has handled the Bye, and so every
@@ -347,74 +385,20 @@ func (w *Worker) runWire(ctx context.Context) (established bool, err error) {
 		// dead conn that deregister drops the unsent completions: the
 		// coordinator requeues their units and another worker reruns
 		// them, to the same rows.
-		if conn.Send(wire.Bye, nil) == nil {
-			select {
-			case <-readerDone:
-			case <-time.After(handshakeTimeout):
-			}
-		}
+		defer time.AfterFunc(handshakeTimeout, func() { conn.Close() }).Stop()
+	} else {
+		conn.Close()
 	}
-	conn.Close() // ends the reader, and with it the heartbeat loop
-	<-readerDone
-	<-beatDone
+	for range batches {
+		// Grants arriving now never start, so they are never held.
+	}
 	// Grants that never started leave the held set, so the next
 	// session's heartbeats stop renewing them: their leases expire and
 	// the coordinator reassigns them.
-	for {
-		select {
-		case u := <-grants:
-			w.release(u.ID)
-		default:
-			return true, err
-		}
+	for _, u := range queue {
+		delete(w.held, u.ID)
 	}
-}
-
-// executeGrants is one wire executor: it runs granted units until the
-// session winds down. A unit starts once it holds its trial width in
-// slots; a grant still waiting for them when the session winds down
-// never starts. Demand tracks the slots: the opening Want is prefetch,
-// a unit that starts with slots to spare asks for one more unit to fill
-// them, and a unit that finishes with every slot taken asks for its
-// replacement. At GOMAXPROCS=1, or with units that take every slot,
-// that is the sequential worker's one executing plus prefetch-1 queued.
-func (w *Worker) executeGrants(conn *wire.Conn, grants <-chan Unit, slots *trialSlots, stop <-chan struct{}) error {
-	for {
-		select {
-		case <-stop:
-			return nil
-		case u := <-grants:
-			width := trialWidth(u, slots.size())
-			started, room := slots.acquire(width, stop)
-			if !started {
-				w.release(u.ID) // winding down: this grant never starts
-				return nil
-			}
-			if w.aborted() {
-				slots.release(width)
-				return ErrAborted // crashed between grant and execution
-			}
-			if room {
-				w.sendWant(conn, 1) // a dead conn surfaces on readErr
-			}
-			u.Spec.Workers = width
-			err := w.executeWireUnit(conn, u)
-			wasFull := slots.release(width)
-			if err != nil {
-				return err
-			}
-			select {
-			case <-stop:
-				return nil // winding down: a fresh grant would only be released again
-			default:
-			}
-			if wasFull {
-				if err := w.sendWant(conn, 1); err != nil {
-					return err
-				}
-			}
-		}
-	}
+	return err
 }
 
 // trialWidth is how many trials unit runs at once on a worker with
@@ -428,124 +412,38 @@ func trialWidth(u Unit, cores int) int {
 	return max(1, min(width, u.End-u.Start))
 }
 
-// trialSlots is a wire session's budget of trials running at once,
-// shared by its executors. Units take their slots one acquirer at a
-// time in arrival order, so a wide unit is not starved by narrow ones
-// behind it and two units never each hold part of what both need.
-type trialSlots struct {
-	turn  chan struct{} // one token: its holder is the next unit to start
-	mu    sync.Mutex
-	free  int
-	total int
-	freed chan struct{} // wakes the turn holder after a release
-}
-
-func newTrialSlots(n int) *trialSlots {
-	return &trialSlots{turn: make(chan struct{}, 1), free: n, total: n, freed: make(chan struct{}, 1)}
-}
-
-func (s *trialSlots) size() int { return s.total }
-
-// acquire takes k slots and reports whether any are left free, or takes
-// none if stop has closed by the time they are: no unit starts once the
-// session winds down.
-func (s *trialSlots) acquire(k int, stop <-chan struct{}) (started, room bool) {
-	select {
-	case s.turn <- struct{}{}:
-	case <-stop:
-		return false, false
+// execute runs one granted unit, at the trial width in its spec, and
+// streams its completion back over the conn. ctx is cancelled by the
+// simulated crash, which aborts the execution itself and reports
+// nothing.
+func (w *Worker) execute(ctx context.Context, conn *wire.Conn, u Unit) unitDone {
+	w.log("running %s", u.ID)
+	d := unitDone{id: u.ID, width: u.Spec.Workers}
+	u.Spec.Context = ctx
+	rows, runErr := w.wc.RunUnit(u)
+	if w.aborted() {
+		d.crashed = true
+		return d
 	}
-	defer func() { <-s.turn }()
-	for {
-		s.mu.Lock()
-		select {
-		case <-stop:
-			s.mu.Unlock()
-			return false, false
-		default:
-		}
-		if s.free >= k {
-			s.free -= k
-			room = s.free > 0
-			s.mu.Unlock()
-			return true, room
-		}
-		s.mu.Unlock()
-		select {
-		case <-s.freed:
-		case <-stop:
-		}
-	}
-}
-
-// release returns k slots and reports whether every slot was taken
-// before it.
-func (s *trialSlots) release(k int) (wasFull bool) {
-	s.mu.Lock()
-	wasFull = s.free == 0
-	s.free += k
-	s.mu.Unlock()
-	select {
-	case s.freed <- struct{}{}:
-	default:
-	}
-	return wasFull
-}
-
-// executeWireUnit runs one granted unit and streams the completion
-// back over the conn.
-func (w *Worker) executeWireUnit(conn *wire.Conn, unit Unit) error {
-	w.log("running %s", unit.ID)
-	req, crashed := w.runUnit(unit)
-	if crashed {
-		return ErrAborted // crashed mid-unit: no completion report
-	}
-	payload, err := json.Marshal(req)
+	payload, err := json.Marshal(w.buildComplete(u, rows, runErr))
 	if err != nil {
-		return fmt.Errorf("cluster: encode completion for %s: %v", unit.ID, err)
+		d.sendErr = fmt.Errorf("cluster: encode completion for %s: %v", u.ID, err)
+		return d
 	}
-	return w.sendComplete(conn, unit.ID, payload)
+	d.completion, d.sendErr = payload, conn.Send(wire.Complete, payload)
+	return d
 }
 
-// sendComplete reports one finished unit. The unit leaves the held set
-// only once its completion is sent: if the conn is dead, the result is
-// too valuable to drop, so it stays held with its completion — the
-// heartbeats keep its lease alive — for the next session to send.
-func (w *Worker) sendComplete(conn *wire.Conn, unitID string, payload []byte) error {
-	if err := conn.Send(wire.Complete, payload); err != nil {
-		w.hold(unitID, payload)
-		return err
-	}
-	w.release(unitID)
+// reported forgets a unit whose completion went out.
+func (w *Worker) reported(unitID string) {
+	delete(w.held, unitID)
 	w.completed.Add(1)
 	w.log("completed %s", unitID)
-	return nil
-}
-
-// runUnit executes one unit under the abort watch and assembles its
-// verified completion. crashed means the simulated fail-stop fired
-// during execution, so nothing may be reported.
-func (w *Worker) runUnit(unit Unit) (req CompleteRequest, crashed bool) {
-	runCtx, cancelRun := context.WithCancel(context.Background())
-	go func() { // a crash aborts the execution itself, not just the loop
-		select {
-		case <-w.wc.Abort:
-			cancelRun()
-		case <-runCtx.Done():
-		}
-	}()
-	unit.Spec.Context = runCtx
-	rows, runErr := w.wc.RunUnit(unit)
-	cancelRun()
-	if w.aborted() {
-		return CompleteRequest{}, true
-	}
-	return w.buildComplete(unit, rows, runErr), false
 }
 
 // buildComplete assembles the verified completion payload for a unit.
 func (w *Worker) buildComplete(unit Unit, rows []experiments.ScenarioRow, runErr error) CompleteRequest {
-	req := CompleteRequest{WorkerID: w.id, UnitID: unit.ID, Key: unit.Key}
+	req := CompleteRequest{WorkerID: w.registered.WorkerID, UnitID: unit.ID, Key: unit.Key}
 	if runErr != nil {
 		req.Error = runErr.Error()
 	} else {
@@ -585,43 +483,17 @@ func (w *Worker) sleep(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// hold records a unit this worker holds, for the piggybacked
-// heartbeats, with its completion once one failed to send.
-func (w *Worker) hold(unitID string, completion []byte) {
-	w.heldMu.Lock()
-	defer w.heldMu.Unlock()
-	w.held[unitID] = completion
-}
-
-// release forgets a unit that was reported or will never start.
-func (w *Worker) release(unitID string) {
-	w.heldMu.Lock()
-	defer w.heldMu.Unlock()
-	delete(w.held, unitID)
-}
-
-// unsentCompletions returns the encoded completions waiting for a
-// session to send them, by unit ID.
-func (w *Worker) unsentCompletions() map[string][]byte {
-	w.heldMu.Lock()
-	defer w.heldMu.Unlock()
-	unsent := map[string][]byte{}
-	for id, completion := range w.held {
-		if completion != nil {
-			unsent[id] = completion
-		}
-	}
-	return unsent
-}
-
-func (w *Worker) heldIDs() []string {
-	w.heldMu.Lock()
-	defer w.heldMu.Unlock()
-	ids := make([]string, 0, len(w.held))
+// heartbeat renews this worker's liveness and the lease of every unit
+// it holds. A session beats even when idle: the frame doubles as the
+// keepalive that stops the coordinator's read deadline from reaping a
+// quiet conn.
+func (w *Worker) heartbeat(conn *wire.Conn) error {
+	units := make([]string, 0, len(w.held))
 	for id := range w.held {
-		ids = append(ids, id)
+		units = append(units, id)
 	}
-	return ids
+	beat, _ := json.Marshal(HeartbeatRequest{WorkerID: w.registered.WorkerID, Units: units})
+	return conn.Send(wire.Heartbeat, beat)
 }
 
 // sendWant advertises capacity for n more units.
@@ -634,7 +506,7 @@ func (w *Worker) sendWant(conn *wire.Conn, n int) error {
 // to the unspecified address (":0", "[::]:p") advertises a host the
 // worker cannot dial, so substitute the coordinator's HTTP host.
 func (w *Worker) wireAddr() string {
-	addr := w.handshake.Wire
+	addr := w.registered.Wire
 	host, port, err := net.SplitHostPort(addr)
 	if err != nil {
 		return addr
@@ -670,11 +542,8 @@ func (w *Worker) register(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	w.id = resp.WorkerID
-	w.handshake = CoordinatorHandshake{LeaseTTL: resp.LeaseTTL, Heartbeat: resp.Heartbeat, Wire: resp.Wire}
-	w.heldMu.Lock()
-	w.held = map[string][]byte{}
-	w.heldMu.Unlock()
+	w.registered = resp
+	clear(w.held)
 	if resp.Wire == "" {
 		return fmt.Errorf("cluster: coordinator at %s advertises no streaming transport", w.wc.Server)
 	}
@@ -686,8 +555,8 @@ func (w *Worker) register(ctx context.Context) error {
 // carry a Bye needs it to release this worker's leases at once. Best
 // effort — an unreachable coordinator will expire us anyway.
 func (w *Worker) deregister() error {
-	if w.id != "" {
-		if err := w.post("/v1/cluster/deregister", DeregisterRequest{WorkerID: w.id}, nil); err != nil && !errors.Is(err, ErrUnknownWorker) {
+	if id := w.registered.WorkerID; id != "" {
+		if err := w.post("/v1/cluster/deregister", DeregisterRequest{WorkerID: id}, nil); err != nil && !errors.Is(err, ErrUnknownWorker) {
 			w.log("deregister failed: %v", err)
 		}
 	}

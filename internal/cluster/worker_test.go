@@ -128,15 +128,12 @@ func TestWorkerWithoutTransportExits(t *testing.T) {
 func TestWorkerReregistrationDropsUnsentCompletions(t *testing.T) {
 	_, srv := newTestPlane(t, fastCadence())
 	w := NewWorker(WorkerConfig{Server: srv.URL, Reconnect: fastReconnect()})
-	w.hold("u000001", []byte(`{"unit_id":"u000001"}`))
-	if got := w.unsentCompletions(); len(got) != 1 {
-		t.Fatalf("unsent completions before registering = %d, want 1", len(got))
-	}
+	w.held["u000001"] = []byte(`{"unit_id":"u000001"}`)
 	if err := w.register(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.unsentCompletions(); len(got) != 0 {
-		t.Fatalf("re-registration kept %d unsent completions, want none", len(got))
+	if len(w.held) != 0 {
+		t.Fatalf("re-registration kept %d unsent completions, want none", len(w.held))
 	}
 }
 

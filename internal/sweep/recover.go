@@ -180,7 +180,8 @@ func (m *Manager) Recover() {
 
 		// Pre-mark pre-crash failures so the run loop skips them, and
 		// classify the rest: cells the store holds resolve as cache hits
-		// inside run; everything else re-enqueues. A cell in flight at the
+		// inside run, which reads each of them once (Has here reads no
+		// record); everything else re-enqueues. A cell in flight at the
 		// kill is not in the store, so it re-runs; idempotent Put makes
 		// the duplicate harmless if its first run finished after all.
 		a := adoption{sw: sw}
@@ -190,10 +191,8 @@ func (m *Manager) Recover() {
 				sw.record(i, SourceFailed, nil, msg)
 				continue
 			}
-			if st != nil {
-				if _, ok, _ := st.GetScenario(c.Spec); ok {
-					continue
-				}
+			if st != nil && st.Has(c.Key) {
+				continue
 			}
 			a.pending++
 		}

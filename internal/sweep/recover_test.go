@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/service"
 	"repro/internal/store"
@@ -307,4 +308,52 @@ func TestRecoverFailsCellsNowInvalid(t *testing.T) {
 	if !kept {
 		t.Fatalf("compacted WAL lost the n=60 cell's failure: %+v", recs2)
 	}
+}
+
+// TestRecoverReadsEachStoredCellOnce: counting a resumed sweep's
+// pending cells must not read the store's records; the run loop reads
+// each stored cell once, as its cache hit.
+func TestRecoverReadsEachStoredCellOnce(t *testing.T) {
+	g := Grid{N: []int{40, 50, 60}, Trials: 2, Seed: 5}
+	cells, err := g.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.New()
+	st, err := store.Open(t.TempDir(), store.Config{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for _, c := range cells {
+		rows, err := experiments.RunScenario(c.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.PutScenario(c.Spec, rows, store.Meta{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, _ := json.Marshal(g)
+	recs := []store.WALRecord{{Kind: store.RecSweepOpened, Sweep: "s000001", Grid: raw}}
+	svc := service.New(service.Config{Workers: 1, Metrics: reg, Store: st})
+	sm := NewManager(Config{Service: svc, Metrics: reg, WALRecords: recs})
+	sm.Recover()
+	sw, ok := sm.Get("s000001")
+	if !ok {
+		t.Fatal("stored sweep not resumed")
+	}
+	waitSweep(t, sw)
+	if v := sw.View(false); v.Cached != len(cells) {
+		t.Fatalf("resumed sweep: %+v, want all %d cells cached", v, len(cells))
+	}
+	for name, want := range map[string]int64{
+		store.MetricHits:         int64(len(cells)),
+		MetricRecoveryReenqueued: 0,
+	} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	drainAll(t, sm, svc)
 }

@@ -234,6 +234,72 @@ func TestSweepSubmitRateLimited(t *testing.T) {
 	drainAll(t, sm, svc)
 }
 
+// incarnation is one server lifetime over a data dir: the store, the
+// WAL, the service and the sweep manager, opened with the keyfile at
+// keyfile, the WAL replayed, and the sweep API served over HTTP.
+type incarnation struct {
+	sm  *Manager
+	svc *service.Manager
+	st  *store.Store
+	wal *store.WAL
+	srv *httptest.Server
+}
+
+func startIncarnation(t *testing.T, data, keyfile string) *incarnation {
+	t.Helper()
+	ctl, err := tenant.NewController(tenant.Config{Path: keyfile})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(data, store.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal, recs, err := store.OpenWAL(data, store.WALConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := service.New(service.Config{Workers: 1, Store: st, Tenants: ctl})
+	sm := NewManager(Config{Service: svc, MaxInFlight: 1, WAL: wal, WALRecords: recs})
+	sm.Recover()
+	mux := http.NewServeMux()
+	Register(mux, sm)
+	return &incarnation{sm: sm, svc: svc, st: st, wal: wal, srv: httptest.NewServer(mux)}
+}
+
+// stop drains the incarnation and closes its store and WAL, as a
+// graceful shutdown does.
+func (in *incarnation) stop(t *testing.T) {
+	t.Helper()
+	in.srv.Close()
+	drainAll(t, in.sm, in.svc)
+	in.st.Close()
+	in.wal.Close()
+}
+
+// do sends one sweep API request as the tenant holding key (anonymous
+// when key is empty) and returns the status code.
+func (in *incarnation) do(t *testing.T, method, path, key, body string) int {
+	t.Helper()
+	var rd io.Reader
+	if body != "" {
+		rd = strings.NewReader(body)
+	}
+	req, err := http.NewRequest(method, in.srv.URL+path, rd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if key != "" {
+		req.Header.Set("Authorization", "Bearer "+key)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
 // TestRecoverKeepsSweepOwnership: a keyed tenant's sweep, killed and
 // replayed from its WAL into a manager with the same keyfile, still
 // belongs to its owner, who reads and cancels it; a tenant that
@@ -250,64 +316,22 @@ func TestRecoverKeepsSweepOwnership(t *testing.T) {
 	}
 	data := filepath.Join(dir, "data")
 
-	// incarnation opens the data dir with the keyfile and replays its
-	// WAL. The caller drains the returned managers and closes the store
-	// and WAL.
-	incarnation := func() (*Manager, *service.Manager, *store.Store, *store.WAL, *httptest.Server) {
-		t.Helper()
-		ctl, err := tenant.NewController(tenant.Config{Path: path})
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := store.Open(data, store.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wal, recs, err := store.OpenWAL(data, store.WALConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		svc := service.New(service.Config{Workers: 1, Store: st, Tenants: ctl})
-		sm := NewManager(Config{Service: svc, MaxInFlight: 1, WAL: wal, WALRecords: recs})
-		sm.Recover()
-		mux := http.NewServeMux()
-		Register(mux, sm)
-		return sm, svc, st, wal, httptest.NewServer(mux)
-	}
-	do := func(srv *httptest.Server, method, key string) int {
-		t.Helper()
-		req, err := http.NewRequest(method, srv.URL+"/v1/sweeps/s000001", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("Authorization", "Bearer "+key)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp.StatusCode
-	}
-
-	sm, svc, st, wal, srv := incarnation()
-	ctl := svc.Tenants()
+	in := startIncarnation(t, data, path)
+	ctl := in.svc.Tenants()
 	labA, _ := ctl.Authenticate("ka")
 	labC, _ := ctl.Authenticate("kc")
-	sw, err := sm.SubmitAs(labA, smallGrid())
+	sw, err := in.sm.SubmitAs(labA, smallGrid())
 	if err != nil {
 		t.Fatalf("SubmitAs lab-a: %v", err)
 	}
-	if got, err := sm.SubmitAs(labC, smallGrid()); err != nil || got != sw {
+	if got, err := in.sm.SubmitAs(labC, smallGrid()); err != nil || got != sw {
 		t.Fatalf("lab-c did not attach to %s: %v", sw.ID(), err)
 	}
 	for round := 1; round <= 3; round++ {
 		if round > 1 {
-			srv.Close()
-			drainAll(t, sm, svc)
-			st.Close()
-			wal.Close()
-			sm, svc, st, wal, srv = incarnation()
-			sw, _ = sm.Get("s000001")
+			in.stop(t)
+			in = startIncarnation(t, data, path)
+			sw, _ = in.sm.Get("s000001")
 			if sw == nil {
 				t.Fatalf("recovery %d did not resume s000001", round-1)
 			}
@@ -322,22 +346,175 @@ func TestRecoverKeepsSweepOwnership(t *testing.T) {
 			{"GET", "ka", 200}, {"GET", "kb", 404}, {"DELETE", "kb", 404},
 			{"GET", "kc", 200}, {"DELETE", "kc", 404},
 		} {
-			if code := do(srv, tc.method, tc.key); code != tc.want {
+			if code := in.do(t, tc.method, "/v1/sweeps/s000001", tc.key, ""); code != tc.want {
 				t.Fatalf("round %d: %s as %s -> %d, want %d", round, tc.method, tc.key, code, tc.want)
 			}
 		}
 	}
-	if code := do(srv, "DELETE", "ka"); code != http.StatusOK {
+	if code := in.do(t, "DELETE", "/v1/sweeps/s000001", "ka", ""); code != http.StatusOK {
 		t.Fatalf("owner DELETE after two recoveries -> %d, want 200", code)
 	}
 	waitSweep(t, sw)
 	if s := sw.Status(); s != StatusCancelled {
 		t.Fatalf("owner's cancel left status %s", s)
 	}
-	srv.Close()
-	drainAll(t, sm, svc)
-	st.Close()
+	in.stop(t)
+}
+
+// TestRecoverOwnershipInterleavings drives hand-picked interleavings
+// of submit, attach, cancel and restart (a graceful stop and a reopen
+// of the same data dir) through the sweep API. After every step that
+// leaves the sweep live, it has exactly one owner, the tenant that
+// opened it, which can read and cancel it; every attacher can read it
+// but not cancel it; every other tenant gets 404; and the WAL holds
+// one sweep-opened record for it and at most one sweep-attached record
+// per tenant. An owner's cancel closes the sweep for good: after a
+// restart no tenant can find it. Every tenant's rate (one submission
+// per 1000 s) holds the sweep's cells in the retry loop, so the sweep
+// stays open until cancelled.
+func TestRecoverOwnershipInterleavings(t *testing.T) {
+	const grid = `{"n": [20, 30, 40], "attack": ["none", "drop"], "trials": 2, "seed": 7, "workers": 2}`
+	const id = "s000001"
+	keyfile := `{"anonymous": {"rate": 0.001, "burst": 1}, "tenants": [
+		{"id": "lab-a", "key": "ka", "rate": 0.001, "burst": 1},
+		{"id": "lab-b", "key": "kb", "rate": 0.001, "burst": 2},
+		{"id": "lab-c", "key": "kc", "rate": 0.001, "burst": 2}]}`
+	ids := map[string]string{"": tenant.AnonymousID, "ka": "lab-a", "kb": "lab-b", "kc": "lab-c"}
+
+	type step struct{ do, key string } // do: submit, attach, cancel or restart
+	for _, tc := range []struct {
+		name  string
+		steps []step
+	}{
+		{"keyed submit, restart, attach, restart", []step{
+			{"submit", "ka"}, {"restart", ""}, {"attach", "kb"}, {"restart", ""}}},
+		{"same tenant attaches twice, then a restart", []step{
+			{"submit", "ka"}, {"attach", "kb"}, {"attach", "kb"}, {"restart", ""}}},
+		{"attacher attaches again after a restart", []step{
+			{"submit", "ka"}, {"attach", "kc"}, {"restart", ""}, {"attach", "kc"}, {"restart", ""}}},
+		{"anonymous owner, keyed attacher", []step{
+			{"submit", ""}, {"attach", "kb"}, {"restart", ""}, {"attach", "kc"}, {"restart", ""}}},
+		{"owner cancels, then a restart", []step{
+			{"submit", "ka"}, {"attach", "kb"}, {"restart", ""}, {"cancel", "ka"}, {"restart", ""}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "tenants.json")
+			if err := os.WriteFile(path, []byte(keyfile), 0o600); err != nil {
+				t.Fatal(err)
+			}
+			data := filepath.Join(dir, "data")
+			in := startIncarnation(t, data, path)
+			defer func() { in.stop(t) }()
+
+			owner, live := "", false
+			attached := map[string]bool{}
+			for n, s := range tc.steps {
+				switch s.do {
+				case "submit", "attach":
+					if code := in.do(t, "POST", "/v1/sweeps", s.key, grid); code != http.StatusAccepted {
+						t.Fatalf("step %d: %s as %q -> %d, want 202", n, s.do, s.key, code)
+					}
+					if s.do == "submit" {
+						owner, live = s.key, true
+					} else {
+						attached[s.key] = true
+					}
+				case "cancel":
+					if code := in.do(t, "DELETE", "/v1/sweeps/"+id, s.key, ""); code != http.StatusOK {
+						t.Fatalf("step %d: owner DELETE -> %d, want 200", n, code)
+					}
+					sw, _ := in.sm.Get(id)
+					waitSweep(t, sw)
+					live = false
+				case "restart":
+					in.stop(t)
+					in = startIncarnation(t, data, path)
+				}
+				if live {
+					checkOwnership(t, in, data, id, n, ids, owner, attached)
+				}
+			}
+			if !live {
+				for key := range ids {
+					if code := in.do(t, "GET", "/v1/sweeps/"+id, key, ""); code != http.StatusNotFound {
+						t.Fatalf("cancelled sweep after a restart: GET as %q -> %d, want 404", key, code)
+					}
+				}
+				return
+			}
+			// The owner's cancel right, exercised last: it ends the sweep.
+			if code := in.do(t, "DELETE", "/v1/sweeps/"+id, owner, ""); code != http.StatusOK {
+				t.Fatalf("owner DELETE -> %d, want 200", code)
+			}
+		})
+	}
+}
+
+// checkOwnership asserts the ownership invariants of a live sweep (see
+// TestRecoverOwnershipInterleavings) after step n. ids maps each key to
+// its tenant ID. The owner's DELETE is left to the end of the
+// interleaving, because it ends the sweep.
+func checkOwnership(t *testing.T, in *incarnation, data, id string, n int, ids map[string]string, owner string, attached map[string]bool) {
+	t.Helper()
+	sw, ok := in.sm.Get(id)
+	if !ok || sw.Status().terminal() {
+		t.Fatalf("step %d: sweep %s is not live", n, id)
+	}
+	if sw.Tenant() != ids[owner] {
+		t.Fatalf("step %d: sweep owner = %q, want %q", n, sw.Tenant(), ids[owner])
+	}
+	for key, tid := range ids {
+		get := in.do(t, "GET", "/v1/sweeps/"+id, key, "")
+		switch {
+		case key == owner:
+			if get != http.StatusOK {
+				t.Fatalf("step %d: owner %s: GET -> %d, want 200", n, tid, get)
+			}
+		case attached[key]:
+			if del := in.do(t, "DELETE", "/v1/sweeps/"+id, key, ""); get != http.StatusOK || del != http.StatusNotFound {
+				t.Fatalf("step %d: attacher %s: GET -> %d, DELETE -> %d, want 200 and 404", n, tid, get, del)
+			}
+		default:
+			if del := in.do(t, "DELETE", "/v1/sweeps/"+id, key, ""); get != http.StatusNotFound || del != http.StatusNotFound {
+				t.Fatalf("step %d: stranger %s: GET -> %d, DELETE -> %d, want 404 and 404", n, tid, get, del)
+			}
+		}
+	}
+
+	// Read a copy of the live WAL: opening the original would race the
+	// incarnation's appends.
+	raw, err := os.ReadFile(filepath.Join(data, store.WALName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := t.TempDir()
+	if err := os.WriteFile(filepath.Join(cp, store.WALName), raw, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	wal, recs, err := store.OpenWAL(cp, store.WALConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	wal.Close()
+	opened, attaches := 0, map[string]int{}
+	for _, r := range recs {
+		switch {
+		case r.Sweep != id:
+		case r.Kind == store.RecSweepOpened:
+			opened++
+		case r.Kind == store.RecSweepAttached:
+			attaches[r.Tenant]++
+		}
+	}
+	if opened != 1 {
+		t.Fatalf("step %d: WAL holds %d sweep-opened records for %s, want 1: %+v", n, opened, id, recs)
+	}
+	for tid, k := range attaches {
+		if k > 1 {
+			t.Fatalf("step %d: WAL holds %d sweep-attached records for %s, want at most 1: %+v", n, k, tid, recs)
+		}
+	}
 }
 
 // TestRecoverUnknownOwnerResumesAnonymous: a sweep-opened record whose
