@@ -663,14 +663,14 @@ func BenchmarkAuthFlood(b *testing.B) {
 	a := ch.Announce(core.StartAnnounce{Nonce: []byte("bench-nonce"), Instances: 1, L: 10})
 	orders := []struct {
 		name  string
-		order simnet.Orderer
+		first map[topology.NodeID]bool
 	}{
 		{"default", nil},
-		{"adversary-first", simnet.MaliciousFirstOrder(map[topology.NodeID]bool{7: true, 40: true})},
+		{"adversary-first", map[topology.NodeID]bool{7: true, 40: true}},
 	}
 	for _, o := range orders {
 		b.Run(o.name, func(b *testing.B) {
-			net := simnet.New(g, simnet.Config{Order: o.order})
+			net := simnet.New(g, simnet.Config{FirstFrom: o.first})
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				res := authbcast.Flood(net, ch.Verifier(), topology.BaseStation, a, nil, g.NumNodes())

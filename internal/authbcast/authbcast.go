@@ -96,6 +96,12 @@ type FloodResult struct {
 // the only message that propagates is the valid announcement, and each
 // node relays it at most once.
 //
+// A node that has accepted stops listening for the rest of the flood
+// (simnet.Context.StopListening): the copies its neighbours relay back
+// are still charged and acked, but never reach its inbox or make it
+// step. Each relay is one broadcast, which the network queues once and
+// fans out at delivery.
+//
 // a's MAC is verified once per flood, not once per receiver: every relay
 // sends the same *Announcement, so a node recognises the copies this
 // flood put on the air by pointer and takes the one verdict for them.
@@ -135,6 +141,7 @@ func Flood(net *simnet.Network, v Verifier, origin topology.NodeID, a Announceme
 			return
 		}
 		received[id] = true
+		ctx.StopListening()
 		if forward == nil || forward(id) {
 			ctx.Broadcast(relay)
 		}

@@ -86,7 +86,7 @@ func RunHopCountTree(g *topology.Graph, l int, wormhole *WormholeConfig, maxSlot
 		}
 	}
 	net := simnet.New(g, simnet.Config{
-		Order: simnet.MaliciousFirstOrder(malicious),
+		FirstFrom: malicious,
 		ExtraLink: func(from, to topology.NodeID) bool {
 			return malicious[from] && malicious[to]
 		},

@@ -134,6 +134,71 @@ func TestProxySever(t *testing.T) {
 	}
 }
 
+// TestProxySeverForgetsClosedConns severs twice: the second Sever must
+// count and close only the conn opened after the first, and a third,
+// with nothing opened since, must find nothing.
+func TestProxySeverForgetsClosedConns(t *testing.T) {
+	sink, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	accepted := make(chan net.Conn, 4)
+	go func() {
+		for {
+			c, err := sink.Accept()
+			if err != nil {
+				return
+			}
+			accepted <- c
+		}
+	}()
+	p, err := NewProxy("127.0.0.1:0", sink.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	// dial opens a conn through the proxy and waits until the proxy has
+	// relayed it to the sink and holds pairs live pairs.
+	dial := func(pairs int) {
+		c, err := net.Dial("tcp", p.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case s := <-accepted:
+			t.Cleanup(func() { s.Close() })
+		case <-time.After(5 * time.Second):
+			t.Fatal("the proxy did not relay the conn")
+		}
+		t.Cleanup(func() { c.Close() })
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			p.mu.Lock()
+			live := len(p.conns)
+			p.mu.Unlock()
+			if live == 2*pairs {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("the proxy holds %d conns, want %d", live, 2*pairs)
+			}
+		}
+	}
+
+	dial(1)
+	dial(2)
+	if n := p.Sever(); n != 2 {
+		t.Fatalf("first Sever() dropped %d pairs, want 2", n)
+	}
+	dial(1)
+	if n := p.Sever(); n != 1 {
+		t.Fatalf("second Sever() dropped %d pairs, want 1 (only the conn opened since)", n)
+	}
+	if n := p.Sever(); n != 0 {
+		t.Fatalf("third Sever() dropped %d pairs, want 0", n)
+	}
+}
+
 var (
 	buildOnce sync.Once
 	buildDir  string

@@ -18,10 +18,14 @@ type Proxy struct {
 	ln     net.Listener
 	target string
 
-	mu      sync.Mutex
-	conns   map[net.Conn]bool
-	severed int
-	closed  bool
+	mu     sync.Mutex
+	conns  map[net.Conn]bool
+	closed bool
+
+	// relayed gets a token, without blocking, each time a new pair goes
+	// live, so a harness waiting for something to sever can look again
+	// at once.
+	relayed chan struct{}
 }
 
 // NewProxy listens on listen (e.g. "127.0.0.1:0") and relays every
@@ -31,7 +35,7 @@ func NewProxy(listen, target string) (*Proxy, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Proxy{ln: ln, target: target, conns: map[net.Conn]bool{}}
+	p := &Proxy{ln: ln, target: target, conns: map[net.Conn]bool{}, relayed: make(chan struct{}, 1)}
 	go p.acceptLoop()
 	return p, nil
 }
@@ -67,6 +71,10 @@ func (p *Proxy) relay(in net.Conn) {
 	p.conns[in] = true
 	p.conns[out] = true
 	p.mu.Unlock()
+	select {
+	case p.relayed <- struct{}{}:
+	default:
+	}
 
 	done := make(chan struct{}, 2)
 	pipe := func(dst, src net.Conn) {
@@ -86,16 +94,17 @@ func (p *Proxy) relay(in net.Conn) {
 }
 
 // Sever closes every live relayed conn and returns how many pairs it
-// dropped. New conns are still accepted — workers reconnect through.
+// dropped. It forgets the conns it closes, so a later Sever counts and
+// closes only conns opened since. New conns are still accepted —
+// workers reconnect through.
 func (p *Proxy) Sever() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	n := 0
+	n := len(p.conns)
 	for c := range p.conns {
 		c.Close()
-		n++
 	}
-	p.severed += n
+	clear(p.conns)
 	return n / 2
 }
 

@@ -355,15 +355,21 @@ func (r *runner) drive() error {
 		done := view.Executed + view.Cached + view.Failed
 		// Events fire only against a running sweep: a fault injected
 		// after the sweep closed would test nothing (and a server kill
-		// would restart into a server with no sweep to resume).
-		for view.Status == "running" && len(events) > 0 && done >= events[0].After {
+		// would restart into a server with no sweep to resume). At most
+		// one fires per poll, so events whose triggers one poll crosses
+		// together still land at distinct moments; one that finds
+		// nothing to hit stays armed for the next poll.
+		if view.Status == "running" && len(events) > 0 && done >= events[0].After {
 			ev := events[0]
-			events = events[1:]
 			if ev.Delay > 0 {
 				time.Sleep(ev.Delay)
 			}
-			if err := r.fire(ev, done); err != nil {
+			fired, err := r.fire(ev, done)
+			if err != nil {
 				return err
+			}
+			if fired {
+				events = events[1:]
 			}
 		}
 		if view.Status != "running" {
@@ -373,10 +379,16 @@ func (r *runner) drive() error {
 		if time.Now().After(deadline) {
 			return fmt.Errorf("chaos: sweep %s did not finish in %s: %+v", sub.ID, r.cfg.Timeout, view)
 		}
-		time.Sleep(50 * time.Millisecond)
+		// A worker reconnecting through the proxy ends the wait early:
+		// a sever still armed can land before the new session finishes
+		// the sweep.
+		select {
+		case <-time.After(10 * time.Millisecond):
+		case <-r.proxy.relayed:
+		}
 	}
 	if r.rep.Unfired = len(events); r.rep.Unfired > 0 {
-		r.log("%d scheduled event(s) never armed (sweep finished first)", r.rep.Unfired)
+		r.log("%d scheduled event(s) never fired (sweep finished first)", r.rep.Unfired)
 	}
 
 	resp, err = r.client.Get(r.base + "/v1/sweeps/" + sub.ID + "/results?format=csv")
@@ -393,7 +405,9 @@ func (r *runner) drive() error {
 	return nil
 }
 
-func (r *runner) fire(ev Event, done int) error {
+// fire injects one event and reports whether it fired: a sever that
+// finds no live conn hits nothing and does not count.
+func (r *runner) fire(ev Event, done int) (bool, error) {
 	switch ev.Kind {
 	case KillServer:
 		r.rep.DoneBeforeLastKill = done
@@ -402,14 +416,17 @@ func (r *runner) fire(ev Event, done int) error {
 		r.server.Process.Kill() // SIGKILL: no drain, no flush, no goodbye
 		<-r.serverExited
 		if err := r.startServer(); err != nil {
-			return err
+			return false, err
 		}
 		if err := r.awaitServer(30*time.Second, true); err != nil {
-			return err
+			return false, err
 		}
 		r.rep.ServerKills++
 	case SeverConns:
 		n := r.proxy.Sever()
+		if n == 0 {
+			return false, nil
+		}
 		r.log("SEVER %d wire conn(s) at %d done cells", n, done)
 		r.rep.ConnSevers++
 	case StopWorker:
@@ -430,9 +447,9 @@ func (r *runner) fire(ev Event, done int) error {
 		}
 		r.rep.WorkerKills++
 	default:
-		return fmt.Errorf("chaos: unknown event kind %q", ev.Kind)
+		return false, fmt.Errorf("chaos: unknown event kind %q", ev.Kind)
 	}
-	return nil
+	return true, nil
 }
 
 // pickWorker returns the target worker if alive, else the next alive

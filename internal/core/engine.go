@@ -343,7 +343,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		e.maxSlots = 1000 * (l + 4)
 	}
 	if cfg.AdversaryFavored {
-		netCfg.Order = simnet.MaliciousFirstOrder(cfg.Malicious)
+		netCfg.FirstFrom = cfg.Malicious
 	}
 	if len(cfg.Malicious) > 0 {
 		mal := cfg.Malicious

@@ -32,7 +32,7 @@ func (e *Engine) runPredicateTest(key KeyRef, pred Predicate) bool {
 
 	holders := e.holdersOf(key)
 	n := e.cfg.Graph.NumNodes()
-	relayed := make([]bool, n) // per-node; touched only by the node's goroutine
+	relayed := make([]bool, n) // per-node; each node's step touches only its own
 	success := false
 	start := e.net.Slot()
 	defer func() { e.phaseSlots.Pinpoint += e.net.Slot() - start }()
@@ -79,6 +79,9 @@ func (e *Engine) runPredicateTest(key KeyRef, pred Predicate) bool {
 			return
 		}
 		relayed[id] = true
+		// A relay ignores the rest of the wave: the copies its
+		// neighbours relay back are charged and acked, never read.
+		ctx.StopListening()
 		if id == topology.BaseStation {
 			success = true
 			return

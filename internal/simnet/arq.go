@@ -67,8 +67,10 @@ func (c *ARQConfig) Validate() error {
 }
 
 // arqEntry tracks one frame awaiting acknowledgement. Entries live on
-// the network's driver goroutine: they are created when a step sends the
-// frame, consulted at delivery, and retired in arqTick.
+// the network's driver goroutine: they are created when the frame is
+// first delivered (a broadcast's copies one by one as it fans out),
+// stamped with the slot it was sent in, consulted at every delivery, and
+// retired in arqTick.
 type arqEntry struct {
 	msg       Message // the frame as originally sent (retransmitted verbatim)
 	attempt   int     // retransmissions performed so far

@@ -18,17 +18,22 @@
 // node set in ascending node-ID order, and message delivery is a queue
 // append. Every run of the same configuration replays the identical
 // event sequence because each ordering decision is structural, not
-// scheduled: steps run in node order, each send is stamped with a global
-// send sequence and appended to the pending queue as it is made, so the
-// queue is in (From, seq) order and every inbox fills in that order
-// (with the ARQ enabled, retransmissions are queued ahead of a slot's
-// fresh sends, so inboxes are sorted by (From, seq) instead). The
-// configurable Orderer then rearranges each inbox, and every random coin
+// scheduled: steps run in node order, and each send is appended to the
+// pending queue as it is made. A unicast is one queue entry; a broadcast
+// is one entry too, which delivery fans out over the sender's neighbours
+// in neighbour order, each copy stamped with its own send sequence and
+// handled exactly like a unicast to that neighbour. So the copies come
+// out in (From, seq) order and every inbox fills in that order (with the
+// ARQ enabled, retransmissions are queued ahead of a slot's fresh sends,
+// so inboxes are sorted by (From, seq) instead). Inboxes that a copy from
+// the adversary-first sender set reached (Config.FirstFrom) are then
+// stably reordered to put those copies first, and every random coin
 // (loss, faults) is drawn from a seeded stream at a fixed point in the
-// delivery pipeline, in pending order. There are no goroutines,
-// channels, or atomics in the loop — parallelism belongs one level up,
-// across independent trials (see internal/experiments.RunTrials), where
-// it scales without touching the per-execution event order.
+// delivery pipeline, in pending order, then neighbour order. There are
+// no goroutines, channels, or atomics in the loop — parallelism belongs
+// one level up, across independent trials (see
+// internal/experiments.RunTrials), where it scales without touching the
+// per-execution event order.
 //
 // Protocol drivers with slot-triggered behavior can register wake-ups
 // (WakeAt, WakeAllAt, SetAlwaysActive) and run sparse sweeps
@@ -38,14 +43,16 @@
 // have been a no-op, sparse sweeps are bit-identical to dense ones while
 // making slot cost proportional to activity instead of network size —
 // the property that lets million-node topologies run in memory and time
-// proportional to traffic.
+// proportional to traffic. A step may also declare that its node ignores
+// the rest of the current run (Context.StopListening): a flood relay
+// that has relayed does, so the copies its neighbours send back are
+// charged and acked but never fill its inbox or make it step.
 //
 // Message delivery takes one slot. Messages are delivered only over edges
 // of the supplied graph or over explicitly configured out-of-band links
 // (used for wormhole collusion between malicious sensors). A node's sends
 // per slot are not capped: choking is modelled by delivering the
-// adversary's messages first (MaliciousFirstOrder), not by a capacity
-// limit.
+// adversary's messages first (Config.FirstFrom), not by a capacity limit.
 package simnet
 
 import (
@@ -64,7 +71,9 @@ type Payload interface {
 	WireSize() int
 }
 
-// Message is a payload in flight or delivered.
+// Message is a delivered payload, or one queued send. A queued broadcast
+// is a single Message whose To is broadcastTo and whose seq is its first
+// copy's; delivery fans it out into one Message per neighbour.
 type Message struct {
 	// From is the transmitting node. Receivers may use it only as "which
 	// radio link delivered this" — trust derives from MACs, not From.
@@ -81,6 +90,10 @@ type Message struct {
 	arq  *arqEntry // link-layer tracking entry; nil when ARQ is disabled
 }
 
+// broadcastTo marks a queued Message as a broadcast to every neighbour
+// of its sender.
+const broadcastTo topology.NodeID = -1
+
 // FaultModel is the per-slot fault-injection hook (implemented by
 // faults.Schedule). The network calls BeginSlot exactly once per slot
 // before any delivery; NodeDown and LinkDown must then be pure reads
@@ -96,16 +109,16 @@ type FaultModel interface {
 	DeliveryLost() bool
 }
 
-// Orderer rearranges a node's inbox for one slot, in place. The default
-// order is (From, send sequence). Experiments may install an order that
-// places adversary-originated messages first to model worst-case arrival
-// timing.
-type Orderer func(inbox []Message)
-
 // Config configures a Network.
 type Config struct {
-	// Order, if non-nil, rearranges each node's inbox every slot.
-	Order Orderer
+	// FirstFrom is the adversary-first sender set: in every inbox that a
+	// message from one of its nodes reaches, those messages come first,
+	// each group keeping its (From, seq) order. It models the worst case
+	// where the adversary's transmissions always beat honest ones within
+	// a slot (the "first veto wins" races of the SOF protocol). New reads
+	// the map once; later changes to it do not reach the network. Nil or
+	// empty keeps the (From, seq) order.
+	FirstFrom map[topology.NodeID]bool
 
 	// ExtraLink, if non-nil, allows delivery between nodes with no graph
 	// edge. VMAT's attack model lets colluding malicious sensors
@@ -128,8 +141,9 @@ type Config struct {
 	Faults FaultModel
 	// ARQ, when non-nil, enables the link-layer stop-and-wait ARQ that
 	// substantiates the paper's "reliable delivery through
-	// retransmission" assumption: every unicast is acked by the
-	// receiver, retransmitted on ack timeout with bounded exponential
+	// retransmission" assumption: every frame (a unicast, or one
+	// neighbour's copy of a broadcast) is acked by the receiver,
+	// retransmitted on ack timeout with bounded exponential
 	// backoff, and abandoned once the retransmit budget is spent. Ack
 	// and retransmission traffic is charged to the byte accounting. Nil
 	// disables the ARQ with zero accounting change.
@@ -190,7 +204,7 @@ func (s *Stats) MaxNodeBytes() int64 {
 type Network struct {
 	graph   *topology.Graph
 	cfg     Config
-	pending []Message
+	pending []Message // one entry per unicast, retransmission or broadcast
 	slot    int
 	seq     uint64
 	stats   Stats
@@ -204,6 +218,20 @@ type Network struct {
 	inboxes [][]Message
 	ctxs    []Context
 	touched []topology.NodeID
+
+	// Adversary-first delivery: first flags the Config.FirstFrom senders
+	// (nil when there are none). Delivery lists in reorder each inbox a
+	// flagged sender's copy reached this slot, once (marked), and only
+	// those are sorted.
+	first   []bool
+	marked  []bool
+	reorder []topology.NodeID
+
+	// Listening: run numbers each Run* call, and a node whose deaf stamp
+	// equals it has stopped listening for the rest of that run. deaf is
+	// allocated at the first StopListening.
+	run  int
+	deaf []int
 
 	// Sparse-sweep scheduling: wakes maps a slot to the nodes explicitly
 	// scheduled to step in it, wakeAll marks slots where every node
@@ -240,7 +268,30 @@ func New(g *topology.Graph, cfg Config) *Network {
 	if cfg.ARQ != nil {
 		net.arqCfg = cfg.ARQ.withDefaults()
 	}
+	for id, first := range cfg.FirstFrom {
+		if first && id >= 0 && int(id) < n {
+			if net.first == nil {
+				net.first = make([]bool, n)
+				net.marked = make([]bool, n)
+			}
+			net.first[id] = true
+		}
+	}
 	return net
+}
+
+// firstCmp orders a message from a FirstFrom sender ahead of one from
+// any other sender.
+func (n *Network) firstCmp(a, b Message) int {
+	af, bf := n.first[a.From], n.first[b.From]
+	switch {
+	case af == bf:
+		return 0
+	case af:
+		return -1
+	default:
+		return 1
+	}
 }
 
 // Graph returns the underlying physical graph.
@@ -258,9 +309,6 @@ func (n *Network) Stats() Stats {
 
 // Slot returns the index of the next slot to execute.
 func (n *Network) Slot() int { return n.slot }
-
-// Pending returns the number of messages awaiting delivery next slot.
-func (n *Network) Pending() int { return len(n.pending) }
 
 // StepFunc is one node's behavior for one slot: it receives the node's
 // inbox for the slot and sends messages through the context. Steps run
@@ -296,68 +344,61 @@ func (c *Context) Neighbors() []topology.NodeID { return c.net.graph.Neighbors(c
 // returns false if there is no usable link; such messages are dropped
 // and counted.
 func (c *Context) Send(to topology.NodeID, p Payload) bool {
-	if !c.admit(to, false) {
-		return false
-	}
-	c.net.enqueue(c.node, to, p, p.WireSize())
-	return true
-}
-
-// Broadcast transmits payload to every neighbor, as individual sends (the
-// paper notes a sensor must send distinct edge MACs to distinct neighbors,
-// so a local broadcast is d unicasts). It returns how many sends went out.
-// The payload's wire size is taken once, at the first send that goes
-// out, and the link check skips the edge search, since every neighbor is
-// an edge.
-func (c *Context) Broadcast(p Payload) int {
-	sent, size := 0, 0
-	for _, nb := range c.Neighbors() {
-		if !c.admit(nb, true) {
-			continue
-		}
-		if sent == 0 {
-			size = p.WireSize()
-		}
-		c.net.enqueue(c.node, nb, p, size)
-		sent++
-	}
-	return sent
-}
-
-// admit applies the link check to one send, counting a refusal. isEdge
-// tells the link check that (node, to) is already known to be a graph
-// edge.
-func (c *Context) admit(to topology.NodeID, isEdge bool) bool {
-	if !c.net.linkAllowed(c.node, to, isEdge) {
+	if !c.net.linkAllowed(c.node, to) {
 		c.net.stats.DroppedNoLink++
 		return false
 	}
+	c.net.enqueue(c.node, to, p, p.WireSize(), 1)
 	return true
 }
 
-// enqueue appends one admitted send to the pending queue: it stamps the
-// global send sequence, charges the sender, and with the ARQ enabled
-// creates the frame's tracking entry, which the queued copy (and any
-// retransmitted copy) points back to.
-func (n *Network) enqueue(from, to topology.NodeID, p Payload, size int) {
-	m := Message{From: from, To: to, Payload: p, size: size, seq: n.seq}
-	n.seq++
-	n.stats.BytesSent[from] += int64(size)
-	n.stats.MessagesSent[from]++
-	if n.cfg.ARQ != nil {
-		e := &arqEntry{lastSent: n.slot}
-		m.arq = e
-		e.msg = m
-		n.arq = append(n.arq, e)
+// Broadcast transmits payload to every neighbor and returns how many
+// copies went out. It is one pending-queue entry, which delivery fans
+// out into one copy per neighbor, in neighbor order; each copy is
+// charged, stamped, checked and (under the ARQ) framed and acked exactly
+// like a Send to that neighbor (the paper notes a sensor must send
+// distinct edge MACs to distinct neighbors, so a local broadcast is d
+// unicasts). The payload's wire size is taken once, and only if the node
+// has a neighbor.
+func (c *Context) Broadcast(p Payload) int {
+	d := len(c.Neighbors())
+	if d > 0 {
+		c.net.enqueue(c.node, broadcastTo, p, p.WireSize(), d)
 	}
-	n.pending = append(n.pending, m)
+	return d
 }
 
-func (n *Network) linkAllowed(from, to topology.NodeID, isEdge bool) bool {
+// StopListening declares that this node ignores everything delivered to
+// it for the rest of the current Run* call. Later deliveries to it are
+// still charged to both ends, draw their loss and fault coins and are
+// acked under the ARQ, but skip its inbox and do not make it step in a
+// sparse sweep; if it steps anyway (woken, always-active or in a dense
+// sweep), its inbox is empty. The next Run* call listens to every node
+// again.
+func (c *Context) StopListening() {
+	n := c.net
+	if n.deaf == nil {
+		n.deaf = make([]int, len(n.ctxs))
+	}
+	n.deaf[c.node] = n.run
+}
+
+// enqueue appends one admitted send of copies frames to the pending
+// queue: it stamps the first copy's global send sequence, reserves the
+// rest, and charges the sender for every copy. The ARQ's tracking
+// entries are made at delivery, one per copy.
+func (n *Network) enqueue(from, to topology.NodeID, p Payload, size, copies int) {
+	n.pending = append(n.pending, Message{From: from, To: to, Payload: p, size: size, seq: n.seq})
+	n.seq += uint64(copies)
+	n.stats.BytesSent[from] += int64(size) * int64(copies)
+	n.stats.MessagesSent[from] += int64(copies)
+}
+
+func (n *Network) linkAllowed(from, to topology.NodeID) bool {
 	if from == to {
 		return false
 	}
-	if isEdge || n.graph.HasEdge(from, to) {
+	if n.graph.HasEdge(from, to) {
 		return true
 	}
 	return n.cfg.ExtraLink != nil && n.cfg.ExtraLink(from, to)
@@ -404,6 +445,7 @@ func (n *Network) SetAlwaysActive(ids []topology.NodeID) {
 // RunSlots executes exactly count slots, invoking step once per node per
 // slot (a dense sweep).
 func (n *Network) RunSlots(count int, step StepFunc) {
+	n.run++
 	for i := 0; i < count; i++ {
 		n.runOneSlot(step, false)
 	}
@@ -416,6 +458,7 @@ func (n *Network) RunSlots(count int, step StepFunc) {
 // caller's contract is that steps act only on received messages or at
 // pre-registered slots.
 func (n *Network) RunSlotsActive(count int, step StepFunc) {
+	n.run++
 	for i := 0; i < count; i++ {
 		n.runOneSlot(step, true)
 	}
@@ -440,6 +483,7 @@ func (n *Network) RunUntilQuiescentActive(maxSlots int, step StepFunc) int {
 }
 
 func (n *Network) runUntilQuiescent(maxSlots int, step StepFunc, sparse bool) int {
+	n.run++
 	ran := 0
 	for ran < maxSlots {
 		if ran > 0 && len(n.pending) == 0 {
@@ -452,11 +496,10 @@ func (n *Network) runUntilQuiescent(maxSlots int, step StepFunc, sparse bool) in
 }
 
 // runOneSlot advances the network one slot: fault-state tick, delivery of
-// last slot's sends into inboxes, ARQ tick, inbox ordering, and the node
-// sweep, whose sends go straight onto the pending queue. Everything runs
-// on the calling goroutine; the check order in the delivery loop is
-// load-bearing for reproducibility (fault coins only when Faults is set,
-// then DropRNG, then bursty loss, in pending order).
+// last slot's queue into inboxes (a broadcast entry fanned out over its
+// sender's neighbours), ARQ tick, inbox ordering, and the node sweep,
+// whose sends go straight onto the pending queue. Everything runs on the
+// calling goroutine.
 func (n *Network) runOneSlot(step StepFunc, sparse bool) {
 	faults := n.cfg.Faults
 	if faults != nil {
@@ -472,29 +515,14 @@ func (n *Network) runOneSlot(step StepFunc, sparse bool) {
 	}
 	n.touched = n.touched[:0]
 	for i := range n.pending {
-		m := &n.pending[i]
-		if faults != nil && (faults.NodeDown(m.From) || faults.NodeDown(m.To) || faults.LinkDown(m.From, m.To)) {
-			n.stats.DroppedFault++
+		q := &n.pending[i]
+		if q.To != broadcastTo {
+			n.deliver(q, q.To, q.seq, faults)
 			continue
 		}
-		if n.cfg.DropRate > 0 && n.cfg.DropRNG != nil && n.cfg.DropRNG.Float64() < n.cfg.DropRate {
-			n.stats.DroppedLoss++
-			continue
+		for k, nb := range n.graph.Neighbors(q.From) {
+			n.deliver(q, nb, q.seq+uint64(k), faults)
 		}
-		if faults != nil && faults.DeliveryLost() {
-			n.stats.DroppedFault++
-			continue
-		}
-		if m.arq != nil && !n.deliverARQ(m.arq) {
-			continue // duplicate suppressed by the receiver
-		}
-		m.Slot = n.slot
-		if len(inboxes[m.To]) == 0 {
-			n.touched = append(n.touched, m.To)
-		}
-		inboxes[m.To] = append(inboxes[m.To], *m)
-		n.stats.BytesReceived[m.To] += int64(m.size)
-		n.stats.MessagesReceived[m.To]++
 	}
 	n.pending = n.pending[:0]
 
@@ -513,11 +541,11 @@ func (n *Network) runOneSlot(step StepFunc, sparse bool) {
 			})
 		}
 	}
-	if n.cfg.Order != nil {
-		for _, id := range n.touched {
-			n.cfg.Order(inboxes[id])
-		}
+	for _, id := range n.reorder {
+		slices.SortStableFunc(inboxes[id], n.firstCmp)
+		n.marked[id] = false
 	}
+	n.reorder = n.reorder[:0]
 
 	// Sweep the slot's node set in ascending node order. Each send is
 	// queued the moment it is made, so the pending order and the sequence
@@ -529,6 +557,51 @@ func (n *Network) runOneSlot(step StepFunc, sparse bool) {
 	}
 	n.slot++
 	n.stats.Slots++
+}
+
+// deliver runs one frame through delivery: the queued message q itself,
+// or its copy to one neighbour (to, seq) if q is a broadcast. The check
+// order is load-bearing for reproducibility: under the ARQ the frame's
+// tracking entry first (a fresh frame gets one, stamped with its send
+// slot, the previous one), then the fault checks, the DropRNG coin, the
+// bursty-loss coin and the receiver's ack. A delivered frame is charged
+// to the receiver, and it reaches the inbox unless the receiver has
+// stopped listening.
+func (n *Network) deliver(q *Message, to topology.NodeID, seq uint64, faults FaultModel) {
+	from, e := q.From, q.arq
+	if n.cfg.ARQ != nil && e == nil {
+		e = &arqEntry{lastSent: n.slot - 1}
+		e.msg = Message{From: from, To: to, Payload: q.Payload, size: q.size, seq: seq, arq: e}
+		n.arq = append(n.arq, e)
+	}
+	if faults != nil && (faults.NodeDown(from) || faults.NodeDown(to) || faults.LinkDown(from, to)) {
+		n.stats.DroppedFault++
+		return
+	}
+	if n.cfg.DropRate > 0 && n.cfg.DropRNG != nil && n.cfg.DropRNG.Float64() < n.cfg.DropRate {
+		n.stats.DroppedLoss++
+		return
+	}
+	if faults != nil && faults.DeliveryLost() {
+		n.stats.DroppedFault++
+		return
+	}
+	if e != nil && !n.deliverARQ(e) {
+		return // duplicate suppressed by the receiver
+	}
+	n.stats.BytesReceived[to] += int64(q.size)
+	n.stats.MessagesReceived[to]++
+	if n.deaf != nil && n.deaf[to] == n.run {
+		return
+	}
+	if len(n.inboxes[to]) == 0 {
+		n.touched = append(n.touched, to)
+	}
+	n.inboxes[to] = append(n.inboxes[to], Message{From: from, To: to, Slot: n.slot, Payload: q.Payload, size: q.size, seq: seq, arq: e})
+	if n.first != nil && n.first[from] && !n.marked[to] {
+		n.marked[to] = true
+		n.reorder = append(n.reorder, to)
+	}
 }
 
 // activeSet collects this slot's sparse active set in ascending node
@@ -602,46 +675,3 @@ func (n *Network) stepNode(step StepFunc, faults FaultModel, id topology.NodeID)
 	c.Inbox = n.inboxes[id]
 	step(c)
 }
-
-// MaliciousFirstOrder returns an Orderer that moves messages originated by
-// malicious nodes to the front of each inbox, keeping the relative order
-// within each group, modelling the worst case where the adversary's
-// transmissions always beat honest ones within a slot (the "first veto
-// wins" races of the SOF protocol). The set is read once, here: later
-// changes to the map do not reach the Orderer.
-func MaliciousFirstOrder(malicious map[topology.NodeID]bool) Orderer {
-	var bad nodeFlags
-	for id, m := range malicious {
-		if m && id >= 0 {
-			for int(id) >= len(bad) {
-				bad = append(bad, false)
-			}
-			bad[id] = true
-		}
-	}
-	maliciousFirst := func(a, b Message) int {
-		am, bm := bad.has(a.From), bad.has(b.From)
-		switch {
-		case am == bm:
-			return 0
-		case am:
-			return -1
-		default:
-			return 1
-		}
-	}
-	// An inbox with no malicious sender costs one pass of slice reads.
-	return func(inbox []Message) {
-		for i := range inbox {
-			if bad.has(inbox[i].From) {
-				slices.SortStableFunc(inbox, maliciousFirst)
-				return
-			}
-		}
-	}
-}
-
-// nodeFlags is a dense per-node flag; IDs past its end read false.
-type nodeFlags []bool
-
-func (f nodeFlags) has(id topology.NodeID) bool { return uint(id) < uint(len(f)) && f[id] }

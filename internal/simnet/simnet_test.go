@@ -243,7 +243,7 @@ func TestMaliciousFirstOrder(t *testing.T) {
 	// come first; within each group, the (From, seq) order is kept. A
 	// false entry in the set is an honest node.
 	mal := map[topology.NodeID]bool{7: true, 9: true, 3: false}
-	net := New(topology.Star(10), Config{Order: MaliciousFirstOrder(mal)})
+	net := New(topology.Star(10), Config{FirstFrom: mal})
 	var got []string
 	net.RunSlots(2, func(ctx *Context) {
 		if ctx.Slot() == 0 && ctx.Node() != 0 {
@@ -268,7 +268,8 @@ func TestMaliciousFirstOrder(t *testing.T) {
 // node that received something broadcasts again, so after a few slots
 // each slot carries the same traffic. Once the buffers have grown, a slot
 // must allocate nothing, in dense and sparse sweeps, with and without the
-// adversary-first inbox order.
+// adversary-first inbox order. So must a whole run of a flood in which
+// each node relays once and then stops listening.
 func TestSteadySlotAllocatesNothing(t *testing.T) {
 	g := topology.Grid(8, 8)
 	var flood Payload = payload{tag: "flood", size: 8}
@@ -277,16 +278,26 @@ func TestSteadySlotAllocatesNothing(t *testing.T) {
 			ctx.Broadcast(flood)
 		}
 	}
+	// relayOnce floods from node 0 at the first slot of each run; a node
+	// that has relayed hears nothing more, so each node relays once and
+	// the run ends when the flood has crossed the grid.
+	runStart := 0
+	relayOnce := func(ctx *Context) {
+		if len(ctx.Inbox) > 0 || (ctx.Slot() == runStart && ctx.Node() == 0) {
+			ctx.Broadcast(flood)
+			ctx.StopListening()
+		}
+	}
 	orders := []struct {
 		name  string
-		order Orderer
+		first map[topology.NodeID]bool
 	}{
 		{"default order", nil},
-		{"malicious first", MaliciousFirstOrder(map[topology.NodeID]bool{9: true, 27: true, 44: true})},
+		{"malicious first", map[topology.NodeID]bool{9: true, 27: true, 44: true}},
 	}
 	for _, o := range orders {
 		for _, sparse := range []bool{false, true} {
-			net := New(g, Config{Order: o.order})
+			net := New(g, Config{FirstFrom: o.first})
 			if sparse {
 				net.WakeAt(0, 0)
 			}
@@ -300,11 +311,33 @@ func TestSteadySlotAllocatesNothing(t *testing.T) {
 			for i := 0; i < 40; i++ {
 				slot()
 			}
-			if net.Pending() == 0 {
+			before := net.Stats().MessagesSent
+			slot()
+			if after := net.Stats().MessagesSent; slices.Equal(before, after) {
 				t.Fatalf("%s, sparse=%v: the flood died out", o.name, sparse)
 			}
 			if allocs := testing.AllocsPerRun(100, slot); allocs != 0 {
 				t.Errorf("%s, sparse=%v: a steady-state slot made %.1f allocations, want 0", o.name, sparse, allocs)
+			}
+
+			net = New(g, Config{FirstFrom: o.first})
+			net.SetAlwaysActive([]topology.NodeID{0}) // the origin of every run
+			run := func() {
+				runStart = net.Slot()
+				if sparse {
+					net.RunUntilQuiescentActive(100, relayOnce)
+				} else {
+					net.RunUntilQuiescent(100, relayOnce)
+				}
+			}
+			run()
+			for id, sent := range net.Stats().MessagesSent {
+				if want := int64(g.Degree(topology.NodeID(id))); sent != want {
+					t.Fatalf("%s, sparse=%v: node %d sent %d messages in one relay-once flood, want %d", o.name, sparse, id, sent, want)
+				}
+			}
+			if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+				t.Errorf("%s, sparse=%v: a relay-once flood made %.1f allocations, want 0", o.name, sparse, allocs)
 			}
 		}
 	}

@@ -114,18 +114,18 @@ func (g *Graph) Subgraph(keep func(a, b NodeID) bool) *Graph {
 	return c
 }
 
-// Without returns a copy of g with all edges incident to excluded nodes
-// removed. It is used to compute depths "excluding all malicious sensors"
-// per the paper's definition of network depth.
-func (g *Graph) Without(excluded map[NodeID]bool) *Graph {
-	return g.Subgraph(func(a, b NodeID) bool {
-		return !excluded[a] && !excluded[b]
-	})
-}
-
 // Depths returns the BFS depth of every node from root, or -1 for nodes
 // unreachable from root.
 func (g *Graph) Depths(root NodeID) []int {
+	return g.depthsExcluding(root, nil)
+}
+
+// depthsExcluding returns the BFS depths from root in g with every edge
+// at an excluded node removed, without building that graph: the search
+// never enters an excluded node, and an excluded root reaches nothing.
+// It is how depths "excluding all malicious sensors" are taken, per the
+// paper's definition of network depth.
+func (g *Graph) depthsExcluding(root NodeID, excluded map[NodeID]bool) []int {
 	depth := make([]int, g.n)
 	for i := range depth {
 		depth[i] = -1
@@ -134,12 +134,15 @@ func (g *Graph) Depths(root NodeID) []int {
 		return depth
 	}
 	depth[root] = 0
-	queue := []NodeID{root}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
+	if excluded[root] {
+		return depth
+	}
+	queue := make([]NodeID, 1, g.n)
+	queue[0] = root
+	for head := 0; head < len(queue); head++ {
+		cur := queue[head]
 		for _, nb := range g.adj[cur] {
-			if depth[nb] == -1 {
+			if depth[nb] == -1 && !excluded[nb] {
 				depth[nb] = depth[cur] + 1
 				queue = append(queue, nb)
 			}
@@ -151,19 +154,18 @@ func (g *Graph) Depths(root NodeID) []int {
 // Depth returns the network depth from root: the maximum finite BFS depth.
 // Unreachable nodes are ignored.
 func (g *Graph) Depth(root NodeID) int {
-	max := 0
-	for _, d := range g.Depths(root) {
-		if d > max {
-			max = d
-		}
-	}
-	return max
+	return maxDepth(g.Depths(root))
 }
 
 // HonestDepth returns the paper's L for this deployment: the depth of the
 // network from the base station after excluding the given malicious nodes.
 func (g *Graph) HonestDepth(root NodeID, malicious map[NodeID]bool) int {
-	return g.Without(malicious).Depth(root)
+	return maxDepth(g.depthsExcluding(root, malicious))
+}
+
+// maxDepth returns the largest finite depth, or 0 if there is none.
+func maxDepth(depths []int) int {
+	return max(0, slices.Max(depths))
 }
 
 // Connected reports whether every node is reachable from root.
@@ -180,8 +182,7 @@ func (g *Graph) Connected(root NodeID) bool {
 // from root without traversing excluded nodes. The paper assumes malicious
 // sensors do not partition the honest sensors from the base station.
 func (g *Graph) ConnectedExcluding(root NodeID, excluded map[NodeID]bool) bool {
-	depths := g.Without(excluded).Depths(root)
-	for id, d := range depths {
+	for id, d := range g.depthsExcluding(root, excluded) {
 		if excluded[NodeID(id)] || NodeID(id) == root {
 			continue
 		}
@@ -224,18 +225,43 @@ func Star(n int) *Graph {
 // Grid returns a rows x cols grid graph. Node 0 (the base station) sits at
 // the corner (0, 0); node r*cols+c sits at (r, c).
 func Grid(rows, cols int) *Graph {
-	g := New(rows * cols)
 	id := func(r, c int) NodeID { return NodeID(r*cols + c) }
+	edges := make([][2]NodeID, 0, 2*rows*cols)
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			if c+1 < cols {
-				g.AddEdge(id(r, c), id(r, c+1))
+				edges = append(edges, [2]NodeID{id(r, c), id(r, c+1)})
 			}
 			if r+1 < rows {
-				g.AddEdge(id(r, c), id(r+1, c))
+				edges = append(edges, [2]NodeID{id(r, c), id(r+1, c)})
 			}
 		}
 	}
+	return fromEdges(rows*cols, edges)
+}
+
+// fromEdges builds a graph over n nodes from distinct edges (a, b) with
+// a < b, given in (a, b) order. Every neighbour list is carved out of one
+// array, and each comes out sorted: a node's lower neighbours arrive
+// first, in order, then its higher ones. Each list is capped at its
+// degree, so a later AddEdge reallocates the list it grows instead of
+// writing into the next one.
+func fromEdges(n int, edges [][2]NodeID) *Graph {
+	g := New(n)
+	deg := make([]int, n)
+	for _, e := range edges {
+		deg[e[0]]++
+		deg[e[1]]++
+	}
+	buf := make([]NodeID, 2*len(edges))
+	for id, d := range deg {
+		g.adj[id], buf = buf[:0:d], buf[d:]
+	}
+	for _, e := range edges {
+		g.adj[e[0]] = append(g.adj[e[0]], e[1])
+		g.adj[e[1]] = append(g.adj[e[1]], e[0])
+	}
+	g.edges = len(edges)
 	return g
 }
 
@@ -252,14 +278,15 @@ func RandomGeometric(n int, radius float64, rng *crypto.Stream) (*Graph, [][2]fl
 	for i := 1; i < n; i++ {
 		pts[i] = [2]float64{rng.Float64(), rng.Float64()}
 	}
-	g := New(n)
+	var edges [][2]NodeID
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if dist(pts[i], pts[j]) <= radius {
-				g.AddEdge(NodeID(i), NodeID(j))
+				edges = append(edges, [2]NodeID{NodeID(i), NodeID(j)})
 			}
 		}
 	}
+	g := fromEdges(n, edges)
 	stitchComponents(g, pts)
 	return g, pts
 }
